@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, List, Optional, Sequence, Tuple, Union
@@ -119,6 +120,9 @@ def _number(section: dict, key: str, where: str, errors: List[str],
     if val is None or isinstance(val, bool) or not isinstance(val, (int, float)):
         errors.append(f"{where}.{key} must be a number, got {val!r}")
         return default
+    if not math.isfinite(val):
+        errors.append(f"{where}.{key} must be finite, got {val!r}")
+        return default
     return val
 
 
@@ -211,8 +215,10 @@ def validate_config(raw: dict) -> Tuple[RunConfig, List[str]]:
         errors.append(f"stepper.dt must be a positive number or 'auto', got {dt!r}")
         dt = "auto"
     elif not isinstance(dt, str):
-        if isinstance(dt, bool) or not isinstance(dt, (int, float)) or dt <= 0:
-            errors.append(f"stepper.dt must be a positive number or 'auto', got {dt!r}")
+        if (isinstance(dt, bool) or not isinstance(dt, (int, float))
+                or not math.isfinite(dt) or dt <= 0):
+            errors.append(f"stepper.dt must be a positive finite number or "
+                          f"'auto', got {dt!r}")
             dt = "auto"
     t_end = _number(sec, "t_end", "stepper", errors, 1.0)
     cfl_a = _number(sec, "cfl_advective", "stepper", errors, 0.4)
@@ -232,8 +238,9 @@ def validate_config(raw: dict) -> Tuple[RunConfig, List[str]]:
         sec = {}
     _require_keys(sec, ("s", "k_cross", "cadence_steps"), "diagnostics", errors)
     s = sec.get("s", None)
-    if s is not None and (isinstance(s, bool) or not isinstance(s, (int, float))):
-        errors.append(f"diagnostics.s must be a number or null, got {s!r}")
+    if s is not None and (isinstance(s, bool) or not isinstance(s, (int, float))
+                          or not math.isfinite(s)):
+        errors.append(f"diagnostics.s must be a finite number or null, got {s!r}")
         s = None
     k_cross = _number(sec, "k_cross", "diagnostics", errors, 0.1)
     cadence = _integer(sec, "cadence_steps", "diagnostics", errors, 10)

@@ -124,11 +124,21 @@ class ModelParams:
 
 @dataclass
 class FlowState:
-    """Velocity (divergence-free) and symmetric stress at one time."""
+    """Velocity (divergence-free) and symmetric stress at one time.
+
+    energy_budget leaves the explicit tendency it computed on the state, as
+    a one-slot hand-off keyed by the model parameters; the next
+    explicit_rhs call on the same state with equal parameters returns it
+    instead of recomputing it, and every explicit_rhs call drops it.  So a
+    state's arrays must not be mutated in place once its tendency was taken;
+    build a new state (or a copy, which carries no hand-off) instead.
+    """
 
     u: VectorField
     tau: TensorField
     t: float = 0.0
+    _handoff: Optional[Tuple[ModelParams, VectorField, TensorField]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.u.grid != self.tau.grid:
@@ -257,11 +267,12 @@ def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.n
     return rate_u, rate_tau
 
 
-def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
-    """Tendencies without the diagonal dissipation/damping terms.
+def _explicit_terms(state: FlowState, params: ModelParams,
+                    ) -> Tuple[VectorField, TensorField, Optional[np.ndarray]]:
+    """Kernel of explicit_rhs, plus the physical Q triangle (None if Q is off).
 
-    This is the stiff-free part handled explicitly by the integrating-factor
-    steppers.  The momentum tendency is Leray-projected.
+    u, grad u, grad tau and tau are inverted one stack each; u.grad tau and
+    Q are summed on the grid and transformed once.
     """
     grid = state.grid
     tg = params.toggles
@@ -285,23 +296,49 @@ def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, Te
 
     if tg.strain_source:
         dtau += strain_rate(u).comps
+    nl = None
     if tg.advection_tau:
-        grads = _gradient_physical(tau.comps, grid)
-        nl = np.einsum("j...,mj...->m...", u_phys, grads)
+        nl = np.einsum("j...,mj...->m...", u_phys,
+                       _gradient_physical(tau.comps, grid))
+    q_tri = _q_triangle_physical(tau, grad_u, params.b) if tg.q_term else None
+    if q_tri is not None:
+        # in place into the advection samples, so q_tri itself survives
+        nl = q_tri if nl is None else np.add(nl, q_tri, out=nl)
+    if nl is not None:
         dtau -= _forward(nl, grid) * mask
-    if tg.q_term:
-        tri = _q_triangle_physical(tau, grad_u, params.b)
-        dtau -= _forward(tri, grid) * mask
 
-    return du_field, TensorField(grid, dtau, "symmetric")
+    return du_field, TensorField(grid, dtau, "symmetric"), q_tri
+
+
+def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
+    """Tendencies without the diagonal dissipation/damping terms.
+
+    This is the stiff-free part handled explicitly by the integrating-factor
+    steppers.  The momentum tendency is Leray-projected.  One call inverts
+    15 components and forward-transforms 5 in 2D (36 and 9 in 3D): u.grad
+    tau and Q(tau, grad u) are summed on the grid before one transform.
+
+    A tendency that energy_budget handed off on this state with equal
+    params is returned as is, without a transform; any hand-off is dropped
+    by the call (see FlowState).
+    """
+    handoff, state._handoff = state._handoff, None
+    if handoff is not None and handoff[0] == params:
+        return handoff[1], handoff[2]
+    du, dtau, _ = _explicit_terms(state, params)
+    return du, dtau
+
+
+def _with_dissipation(state: FlowState, params: ModelParams, du: VectorField,
+                      dtau: TensorField) -> Tuple[VectorField, TensorField]:
+    rate_u, rate_tau = dissipation_rates(state.grid, params)
+    return (du.with_comps(du.comps - rate_u * state.u.comps),
+            dtau.with_comps(dtau.comps - rate_tau * state.tau.comps))
 
 
 def rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
     """Full tendencies (du/dt, dtau/dt) of the toggled system."""
-    du, dtau = explicit_rhs(state, params)
-    rate_u, rate_tau = dissipation_rates(state.grid, params)
-    return (du.with_comps(du.comps - rate_u * state.u.comps),
-            dtau.with_comps(dtau.comps - rate_tau * state.tau.comps))
+    return _with_dissipation(state, params, *explicit_rhs(state, params))
 
 
 def recover_pressure(state: FlowState, params: ModelParams) -> SpectralField:
@@ -339,9 +376,18 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
 
     which holds whenever the two coupling terms are toggled together (their
     works cancel exactly) and advection is either off or dealiased.
+
+    The tendencies and <Q, tau> come from one evaluation of the explicit
+    terms (15 inverse and 5 forward components in 2D, 36 and 9 in 3D) plus
+    one forward transform of the physical Q triangle (3 or 6 components).
+    The explicit tendency is then handed off on the state, so the next step
+    from this state skips its first evaluation (see FlowState).
     """
+    grid = state.grid
     u, tau = state.u, state.tau
-    du, dtau = rhs(state, params)
+    du, dtau, q_tri = _explicit_terms(state, params)
+    state._handoff = (params, du, dtau)
+    du, dtau = _with_dissipation(state, params, du, dtau)
     u_work = l2_inner_product(u, du)
     tau_work = l2_inner_product(tau, dtau)
     diss_tau_l2 = l2_inner_product(fractional_laplacian(tau, params.beta), tau) \
@@ -349,8 +395,9 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
     visc_u_l2 = l2_inner_product(fractional_laplacian(u, params.alpha), u) \
         if params.nu_eff else 0.0
     tau_sq = l2_inner_product(tau, tau)
-    q_work = l2_inner_product(q_bilinear(tau, u, params.b), tau) \
-        if params.toggles.q_term else 0.0
+    q_work = l2_inner_product(tau.with_comps(
+        _forward(q_tri, grid) * grid.dealias_mask), tau) \
+        if q_tri is not None else 0.0
     terms = {
         "u_work": u_work,
         "tau_work": tau_work,

@@ -180,12 +180,15 @@ def _inverse(coeffs: np.ndarray, grid: Grid, tol: float = 1e-12) -> np.ndarray:
         raise GridMismatchError(
             f"coefficient shape {coeffs.shape} does not end in {grid.shape}")
     out = np.fft.ifftn(coeffs, axes=grid.axes, norm="forward")
-    scale = float(np.max(np.abs(out))) if out.size else 0.0
     residue = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    if residue > tol * (1.0 + scale):
-        raise HermitianSymmetryError(
-            f"imaginary residue {residue:.3e} exceeds tolerance "
-            f"{tol:.1e} * (1 + {scale:.3e})")
+    # the bound tol * (1 + scale) is at least tol, so the magnitude scan
+    # is only needed when the residue exceeds tol
+    if residue > tol:
+        scale = float(np.max(np.abs(out)))
+        if residue > tol * (1.0 + scale):
+            raise HermitianSymmetryError(
+                f"imaginary residue {residue:.3e} exceeds tolerance "
+                f"{tol:.1e} * (1 + {scale:.3e})")
     return np.ascontiguousarray(out.real)
 
 

@@ -102,7 +102,11 @@ def _tendency(grid: Grid, params: ModelParams, u: np.ndarray, tau: np.ndarray,
 
 def step(state: FlowState, params: ModelParams, dt: float,
          scheme: str = "if-rk4") -> FlowState:
-    """Advance one step; u is re-projected after every stage."""
+    """Advance one step; u is re-projected after every stage.
+
+    Stage 1 evaluates the state object itself, so it consumes a tendency
+    that energy_budget handed off on it (see FlowState).
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if scheme not in SCHEMES:
@@ -112,15 +116,15 @@ def step(state: FlowState, params: ModelParams, dt: float,
     u0, tau0 = state.u.comps, state.tau.comps
     t0 = state.t
 
+    du, dtau = explicit_rhs(state, params)
+    du1, dt1 = du.comps, dtau.comps
     if scheme == "if-euler":
-        du, dtau = _tendency(grid, params, u0, tau0, t0)
-        u1 = _project(grid, eu_f * (u0 + dt * du))
-        tau1 = et_f * (tau0 + dt * dtau)
+        u1 = _project(grid, eu_f * (u0 + dt * du1))
+        tau1 = et_f * (tau0 + dt * dt1)
         return FlowState(VectorField(grid, u1),
                          TensorField(grid, tau1, "symmetric"), t0 + dt)
 
     # if-rk4: RK4 in the variables z = exp(L (t - t0)) y.
-    du1, dt1 = _tendency(grid, params, u0, tau0, t0)
     ku1, kt1 = dt * du1, dt * dt1
 
     u_s = _project(grid, eu_h * (u0 + 0.5 * ku1))
@@ -168,6 +172,7 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
         fn(state, 0)
     t_end = config.t_end
     if t_end == 0.0:
+        state._handoff = None  # no step follows the record
         events.append({"event": "end", "t": state.t, "step": 0})
         return IntegrationResult(state, 0, events)
 
@@ -220,5 +225,6 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
                 fn(current, i)
         if finished:
             break
+    current._handoff = None  # the last record's tendency serves no step
     events.append({"event": "end", "t": current.t, "step": i})
     return IntegrationResult(current, i, events)

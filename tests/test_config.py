@@ -109,6 +109,22 @@ class TestHardErrors:
         assert any("must be a number" in e
                    for e in t_err({"model": {"eta": True}}))
 
+    @pytest.mark.parametrize("override, key", [
+        ("model.eta=NaN", "model.eta"),
+        ("model.beta=NaN", "model.beta"),
+        ("model.b=-Infinity", "model.b"),
+        ("initial_data.epsilon=NaN", "initial_data.epsilon"),
+        ("stepper.dt_cap=NaN", "stepper.dt_cap"),
+        ("stepper.t_end=Infinity", "stepper.t_end"),
+        ("stepper.dt=NaN", "stepper.dt"),
+        ("stepper.dt=Infinity", "stepper.dt"),
+        ("diagnostics.s=NaN", "diagnostics.s"),
+        ("diagnostics.k_cross=NaN", "diagnostics.k_cross"),
+    ])
+    def test_non_finite_numbers(self, override, key):
+        errors = t_err(apply_overrides({}, [override]))
+        assert any(e.startswith(key) and "finite" in e for e in errors), errors
+
     def test_errors_are_aggregated(self):
         errors = t_err({"grid": {"n": 63}, "model": {"eta": -1.0, "b": 2.0},
                         "stepper": {"dt": -1.0}})
@@ -189,6 +205,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(tmp_path / "nope.json")
         assert any("cannot read" in e for e in info.value.errors)
+
+    def test_non_finite_json_literal(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"model": {"eta": NaN}}')
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert any("model.eta must be finite" in e for e in info.value.errors)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -203,6 +203,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert "unknown key" in err
 
+    def test_check_config_rejects_non_finite_override(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, SMALL_RUN)
+        assert main(["check-config", "--config", str(path),
+                     "--override", "model.eta=NaN"]) == 2
+        captured = capsys.readouterr()
+        assert "model.eta must be finite" in captured.err
+        assert "config ok" not in captured.out
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 

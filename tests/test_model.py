@@ -9,6 +9,7 @@ from obflow.model import (
     FlowState,
     ModelParams,
     TermToggles,
+    advect,
     dissipation_rates,
     energy_balance_residual,
     energy_budget,
@@ -243,6 +244,80 @@ class TestTendencies:
         assert rate_tau[idx] == pytest.approx(2.0 * 5.0 + 0.25, rel=1e-14)
         assert rate_u[g.mode_index((0, 0))] == 0.0
         assert rate_tau[g.mode_index((0, 0))] == pytest.approx(0.25)
+
+
+def split_explicit_rhs(state, params):
+    """Reference tendencies built term by term from the split operators."""
+    u, tau = state.u, state.tau
+    du = divergence(tau).comps - advect(u, u).comps
+    dtau = (strain_rate(u).comps - advect(u, tau).comps
+            - q_bilinear(tau, u, params.b).comps)
+    return leray_project(u.with_comps(du)).comps, dtau
+
+
+@pytest.fixture
+def fft_components(monkeypatch):
+    """Counts [inverse, forward] transformed components of numpy's fftn."""
+    counts = [0, 0]
+
+    def counting(fn, slot):
+        def wrapper(a, s=None, axes=None, norm=None):
+            a = np.asarray(a)
+            counts[slot] += a.size // math.prod(a.shape[ax] for ax in axes)
+            return fn(a, s=s, axes=axes, norm=norm)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "ifftn", counting(np.fft.ifftn, 0))
+    monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, 1))
+    return counts
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_matches_split_operators(self, d, n):
+        st = random_state(Grid(d, n), seed=90 + d, scale=0.7)
+        params = ModelParams(eta=1.0, beta=0.5, b=0.6)
+        du, dtau = explicit_rhs(st, params)
+        ref_u, ref_tau = split_explicit_rhs(st, params)
+        for got, ref in ((du.comps, ref_u), (dtau.comps, ref_tau)):
+            scale = np.max(np.abs(ref))
+            assert scale > 0
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("d, n, inverse, forward",
+                             [(2, 16, 15, 5), (3, 8, 36, 9)])
+    def test_transform_components_per_call(self, fft_components, d, n,
+                                           inverse, forward):
+        st = random_state(Grid(d, n), seed=95, scale=0.5)
+        fft_components[:] = [0, 0]
+        explicit_rhs(st, ModelParams(eta=1.0, b=0.5))
+        assert fft_components == [inverse, forward]
+
+    @pytest.mark.parametrize("d, n, inverse, forward",
+                             [(2, 16, 15, 5), (3, 8, 36, 9)])
+    def test_budget_hands_its_tendency_to_explicit_rhs(
+            self, fft_components, d, n, inverse, forward):
+        st = random_state(Grid(d, n), seed=96, scale=0.5)
+        params = ModelParams(eta=1.0, beta=0.5, b=-0.4)
+        fresh = explicit_rhs(st.copy(), params)
+        fft_components[:] = [0, 0]
+        energy_budget(st, params)
+        # one kernel pass plus the forward transform of the Q triangle
+        budget = [inverse, forward + len(st.tau.pairs)]
+        assert fft_components == budget
+        du, dtau = explicit_rhs(st, params)
+        assert fft_components == budget
+        np.testing.assert_array_equal(du.comps, fresh[0].comps)
+        np.testing.assert_array_equal(dtau.comps, fresh[1].comps)
+        # the hand-off is dropped once taken
+        explicit_rhs(st, params)
+        assert fft_components == [budget[0] + inverse, budget[1] + forward]
+
+    def test_q_work_matches_q_bilinear(self):
+        st = random_state(Grid(2, 16), seed=97, scale=0.5)
+        params = ModelParams(eta=1.0, beta=0.5, b=0.7)
+        ref = l2_inner_product(q_bilinear(st.tau, st.u, params.b), st.tau)
+        assert energy_budget(st, params)["q_work"] == ref
 
 
 class TestEnergyBudget:

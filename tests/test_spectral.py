@@ -116,6 +116,19 @@ class TestTransforms:
         with pytest.raises(HermitianSymmetryError):
             inverse_transform(SpectralField(g, coeffs))
 
+    def test_symmetry_tolerance_scales_with_magnitude(self):
+        """A residue above tol passes when it is below tol * (1 + max|f|)."""
+        g = Grid(2, 16)
+        coeffs = np.zeros(g.shape, dtype=complex)
+        coeffs[g.mode_index((1, 0))] = 1e6
+        coeffs[g.mode_index((-1, 0))] = 1e6
+        coeffs[g.mode_index((2, 0))] = 1e-8  # no conjugate partner
+        inverse_transform(SpectralField(g, coeffs))
+        coeffs[g.mode_index((2, 0))] = 1e-4
+        with pytest.raises(HermitianSymmetryError,
+                           match=r"exceeds tolerance 1\.0e-12 \* \(1 \+ 2\.000e\+06\)"):
+            inverse_transform(SpectralField(g, coeffs))
+
 
 class TestDifferentialOperators:
     def test_gradient_of_sine(self):

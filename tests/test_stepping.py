@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from obflow.linear import linear_mode_solution
-from obflow.model import FlowState, ModelParams, TermToggles, make_initial_data
+from obflow.model import (
+    FlowState,
+    ModelParams,
+    TermToggles,
+    energy_budget,
+    make_initial_data,
+)
 from obflow.spectral import (
     Grid,
     TensorField,
@@ -138,6 +144,50 @@ class TestCfl:
                             dt_cap=1.0)
         expected = 0.5 * g.dx / 10.0
         assert cfl_dt(st, cfg) == pytest.approx(expected, rel=1e-12)
+
+
+class TestTendencyHandOff:
+    """energy_budget hands its tendency to the next step's first stage."""
+
+    PARAMS = ModelParams(eta=0.8, beta=0.5, b=0.4, nu=0.05)
+
+    def state(self):
+        return make_initial_data(Grid(2, 16), recipe="random-band",
+                                 epsilon=0.5, seed=8)
+
+    @pytest.mark.parametrize("scheme", ["if-rk4", "if-euler"])
+    def test_step_after_budget_is_bit_identical(self, scheme):
+        st = self.state()
+        fresh = step(st.copy(), self.PARAMS, 0.01, scheme)
+        energy_budget(st, self.PARAMS)
+        assert st._handoff is not None
+        out = step(st, self.PARAMS, 0.01, scheme)
+        np.testing.assert_array_equal(out.u.comps, fresh.u.comps)
+        np.testing.assert_array_equal(out.tau.comps, fresh.tau.comps)
+        assert st._handoff is None
+
+    def test_hand_off_with_other_params_is_ignored(self):
+        other = ModelParams(eta=0.8, beta=0.5, b=-0.7, nu=0.05)
+        st = self.state()
+        fresh = step(st.copy(), self.PARAMS, 0.01)
+        energy_budget(st, other)
+        out = step(st, self.PARAMS, 0.01)
+        np.testing.assert_array_equal(out.u.comps, fresh.u.comps)
+        np.testing.assert_array_equal(out.tau.comps, fresh.tau.comps)
+        assert st._handoff is None
+
+    def test_no_hand_off_outlives_the_run(self):
+        seen = []
+
+        def record(state, i):
+            energy_budget(state, self.PARAMS)
+            seen.append(state)
+
+        res = integrate(self.state(), self.PARAMS,
+                        StepperConfig(dt=0.01, t_end=0.03), [(1, record)])
+        assert len(seen) == 4
+        assert all(s._handoff is None for s in seen)
+        assert res.state is seen[-1]
 
 
 class TestIntegrate:

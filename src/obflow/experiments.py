@@ -24,7 +24,6 @@ from .diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
     bootstrap_monitor,
-    lyapunov_equivalence_check,
     max_relative_identity_residual,
     trajectory_distance,
     write_diagnostics_csv,
@@ -181,7 +180,7 @@ def linear_verify(cfg: RunConfig, outdir: Optional[Path] = None,
     grid = cfg.grid
     params = cfg.model
     mode = cfg.initial_data.mode or (0,) * (grid.d - 1) + (1,)
-    idx = grid.mode_index(mode)
+    idx, conjugated = grid.mode_index(mode)
     k_mag = math.sqrt(sum(m * m for m in mode))
     state = make_initial_data(
         grid, recipe="single-mode", epsilon=cfg.initial_data.epsilon,
@@ -190,10 +189,13 @@ def linear_verify(cfg: RunConfig, outdir: Optional[Path] = None,
 
     samples: List[Tuple[float, np.ndarray, np.ndarray]] = []
 
+    def at_mode(comps: np.ndarray) -> np.ndarray:
+        amplitude = comps[(slice(None),) + idx]
+        return amplitude.conj() if conjugated else amplitude.copy()
+
     def capture(s: FlowState, i: int) -> None:
         shat = leray_project(divergence(s.tau))
-        samples.append((s.t, s.u.comps[(slice(None),) + idx].copy(),
-                        shat.comps[(slice(None),) + idx].copy()))
+        samples.append((s.t, at_mode(s.u.comps), at_mode(shat.comps)))
 
     integrate(state, params, cfg.stepper, [(cfg.cadence_steps, capture)])
 

@@ -16,12 +16,14 @@ the divergence-free subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+import math
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .spectral import (
+    SYM_PAIRS,
     Field,
     Grid,
     GridMismatchError,
@@ -31,7 +33,6 @@ from .spectral import (
     _data,
     _forward,
     _inverse,
-    dealias,
     divergence,
     fractional_laplacian,
     l2_inner_product,
@@ -84,6 +85,10 @@ class ModelParams:
     toggles: TermToggles = field(default_factory=TermToggles)
 
     def __post_init__(self):
+        for name in ("eta", "beta", "nu", "alpha", "b", "a"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if not -1.0 <= self.b <= 1.0:
@@ -143,8 +148,6 @@ class FlowState:
     def __post_init__(self):
         if self.u.grid != self.tau.grid:
             raise GridMismatchError("velocity and stress grids differ")
-        if self.tau.kind != "symmetric":
-            raise ValueError("stress tensor must use symmetric storage")
 
     @property
     def grid(self) -> Grid:
@@ -158,29 +161,18 @@ def strain_rate(u: VectorField) -> TensorField:
     """Symmetric gradient D(u)_ij = (du_i/dx_j + du_j/dx_i) / 2."""
     grid = u.grid
     ik = grid.derivative_multipliers
-    pairs = TensorField.zeros(grid, "symmetric").pairs
-    comps = np.empty((len(pairs),) + grid.shape, dtype=np.complex128)
+    pairs = SYM_PAIRS[grid.d]
+    comps = np.empty((len(pairs),) + grid.spectral_shape, dtype=np.complex128)
     for m, (i, j) in enumerate(pairs):
         comps[m] = 0.5 * (ik[j] * u.comps[i] + ik[i] * u.comps[j])
-    return TensorField(grid, comps, "symmetric")
-
-
-def vorticity_tensor(u: VectorField) -> TensorField:
-    """Antisymmetric gradient W(u)_ij = (du_i/dx_j - du_j/dx_i) / 2."""
-    grid = u.grid
-    ik = grid.derivative_multipliers
-    pairs = TensorField.zeros(grid, "skew").pairs
-    comps = np.empty((len(pairs),) + grid.shape, dtype=np.complex128)
-    for m, (i, j) in enumerate(pairs):
-        comps[m] = 0.5 * (ik[j] * u.comps[i] - ik[i] * u.comps[j])
-    return TensorField(grid, comps, "skew")
+    return TensorField(grid, comps)
 
 
 def _gradient_physical(field_comps: np.ndarray, grid: Grid) -> np.ndarray:
     """Physical samples of all first derivatives; shape (m, d, *grid)."""
     ik = grid.derivative_multipliers
     m = field_comps.shape[0]
-    grads = np.empty((m, grid.d) + grid.shape, dtype=np.complex128)
+    grads = np.empty((m, grid.d) + grid.spectral_shape, dtype=np.complex128)
     for axis in range(grid.d):
         grads[:, axis] = field_comps * ik[axis]
     return _inverse(grads, grid)
@@ -249,7 +241,7 @@ def q_bilinear(tau: TensorField, u: VectorField, b: float) -> TensorField:
     grad_u = _gradient_physical(u.comps, grid)      # grad_u[i, j] = dj u_i
     tri = _q_triangle_physical(tau, grad_u, b)
     out = _forward(tri, grid) * grid.dealias_mask
-    return TensorField(grid, out, "symmetric")
+    return TensorField(grid, out)
 
 
 def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
@@ -259,9 +251,9 @@ def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.n
     k = 0 convention of the fractional Laplacian.
     """
     rate_u = params.nu_eff * grid.fractional_multiplier(params.alpha) \
-        if params.nu_eff else np.zeros(grid.shape)
+        if params.nu_eff else np.zeros(grid.spectral_shape)
     rate_tau = params.eta_eff * grid.fractional_multiplier(params.beta) \
-        if params.eta_eff else np.zeros(grid.shape)
+        if params.eta_eff else np.zeros(grid.spectral_shape)
     if params.a_eff:
         rate_tau = rate_tau + params.a_eff
     return rate_u, rate_tau
@@ -279,7 +271,7 @@ def _explicit_terms(state: FlowState, params: ModelParams,
     u, tau = state.u, state.tau
     mask = grid.dealias_mask
 
-    du = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
+    du = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
     dtau = np.zeros_like(tau.comps)
 
     need_u_phys = tg.advection_u or tg.advection_tau or tg.q_term
@@ -307,7 +299,7 @@ def _explicit_terms(state: FlowState, params: ModelParams,
     if nl is not None:
         dtau -= _forward(nl, grid) * mask
 
-    return du_field, TensorField(grid, dtau, "symmetric"), q_tri
+    return du_field, TensorField(grid, dtau), q_tri
 
 
 def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
@@ -339,31 +331,6 @@ def _with_dissipation(state: FlowState, params: ModelParams, du: VectorField,
 def rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
     """Full tendencies (du/dt, dtau/dt) of the toggled system."""
     return _with_dissipation(state, params, *explicit_rhs(state, params))
-
-
-def recover_pressure(state: FlowState, params: ModelParams) -> SpectralField:
-    """Zero-mean pressure whose gradient closes the momentum balance.
-
-    grad p is the non-solenoidal part of the momentum forcing
-    G = -u.grad u + div tau, i.e. p = Lap^{-1} div G.
-    """
-    grid = state.grid
-    tg = params.toggles
-    g = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
-    if tg.stress_divergence:
-        g += divergence(state.tau).comps
-    if tg.advection_u:
-        u_phys = state.u.to_physical()
-        grad_u = _gradient_physical(state.u.comps, grid)
-        nl = np.einsum("j...,ij...->i...", u_phys, grad_u)
-        g -= _forward(nl, grid) * grid.dealias_mask
-    ik = grid.derivative_multipliers
-    div_g = np.zeros(grid.shape, dtype=np.complex128)
-    for j in range(grid.d):
-        div_g += ik[j] * g[j]
-    ksq = grid.k_squared
-    coeffs = np.where(ksq > 0, -div_g / np.where(ksq > 0, ksq, 1), 0.0)
-    return SpectralField(grid, coeffs)
 
 
 def energy_budget(state: FlowState, params: ModelParams) -> dict:
@@ -414,11 +381,6 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
     return terms
 
 
-def energy_balance_residual(state: FlowState, params: ModelParams) -> float:
-    """Relative residual of the instantaneous L2 energy identity."""
-    return energy_budget(state, params)["residual_rel"]
-
-
 def _orthogonal_direction(mode: Tuple[int, ...]) -> np.ndarray:
     """A unit vector orthogonal to the integer mode (for divergence-free data)."""
     k = np.asarray(mode, dtype=np.float64)
@@ -457,7 +419,7 @@ def make_initial_data(grid: Grid, recipe: str = "random-band",
     if s is None:
         s = 1.0 + grid.d / 2.0 + 0.01
     u = VectorField.zeros(grid)
-    tau = TensorField.zeros(grid, "symmetric")
+    tau = TensorField.zeros(grid)
 
     if epsilon == 0.0:
         return FlowState(u, tau, 0.0)
@@ -470,16 +432,15 @@ def make_initial_data(grid: Grid, recipe: str = "random-band",
         if any(abs(m) >= grid.n // 2 for m in kvec):
             raise ValueError(f"mode {kvec} is not resolved on n={grid.n}")
         direction = _orthogonal_direction(kvec)
-        plus = grid.mode_index(kvec)
-        minus = grid.mode_index(tuple(-m for m in kvec))
-        for i in range(grid.d):
-            u.comps[(i,) + plus] = 0.5 * direction[i]
-            u.comps[(i,) + minus] = 0.5 * direction[i]
         row = int(np.argmax(np.abs(direction)))
         col = int(np.argmax(np.abs(np.asarray(kvec))))
         m = tau.pair_index(row, col)
-        tau.comps[(m,) + plus] = 0.25
-        tau.comps[(m,) + minus] = 0.25
+        # real amplitudes, so the conjugation flag of the slot is moot; with
+        # k_last = 0 the two signs are distinct slots, otherwise the same
+        for sign in (1, -1):
+            idx, _ = grid.mode_index(tuple(sign * c for c in kvec))
+            u.comps[(slice(None),) + idx] = 0.5 * direction
+            tau.comps[(m,) + idx] = 0.25
     elif recipe == "random-band":
         lo, hi = int(band[0]), int(band[1])
         if not 1 <= lo <= hi:

@@ -4,19 +4,31 @@ Conventions used throughout the package:
 
 - Forward transforms divide by n^d, so coefficients are Fourier-series
   amplitudes: f(x) = sum_k fhat(k) exp(i k.x) with integer wavenumbers k.
+- Fields are real, so fhat(-k) = conj fhat(k) and only half the lattice is
+  stored: the real-to-complex layout of np.fft.rfftn, shape
+  Grid.spectral_shape = (n,)*(d-1) + (n/2+1,).  The leading axes hold
+  0 .. n/2-1, -n/2 .. -1; the last axis holds 0 .. n/2-1 and, in its last
+  column, the Nyquist wavenumber -n/2 (the same slot as +n/2).  A mode
+  with a negative interior last component is read as the conjugate of its
+  mirror (Grid.mode_index).
+- Columns k_last = 0 and k_last = -n/2 contain both k and -k, so only they
+  can break Hermitian symmetry; _inverse checks them and nothing else.
 - All L2 / Sobolev quantities carry the explicit (2pi)^d domain factor,
-  e.g. ||f||_L2^2 = (2pi)^d sum_k |fhat(k)|^2.
-- Derivative multipliers i*k_j have the Nyquist plane zeroed so that odd
+  e.g. ||f||_L2^2 = (2pi)^d sum_k |fhat(k)|^2 over the whole lattice.  On
+  the half layout each interior last-axis column stands for itself and its
+  mirror, so it counts twice; columns 0 and n/2 count once.  The cached
+  Sobolev weights carry this multiplicity.
+- Derivative multipliers i*k_j have every Nyquist entry zeroed so that odd
   multipliers map real fields to real fields.
-- The Leray projector uses the full integer lattice (Nyquist = -n/2) and
-  leaves the k = 0 mode untouched.
+- The Leray projector uses the integer lattice with Nyquist = -n/2 on every
+  axis and leaves the k = 0 mode untouched.
 - Dealiasing zeroes every coefficient with any |k_i| >= n/3 (strict at the
   boundary, so quadratic products are alias-free for every even n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Tuple, Union
 
@@ -27,8 +39,6 @@ TWO_PI = 2.0 * np.pi
 # Pair orderings for triangular tensor storage, keyed by dimension.
 SYM_PAIRS = {2: ((0, 0), (0, 1), (1, 1)),
              3: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))}
-SKEW_PAIRS = {2: ((0, 1),),
-              3: ((0, 1), (0, 2), (1, 2))}
 
 
 class HermitianSymmetryError(RuntimeError):
@@ -60,7 +70,13 @@ class Grid:
 
     @property
     def shape(self) -> Tuple[int, ...]:
+        """Physical sample shape."""
         return (self.n,) * self.d
+
+    @property
+    def spectral_shape(self) -> Tuple[int, ...]:
+        """Coefficient shape of the half layout: the last axis keeps 0 .. n/2."""
+        return (self.n,) * (self.d - 1) + (self.n // 2 + 1,)
 
     @property
     def axes(self) -> Tuple[int, ...]:
@@ -77,13 +93,18 @@ class Grid:
 
     @cached_property
     def wavenumbers(self) -> Tuple[np.ndarray, ...]:
-        """Integer wavenumbers per axis, broadcast to d axes (Nyquist = -n/2)."""
+        """Integer wavenumbers per axis, broadcast to d axes (Nyquist = -n/2).
+
+        The last axis runs 0 .. n/2-1, -n/2 (the half layout).
+        """
         k = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
+        k_last = np.arange(self.n // 2 + 1)
+        k_last[-1] = -(self.n // 2)
         out = []
         for axis in range(self.d):
             shape = [1] * self.d
-            shape[axis] = self.n
-            out.append(k.reshape(shape))
+            shape[axis] = -1
+            out.append((k if axis < self.d - 1 else k_last).reshape(shape))
         return tuple(out)
 
     @cached_property
@@ -98,8 +119,8 @@ class Grid:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        """|k|^2 on the full lattice, exact integer arithmetic."""
-        ksq = np.zeros(self.shape, dtype=np.int64)
+        """|k|^2 on the stored half lattice, exact integer arithmetic."""
+        ksq = np.zeros(self.spectral_shape, dtype=np.int64)
         for k in self.wavenumbers:
             ksq = ksq + k * k
         return ksq
@@ -107,7 +128,7 @@ class Grid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean keep-mask of the 2/3 rule: True where all |k_i| < n/3."""
-        mask = np.ones(self.shape, dtype=bool)
+        mask = np.ones(self.spectral_shape, dtype=bool)
         for k in self.wavenumbers:
             mask = mask & (3 * np.abs(k) < self.n)
         return mask
@@ -117,7 +138,9 @@ class Grid:
         return {}
 
     def sobolev_weight(self, sigma: float, homogeneous: bool) -> np.ndarray:
-        """(1 + |k|^2)^sigma, or |k|^(2 sigma) with the k = 0 entry zeroed."""
+        """(1 + |k|^2)^sigma, or |k|^(2 sigma) with the k = 0 entry zeroed,
+        times the column multiplicity of the half layout (2 for interior
+        last-axis columns, 1 for columns 0 and n/2)."""
         key = (float(sigma), bool(homogeneous))
         cached = self._weight_cache.get(key)
         if cached is not None:
@@ -129,6 +152,7 @@ class Grid:
             w[self.k_squared == 0] = 0.0
         else:
             w = (1.0 + ksq) ** sigma
+        w[..., 1:-1] *= 2.0
         self._weight_cache[key] = w
         return w
 
@@ -137,7 +161,7 @@ class Grid:
         if gamma < 0:
             raise ValueError(f"fractional exponent must be >= 0, got {gamma}")
         if gamma == 0:
-            return np.ones(self.shape)
+            return np.ones(self.spectral_shape)
         key = ("frac", float(gamma))
         cached = self._weight_cache.get(key)
         if cached is not None:
@@ -153,34 +177,59 @@ class Grid:
         axes = [x] * self.d
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def mode_index(self, k: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Array index of integer mode k in fft layout."""
+    def mode_index(self, k: Tuple[int, ...]) -> Tuple[Tuple[int, ...], bool]:
+        """(index, conjugated): the slot that stores mode k or its mirror -k.
+
+        conjugated is True when the slot holds -k, i.e. its value is
+        conj(fhat(k)); that is the case for a last component strictly
+        between -n/2 and 0 (mod n).  Modes with last component 0 or +-n/2
+        have slots of their own.
+        """
         if len(k) != self.d:
             raise ValueError(f"mode must have {self.d} components, got {k}")
-        return tuple(int(ki) % self.n for ki in k)
+        k = tuple(int(ki) for ki in k)
+        conjugated = k[-1] % self.n > self.n // 2
+        if conjugated:
+            k = tuple(-ki for ki in k)
+        return tuple(ki % self.n for ki in k), conjugated
 
 
 def _forward(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real samples (trailing grid axes) -> Fourier-series coefficients."""
+    """Real samples (trailing grid axes) -> half-layout coefficients."""
     values = np.asarray(values)
     if values.shape[-grid.d:] != grid.shape:
         raise GridMismatchError(
             f"sample shape {values.shape} does not end in {grid.shape}")
-    return np.fft.fftn(values, axes=grid.axes, norm="forward")
+    return np.fft.rfftn(values, axes=grid.axes, norm="forward")
+
+
+def _hermitian_residue(coeffs: np.ndarray, grid: Grid) -> float:
+    """max |c(k) - conj c(-k)| over the last-axis columns 0 and n/2.
+
+    These two columns hold both k and -k; every other stored mode has its
+    mirror outside the half layout, so this is the complete check.
+    """
+    cols = coeffs[..., ::grid.n // 2]
+    mirror = cols
+    rev = -np.arange(grid.n) % grid.n
+    for axis in grid.axes[:-1]:
+        mirror = np.take(mirror, rev, axis=axis)
+    return float(np.max(np.abs(cols - mirror.conj()))) if cols.size else 0.0
 
 
 def _inverse(coeffs: np.ndarray, grid: Grid, tol: float = 1e-12) -> np.ndarray:
-    """Coefficients -> real samples; rejects non-Hermitian input.
+    """Half-layout coefficients -> real samples; rejects non-Hermitian input.
 
-    The imaginary residue of the inverse transform is exactly the inverse
-    image of the anti-Hermitian part, so it is used as the symmetry check.
+    irfftn would silently drop the anti-Hermitian part of the columns 0 and
+    n/2, so those columns are checked first, at O(n^(d-1)) cost.
     """
     coeffs = np.asarray(coeffs)
-    if coeffs.shape[-grid.d:] != grid.shape:
+    if coeffs.shape[-grid.d:] != grid.spectral_shape:
         raise GridMismatchError(
-            f"coefficient shape {coeffs.shape} does not end in {grid.shape}")
-    out = np.fft.ifftn(coeffs, axes=grid.axes, norm="forward")
-    residue = float(np.max(np.abs(out.imag))) if out.size else 0.0
+            f"coefficient shape {coeffs.shape} does not end in "
+            f"{grid.spectral_shape}")
+    residue = _hermitian_residue(coeffs, grid)
+    out = np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
     # the bound tol * (1 + scale) is at least tol, so the magnitude scan
     # is only needed when the residue exceeds tol
     if residue > tol:
@@ -189,22 +238,22 @@ def _inverse(coeffs: np.ndarray, grid: Grid, tol: float = 1e-12) -> np.ndarray:
             raise HermitianSymmetryError(
                 f"imaginary residue {residue:.3e} exceeds tolerance "
                 f"{tol:.1e} * (1 + {scale:.3e})")
-    return np.ascontiguousarray(out.real)
+    return out
 
 
 @dataclass
 class SpectralField:
-    """Scalar field stored as Fourier coefficients on a grid."""
+    """Scalar field stored as half-layout Fourier coefficients on a grid."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != self.grid.shape:
+        if self.coeffs.shape != self.grid.spectral_shape:
             raise GridMismatchError(
                 f"coefficients have shape {self.coeffs.shape}, "
-                f"grid expects {self.grid.shape}")
+                f"grid expects {self.grid.spectral_shape}")
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
@@ -212,7 +261,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
+        return cls(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
 
     def to_physical(self) -> np.ndarray:
         return _inverse(self.coeffs, self.grid)
@@ -236,7 +285,7 @@ class VectorField:
 
     def __post_init__(self):
         self.comps = np.asarray(self.comps, dtype=np.complex128)
-        expected = (self.grid.d,) + self.grid.shape
+        expected = (self.grid.d,) + self.grid.spectral_shape
         if self.comps.shape != expected:
             raise GridMismatchError(
                 f"components have shape {self.comps.shape}, expected {expected}")
@@ -252,7 +301,8 @@ class VectorField:
 
     @classmethod
     def zeros(cls, grid: Grid) -> "VectorField":
-        return cls(grid, np.zeros((grid.d,) + grid.shape, dtype=np.complex128))
+        return cls(grid, np.zeros((grid.d,) + grid.spectral_shape,
+                                  dtype=np.complex128))
 
     def to_physical(self) -> np.ndarray:
         return _inverse(self.comps, self.grid)
@@ -273,46 +323,40 @@ class VectorField:
 
 @dataclass
 class TensorField:
-    """Rank-2 tensor field with triangular storage.
+    """Symmetric rank-2 tensor field with triangular storage.
 
-    kind = "symmetric": stores the upper triangle (i <= j) and mirrors on
+    Stores the upper triangle (i <= j) in SYM_PAIRS order and mirrors on
     read, so component (i, j) and (j, i) are the same array by construction.
-    kind = "skew": stores the strict upper triangle (i < j); the mirror is
-    negated and the diagonal is identically zero.
     """
 
     grid: Grid
     comps: np.ndarray
-    kind: str = "symmetric"
 
     def __post_init__(self):
-        if self.kind not in ("symmetric", "skew"):
-            raise ValueError(f"unknown tensor kind {self.kind!r}")
         self.comps = np.asarray(self.comps, dtype=np.complex128)
-        expected = (len(self.pairs),) + self.grid.shape
+        expected = (len(self.pairs),) + self.grid.spectral_shape
         if self.comps.shape != expected:
             raise GridMismatchError(
                 f"components have shape {self.comps.shape}, expected {expected}")
 
     @property
     def pairs(self) -> Tuple[Tuple[int, int], ...]:
-        table = SYM_PAIRS if self.kind == "symmetric" else SKEW_PAIRS
-        return table[self.grid.d]
+        return SYM_PAIRS[self.grid.d]
 
     @classmethod
-    def zeros(cls, grid: Grid, kind: str = "symmetric") -> "TensorField":
-        m = len((SYM_PAIRS if kind == "symmetric" else SKEW_PAIRS)[grid.d])
-        return cls(grid, np.zeros((m,) + grid.shape, dtype=np.complex128), kind)
+    def zeros(cls, grid: Grid) -> "TensorField":
+        m = len(SYM_PAIRS[grid.d])
+        return cls(grid, np.zeros((m,) + grid.spectral_shape,
+                                  dtype=np.complex128))
 
     @classmethod
-    def from_physical(cls, grid: Grid, values: np.ndarray,
-                      kind: str = "symmetric") -> "TensorField":
+    def from_physical(cls, grid: Grid, values: np.ndarray) -> "TensorField":
         values = np.asarray(values)
-        m = len((SYM_PAIRS if kind == "symmetric" else SKEW_PAIRS)[grid.d])
+        m = len(SYM_PAIRS[grid.d])
         if values.shape != (m,) + grid.shape:
             raise GridMismatchError(
                 f"samples have shape {values.shape}, expected {(m,) + grid.shape}")
-        return cls(grid, _forward(values, grid), kind)
+        return cls(grid, _forward(values, grid))
 
     def pair_index(self, i: int, j: int) -> int:
         a, b = (i, j) if i <= j else (j, i)
@@ -323,32 +367,17 @@ class TensorField:
         d = self.grid.d
         if not (0 <= i < d and 0 <= j < d):
             raise IndexError(f"tensor index ({i}, {j}) out of range for d={d}")
-        if self.kind == "symmetric":
-            return SpectralField(self.grid, self.comps[self.pair_index(i, j)])
-        if i == j:
-            return SpectralField.zeros(self.grid)
-        sign = 1.0 if i < j else -1.0
-        return SpectralField(self.grid, sign * self.comps[self.pair_index(i, j)])
-
-    def full_matrix(self) -> np.ndarray:
-        """Dense (d, d, *grid) coefficient array with mirrored components."""
-        d = self.grid.d
-        out = np.zeros((d, d) + self.grid.shape, dtype=np.complex128)
-        for m, (i, j) in enumerate(self.pairs):
-            out[i, j] = self.comps[m]
-            if i != j:
-                out[j, i] = -self.comps[m] if self.kind == "skew" else self.comps[m]
-        return out
+        return SpectralField(self.grid, self.comps[self.pair_index(i, j)])
 
     def to_physical(self) -> np.ndarray:
         """Physical samples of the stored (triangular) components."""
         return _inverse(self.comps, self.grid)
 
     def with_comps(self, comps: np.ndarray) -> "TensorField":
-        return TensorField(self.grid, comps, self.kind)
+        return TensorField(self.grid, comps)
 
     def copy(self) -> "TensorField":
-        return TensorField(self.grid, self.comps.copy(), self.kind)
+        return TensorField(self.grid, self.comps.copy())
 
     def _pairs(self) -> Iterator[Tuple[np.ndarray, float]]:
         for m, (i, j) in enumerate(self.pairs):
@@ -383,7 +412,7 @@ def _rewrap(field: Field, data: np.ndarray) -> Field:
 def gradient(f: SpectralField) -> VectorField:
     """Spectral gradient; Nyquist modes of each derivative are zeroed."""
     grid = f.grid
-    out = np.empty((grid.d,) + grid.shape, dtype=np.complex128)
+    out = np.empty((grid.d,) + grid.spectral_shape, dtype=np.complex128)
     for axis, ik in enumerate(grid.derivative_multipliers):
         out[axis] = ik * f.coeffs
     return VectorField(grid, out)
@@ -392,18 +421,17 @@ def gradient(f: SpectralField) -> VectorField:
 def divergence(field: Union[VectorField, TensorField]) -> Union[SpectralField, VectorField]:
     """Spectral divergence of a vector (-> scalar) or tensor (-> vector).
 
-    For tensors, row i of the result is sum_j i k_j T_ij with the mirror
-    convention of the storage kind.
+    For tensors, row i of the result is sum_j i k_j T_ij with T_ji = T_ij.
     """
     grid = field.grid
     ik = grid.derivative_multipliers
     if isinstance(field, VectorField):
-        out = np.zeros(grid.shape, dtype=np.complex128)
+        out = np.zeros(grid.spectral_shape, dtype=np.complex128)
         for j in range(grid.d):
             out += ik[j] * field.comps[j]
         return SpectralField(grid, out)
     if isinstance(field, TensorField):
-        out = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
+        out = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
         for i in range(grid.d):
             for j in range(grid.d):
                 out[i] += ik[j] * field.component(i, j).coeffs
@@ -424,12 +452,12 @@ def fractional_laplacian(field: Field, gamma: float) -> Field:
 def leray_project(v: VectorField) -> VectorField:
     """Project onto divergence-free fields: vhat -> vhat - k (k.vhat)/|k|^2.
 
-    Uses the full integer lattice (Nyquist = -n/2); the k = 0 mode is left
-    untouched, so the mean flow is preserved.
+    Uses the integer lattice with Nyquist = -n/2 on every axis; the k = 0
+    mode is left untouched, so the mean flow is preserved.
     """
     grid = v.grid
     ksq = grid.k_squared
-    kdotv = np.zeros(grid.shape, dtype=np.complex128)
+    kdotv = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for j, k in enumerate(grid.wavenumbers):
         kdotv += k * v.comps[j]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -451,8 +479,6 @@ def _check_compatible(f: Field, g: Field) -> None:
     if type(f) is not type(g):
         raise GridMismatchError(
             f"fields have different ranks: {type(f).__name__} vs {type(g).__name__}")
-    if isinstance(f, TensorField) and f.kind != g.kind:
-        raise GridMismatchError(f"tensor kinds differ: {f.kind} vs {g.kind}")
 
 
 def sobolev_inner_product(f: Field, g: Field, sigma: float,
@@ -460,6 +486,8 @@ def sobolev_inner_product(f: Field, g: Field, sigma: float,
     """(2pi)^d sum_k w(k)^sigma Re <fhat, conj(ghat)>, summed componentwise.
 
     w(k) = 1 + |k|^2, or |k|^2 with the k = 0 term dropped when homogeneous.
+    The sum runs over the whole lattice: each stored interior last-axis
+    column counts for itself and its mirror (see Grid.sobolev_weight).
     Tensor components are weighted with their mirror multiplicity, so the
     pairing is the full Frobenius one.  The reduction is numpy's pairwise
     sum in a fixed order, independent of any threading.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,6 +52,10 @@ class StepperConfig:
     dt_cap: float = 1e-2
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "cfl_advective", "cfl_wave", "dt_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick from {SCHEMES}")
         if isinstance(self.dt, str):
@@ -95,7 +99,7 @@ def _project(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 def _tendency(grid: Grid, params: ModelParams, u: np.ndarray, tau: np.ndarray,
               t: float) -> Tuple[np.ndarray, np.ndarray]:
-    state = FlowState(VectorField(grid, u), TensorField(grid, tau, "symmetric"), t)
+    state = FlowState(VectorField(grid, u), TensorField(grid, tau), t)
     du, dtau = explicit_rhs(state, params)
     return du.comps, dtau.comps
 
@@ -122,7 +126,7 @@ def step(state: FlowState, params: ModelParams, dt: float,
         u1 = _project(grid, eu_f * (u0 + dt * du1))
         tau1 = et_f * (tau0 + dt * dt1)
         return FlowState(VectorField(grid, u1),
-                         TensorField(grid, tau1, "symmetric"), t0 + dt)
+                         TensorField(grid, tau1), t0 + dt)
 
     # if-rk4: RK4 in the variables z = exp(L (t - t0)) y.
     ku1, kt1 = dt * du1, dt * dt1
@@ -146,7 +150,7 @@ def step(state: FlowState, params: ModelParams, dt: float,
     tau1 = et_f * tau0 + (et_f * kt1 + 2.0 * et_h * (kt2 + kt3) + kt4) / 6.0
     u1 = _project(grid, u1)
     return FlowState(VectorField(grid, u1),
-                     TensorField(grid, tau1, "symmetric"), t0 + dt)
+                     TensorField(grid, tau1), t0 + dt)
 
 
 @dataclass

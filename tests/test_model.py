@@ -11,15 +11,12 @@ from obflow.model import (
     TermToggles,
     advect,
     dissipation_rates,
-    energy_balance_residual,
     energy_budget,
     explicit_rhs,
     make_initial_data,
     q_bilinear,
-    recover_pressure,
     rhs,
     strain_rate,
-    vorticity_tensor,
 )
 from obflow.spectral import (
     Grid,
@@ -35,6 +32,7 @@ from obflow.spectral import (
     leray_project,
     sobolev_norm,
 )
+from obflow.stepping import step
 
 
 def random_state(grid, seed, scale=1.0, project=True):
@@ -65,29 +63,18 @@ def dense_gradient(u):
 
 class TestStrainAndVorticity:
     def test_decomposition_recovers_gradient(self):
-        """D + W = grad u component-wise, both built from the same multipliers."""
+        """D + W = grad u component-wise, with W the skew part of grad u."""
         for d, n in ((2, 16), (3, 8)):
             g = Grid(d, n)
             st = random_state(g, seed=d)
             dmat = strain_rate(st.u)
-            wmat = vorticity_tensor(st.u)
             grad = dense_gradient(st.u)
             for i in range(d):
                 for j in range(d):
                     dij = inverse_transform(dmat.component(i, j))
-                    wij = inverse_transform(wmat.component(i, j))
+                    wij = 0.5 * (grad[i, j] - grad[j, i])
                     np.testing.assert_allclose(dij + wij, grad[i, j],
                                                rtol=0, atol=1e-12)
-
-    def test_strain_is_symmetric_vorticity_skew(self):
-        g = Grid(2, 16)
-        st = random_state(g, seed=5)
-        dmat = strain_rate(st.u)
-        wmat = vorticity_tensor(st.u)
-        assert dmat.kind == "symmetric"
-        assert wmat.kind == "skew"
-        np.testing.assert_array_equal(wmat.component(1, 0).coeffs,
-                                      -wmat.component(0, 1).coeffs)
 
 
 class TestQBilinear:
@@ -97,7 +84,7 @@ class TestQBilinear:
         st = random_state(g, seed=2)
         tau = TensorField.zeros(g)
         for i in range(g.d):
-            tau.comps[tau.pair_index(i, i)][g.mode_index((0, 0))] = 1.0
+            tau.comps[tau.pair_index(i, i)][g.mode_index((0, 0))[0]] = 1.0
         for b in (-1.0, 0.0, 0.5, 1.0):
             q = q_bilinear(tau, st.u, b)
             dmat = strain_rate(st.u)
@@ -117,7 +104,7 @@ class TestQBilinear:
         u.comps[0] = forward_transform(np.sin(x[1]), g).coeffs
         tau = TensorField.zeros(g)
         for (i, j), val in (((0, 0), 2.0), ((0, 1), 1.0), ((1, 1), 3.0)):
-            tau.comps[tau.pair_index(i, j)][g.mode_index((0, 0))] = val
+            tau.comps[tau.pair_index(i, j)][g.mode_index((0, 0))[0]] = val
         q = q_bilinear(tau, u, b=0.5)
         c = np.cos(x[1])
         np.testing.assert_allclose(inverse_transform(q.component(0, 0)),
@@ -158,7 +145,9 @@ class TestQBilinear:
         st = random_state(g, seed=21)
         for b in (-1.0, 0.3, 1.0):
             q = q_bilinear(st.tau, st.u, b)
-            full = q.full_matrix()
+            full = np.stack([np.stack([q.component(i, j).coeffs
+                                       for j in range(g.d)])
+                             for i in range(g.d)])
             gap = np.max(np.abs(full - np.swapaxes(full, 0, 1)))
             assert gap < 1e-13
 
@@ -213,7 +202,7 @@ class TestTendencies:
         mode = (0, 2)
         st = make_initial_data(g, recipe="single-mode", epsilon=0.1,
                                mode=mode)
-        idx = g.mode_index(mode)
+        idx, _ = g.mode_index(mode)
         du, dtau = explicit_rhs(st, params)
         s_field = leray_project(divergence(st.tau))
         np.testing.assert_allclose(du.comps[(slice(None),) + idx],
@@ -239,11 +228,12 @@ class TestTendencies:
         g = Grid(2, 16)
         params = ModelParams(eta=2.0, beta=0.5, nu=0.3, alpha=1.0, a=0.25)
         rate_u, rate_tau = dissipation_rates(g, params)
-        idx = g.mode_index((3, 4))
+        idx, _ = g.mode_index((3, 4))
         assert rate_u[idx] == pytest.approx(0.3 * 25.0, rel=1e-14)
         assert rate_tau[idx] == pytest.approx(2.0 * 5.0 + 0.25, rel=1e-14)
-        assert rate_u[g.mode_index((0, 0))] == 0.0
-        assert rate_tau[g.mode_index((0, 0))] == pytest.approx(0.25)
+        zero, _ = g.mode_index((0, 0))
+        assert rate_u[zero] == 0.0
+        assert rate_tau[zero] == pytest.approx(0.25)
 
 
 def split_explicit_rhs(state, params):
@@ -257,7 +247,8 @@ def split_explicit_rhs(state, params):
 
 @pytest.fixture
 def fft_components(monkeypatch):
-    """Counts [inverse, forward] transformed components of numpy's fftn."""
+    """Counts [inverse, forward] transformed components of numpy's
+    irfftn/rfftn; any complex fftn/ifftn call fails the test."""
     counts = [0, 0]
 
     def counting(fn, slot):
@@ -267,8 +258,13 @@ def fft_components(monkeypatch):
             return fn(a, s=s, axes=axes, norm=norm)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "ifftn", counting(np.fft.ifftn, 0))
-    monkeypatch.setattr(np.fft, "fftn", counting(np.fft.fftn, 1))
+    def complex_transform(*args, **kwargs):
+        raise AssertionError("complex fftn/ifftn called on real fields")
+
+    monkeypatch.setattr(np.fft, "irfftn", counting(np.fft.irfftn, 0))
+    monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, 1))
+    monkeypatch.setattr(np.fft, "ifftn", complex_transform)
+    monkeypatch.setattr(np.fft, "fftn", complex_transform)
     return counts
 
 
@@ -313,6 +309,15 @@ class TestFusedKernel:
         explicit_rhs(st, params)
         assert fft_components == [budget[0] + inverse, budget[1] + forward]
 
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_step_makes_no_complex_transforms(self, fft_components, d, n):
+        st = random_state(Grid(d, n), seed=98, scale=0.5)
+        fft_components[:] = [0, 0]
+        step(st, ModelParams(eta=1.0, beta=0.5, b=0.5), 1e-3)
+        # four stages, nothing but half-spectrum transforms
+        inverse, forward = (15, 5) if d == 2 else (36, 9)
+        assert fft_components == [4 * inverse, 4 * forward]
+
     def test_q_work_matches_q_bilinear(self):
         st = random_state(Grid(2, 16), seed=97, scale=0.5)
         params = ModelParams(eta=1.0, beta=0.5, b=0.7)
@@ -333,14 +338,14 @@ class TestEnergyBudget:
             st = random_state(g, seed=60 + seed, scale=0.3)
             params = ModelParams(eta=1.3, beta=0.5, nu=0.2, alpha=0.75,
                                  b=-0.6, a=0.1)
-            resid = energy_balance_residual(st, params)
+            resid = energy_budget(st, params)["residual_rel"]
             assert resid < 1e-11
 
     def test_identity_in_3d(self):
         g = Grid(3, 8)
         st = random_state(g, seed=70, scale=0.3)
         params = ModelParams(eta=0.8, beta=1.0, nu=0.05, alpha=1.0, b=1.0)
-        assert energy_balance_residual(st, params) < 1e-11
+        assert energy_budget(st, params)["residual_rel"] < 1e-11
 
     def test_budget_terms_signs(self):
         g = Grid(2, 16)
@@ -349,37 +354,6 @@ class TestEnergyBudget:
         budget = energy_budget(st, params)
         assert budget["diss_tau_l2"] > 0.0
         assert budget["visc_u_l2"] > 0.0
-
-
-class TestPressure:
-    def test_isotropic_stress_recovers_potential(self):
-        """tau = phi I with u = 0 forces p = phi - mean(phi)."""
-        g = Grid(2, 32)
-        x = g.coordinates()
-        phi = 1.0 + np.cos(x[0]) + 0.5 * np.sin(2.0 * x[1])
-        tau = TensorField.zeros(g)
-        phi_hat = forward_transform(phi, g).coeffs
-        for i in range(g.d):
-            tau.comps[tau.pair_index(i, i)] = phi_hat.copy()
-        st = FlowState(VectorField.zeros(g), tau)
-        p = recover_pressure(st, ModelParams(eta=1.0))
-        np.testing.assert_allclose(inverse_transform(p), phi - np.mean(phi),
-                                   atol=1e-12)
-
-    def test_gradient_removal_makes_forcing_solenoidal(self):
-        g = Grid(2, 16)
-        st = random_state(g, seed=90, scale=0.5)
-        params = ModelParams(eta=1.0, b=0.2)
-        p = recover_pressure(st, params)
-        # recompute the full forcing: -(u.grad u) + div tau
-        from obflow.model import advect
-
-        adv = advect(st.u, st.u)
-        div_tau = divergence(st.tau)
-        comps = div_tau.comps - adv.comps
-        grad_p = gradient(p)
-        resid = divergence(VectorField(g, comps - grad_p.comps))
-        assert l2_norm(resid) < 1e-11 * max(l2_norm(VectorField(g, comps)), 1.0)
 
 
 class TestInitialData:
@@ -437,6 +411,14 @@ class TestParams:
             ModelParams(eta=1.0, a=-0.1)
         with pytest.raises(ValueError):
             ModelParams(eta=1.0, nu=-1e-3)
+
+    @pytest.mark.parametrize("name, value", [
+        ("eta", math.inf), ("eta", math.nan), ("beta", math.nan),
+        ("beta", math.inf), ("alpha", math.nan), ("nu", math.nan),
+        ("nu", math.inf), ("a", math.nan), ("a", math.inf), ("b", math.nan)])
+    def test_non_finite_values_are_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ModelParams(**{name: value})
 
     def test_soft_warnings(self):
         assert ModelParams(eta=1.0, beta=1.0, alpha=1.0).warnings() == []

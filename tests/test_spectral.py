@@ -46,7 +46,7 @@ def random_symmetric_tensor(grid, seed, scale=1.0):
     phys = scale * rng.standard_normal((npair,) + grid.shape)
     comps = np.stack([forward_transform(phys[i], grid).coeffs
                       for i in range(npair)])
-    return TensorField(grid, comps, kind="symmetric")
+    return TensorField(grid, comps)
 
 
 def grid_pairs(grid):
@@ -63,18 +63,50 @@ class TestGrid:
             Grid(2, 4)
 
     def test_mode_index_wraps_negative(self):
+        """Negative interior last components are read from the mirror slot."""
         g = Grid(2, 16)
-        assert g.mode_index((0, 1)) == (0, 1)
-        assert g.mode_index((0, -1)) == (0, 15)
-        assert g.mode_index((-3, 5)) == (13, 5)
+        assert g.mode_index((0, 1)) == ((0, 1), False)
+        assert g.mode_index((0, -1)) == ((0, 1), True)
+        assert g.mode_index((-3, 5)) == ((13, 5), False)
+        assert g.mode_index((-3, -5)) == ((3, 5), True)
+        assert g.mode_index((-3, 0)) == ((13, 0), False)
+        assert g.mode_index((3, 8)) == ((3, 8), False)
+        assert g.mode_index((3, -8)) == ((3, 8), False)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_mode_index_round_trips(self, d, n):
+        """Every lattice mode maps to a slot whose wavenumber is k or -k
+        (mod n), and reading it back honours the conjugation flag."""
+        g = Grid(d, n)
+        rng = np.random.default_rng(d)
+        phys = rng.standard_normal(g.shape)
+        full = np.fft.fftn(phys, norm="forward")
+        half = forward_transform(phys, g).coeffs
+        lasts = (-n // 2 + 1, -1, 0, 1, n // 2 - 1, n // 2, -n // 2)
+        for lead in ((0,) * (d - 1), (1,) * (d - 1), (-n // 2,) * (d - 1),
+                     (-3,) + (2,) * (d - 2)):
+            for last in lasts:
+                k = lead + (last,)
+                idx, conjugated = g.mode_index(k)
+                stored = [np.broadcast_to(w, g.spectral_shape)[idx]
+                          for w in g.wavenumbers]
+                sign = -1 if conjugated else 1
+                assert all((s - sign * ki) % n == 0 for s, ki in zip(stored, k))
+                value = half[idx].conj() if conjugated else half[idx]
+                expected = full[tuple(ki % n for ki in k)]
+                assert abs(value - expected) < 1e-15
+                assert conjugated == (last % n > n // 2)
 
     def test_wavenumber_broadcast_shapes(self):
         g = Grid(3, 8)
         ks = g.wavenumbers
         assert ks[0].shape == (8, 1, 1)
         assert ks[1].shape == (1, 8, 1)
-        assert ks[2].shape == (1, 1, 8)
-        assert g.k_squared.shape == (8, 8, 8)
+        assert ks[2].shape == (1, 1, 5)
+        assert g.k_squared.shape == (8, 8, 5)
+        assert g.spectral_shape == (8, 8, 5)
+        assert g.shape == (8, 8, 8)
+        assert list(ks[2].ravel()) == [0, 1, 2, 3, -4]
 
     def test_nyquist_derivative_multiplier_is_zero(self):
         g = Grid(2, 16)
@@ -96,9 +128,9 @@ class TestTransforms:
         g = Grid(2, 16)
         x = g.coordinates()
         f = forward_transform(np.cos(3.0 * x[0]), g)
-        expected = np.zeros(g.shape, dtype=complex)
-        expected[g.mode_index((3, 0))] = 0.5
-        expected[g.mode_index((-3, 0))] = 0.5
+        expected = np.zeros(g.spectral_shape, dtype=complex)
+        expected[g.mode_index((3, 0))[0]] = 0.5
+        expected[g.mode_index((-3, 0))[0]] = 0.5
         np.testing.assert_allclose(f.coeffs, expected, rtol=0, atol=1e-14)
 
     def test_round_trip(self):
@@ -111,23 +143,56 @@ class TestTransforms:
 
     def test_inverse_rejects_broken_symmetry(self):
         g = Grid(2, 16)
-        coeffs = np.zeros(g.shape, dtype=complex)
-        coeffs[g.mode_index((1, 0))] = 1.0  # no conjugate partner
+        coeffs = np.zeros(g.spectral_shape, dtype=complex)
+        coeffs[g.mode_index((1, 0))[0]] = 1.0  # no conjugate partner
         with pytest.raises(HermitianSymmetryError):
             inverse_transform(SpectralField(g, coeffs))
 
     def test_symmetry_tolerance_scales_with_magnitude(self):
         """A residue above tol passes when it is below tol * (1 + max|f|)."""
         g = Grid(2, 16)
-        coeffs = np.zeros(g.shape, dtype=complex)
-        coeffs[g.mode_index((1, 0))] = 1e6
-        coeffs[g.mode_index((-1, 0))] = 1e6
-        coeffs[g.mode_index((2, 0))] = 1e-8  # no conjugate partner
+        coeffs = np.zeros(g.spectral_shape, dtype=complex)
+        coeffs[g.mode_index((1, 0))[0]] = 1e6
+        coeffs[g.mode_index((-1, 0))[0]] = 1e6
+        coeffs[g.mode_index((2, 0))[0]] = 1e-8  # no conjugate partner
         inverse_transform(SpectralField(g, coeffs))
-        coeffs[g.mode_index((2, 0))] = 1e-4
+        coeffs[g.mode_index((2, 0))[0]] = 1e-4
         with pytest.raises(HermitianSymmetryError,
                            match=r"exceeds tolerance 1\.0e-12 \* \(1 \+ 2\.000e\+06\)"):
             inverse_transform(SpectralField(g, coeffs))
+
+
+class TestHalfLayoutSymmetryCheck:
+    """Only the last-axis columns 0 and n/2 hold both k and -k."""
+
+    @pytest.mark.parametrize("d, n, slot", [
+        (2, 16, (3, 0)), (3, 8, (1, 2, 0)), (3, 8, (0, 0, 0)),
+        (2, 16, (5, 8)), (3, 8, (1, 6, 4)), (3, 8, (4, 4, 4))])
+    def test_broken_redundant_column_is_rejected(self, d, n, slot):
+        g = Grid(d, n)
+        coeffs = random_scalar(g, seed=d).coeffs.copy()
+        coeffs[slot] += 1e-3j
+        with pytest.raises(HermitianSymmetryError):
+            inverse_transform(SpectralField(g, coeffs))
+
+    def test_interior_columns_have_no_partner_to_break(self):
+        g = Grid(3, 8)
+        coeffs = random_scalar(g, seed=4).coeffs.copy()
+        coeffs[1, 6, 2] += 1e-3j
+        inverse_transform(SpectralField(g, coeffs))
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 64), (3, 8), (3, 16)])
+    def test_every_forward_transform_passes(self, d, n):
+        g = Grid(d, n)
+        rng = np.random.default_rng(n + d)
+        for scale in (1e-6, 1.0, 1e6):
+            SpectralField.from_physical(
+                g, scale * rng.standard_normal(g.shape)).to_physical()
+            VectorField.from_physical(
+                g, scale * rng.standard_normal((d,) + g.shape)).to_physical()
+            TensorField.from_physical(
+                g, scale * rng.standard_normal(
+                    (len(grid_pairs(g)),) + g.shape)).to_physical()
 
 
 class TestDifferentialOperators:
@@ -177,15 +242,15 @@ class TestDifferentialOperators:
     def test_fractional_multiplier_values(self):
         g = Grid(2, 16)
         m = g.fractional_multiplier(0.5)   # |k|^1
-        assert m[g.mode_index((3, 4))] == pytest.approx(5.0, rel=1e-15)
-        assert m[g.mode_index((0, 0))] == 0.0
+        assert m[g.mode_index((3, 4))[0]] == pytest.approx(5.0, rel=1e-15)
+        assert m[g.mode_index((0, 0))[0]] == 0.0
         m2 = g.fractional_multiplier(1.0)  # |k|^2
-        assert m2[g.mode_index((3, 4))] == pytest.approx(25.0, rel=1e-15)
+        assert m2[g.mode_index((3, 4))[0]] == pytest.approx(25.0, rel=1e-15)
 
     def test_fractional_identity_and_domain(self):
         g = Grid(2, 16)
         np.testing.assert_array_equal(g.fractional_multiplier(0.0),
-                                      np.ones(g.shape))
+                                      np.ones(g.spectral_shape))
         with pytest.raises(ValueError):
             g.fractional_multiplier(-0.5)
 
@@ -204,9 +269,9 @@ class TestLerayProjection:
     def test_parallel_mode_is_annihilated(self):
         g = Grid(2, 16)
         u = VectorField.zeros(g)
-        idx = g.mode_index((2, 0))
+        idx, _ = g.mode_index((2, 0))
         u.comps[(0,) + idx] = 1.0
-        u.comps[(0,) + g.mode_index((-2, 0))] = 1.0
+        u.comps[(0,) + g.mode_index((-2, 0))[0]] = 1.0
         out = leray_project(u)
         assert np.max(np.abs(out.comps)) < 1e-15
 
@@ -214,7 +279,7 @@ class TestLerayProjection:
         """P = I - k k^T / |k|^2 at k=(1,1) sends (1,0) to (1/2,-1/2)."""
         g = Grid(2, 16)
         u = VectorField.zeros(g)
-        idx = g.mode_index((1, 1))
+        idx, _ = g.mode_index((1, 1))
         u.comps[(0,) + idx] = 1.0
         out = leray_project(u)
         assert out.comps[(0,) + idx] == pytest.approx(0.5)
@@ -223,11 +288,12 @@ class TestLerayProjection:
     def test_mean_flow_is_preserved(self):
         g = Grid(2, 16)
         u = VectorField.zeros(g)
-        u.comps[0][g.mode_index((0, 0))] = 2.0
-        u.comps[1][g.mode_index((0, 0))] = -1.0
+        zero, _ = g.mode_index((0, 0))
+        u.comps[0][zero] = 2.0
+        u.comps[1][zero] = -1.0
         out = leray_project(u)
-        assert out.comps[0][g.mode_index((0, 0))] == 2.0
-        assert out.comps[1][g.mode_index((0, 0))] == -1.0
+        assert out.comps[0][zero] == 2.0
+        assert out.comps[1][zero] == -1.0
 
     def test_projection_properties(self):
         """Idempotent, kills gradients, output divergence-free, self-adjoint.
@@ -259,10 +325,10 @@ class TestDealias:
         """On n=16 the mask keeps |k_i| <= 5 and zeroes |k_i| >= 6."""
         g = Grid(2, 16)
         mask = g.dealias_mask
-        assert mask[g.mode_index((5, 5))] == 1.0
-        assert mask[g.mode_index((6, 0))] == 0.0
-        assert mask[g.mode_index((0, -6))] == 0.0
-        assert mask[g.mode_index((8, 0))] == 0.0
+        assert mask[g.mode_index((5, 5))[0]] == 1.0
+        assert mask[g.mode_index((6, 0))[0]] == 0.0
+        assert mask[g.mode_index((0, -6))[0]] == 0.0
+        assert mask[g.mode_index((8, 0))[0]] == 0.0
 
     def test_idempotent(self):
         g = Grid(2, 16)
@@ -279,8 +345,8 @@ class TestDealias:
         x = g.coordinates()
         f = np.sin(4.0 * x[0])
         prod = dealias(forward_transform(f * f, g))
-        expected = np.zeros(g.shape, dtype=complex)
-        expected[g.mode_index((0, 0))] = 0.5
+        expected = np.zeros(g.spectral_shape, dtype=complex)
+        expected[g.mode_index((0, 0))[0]] = 0.5
         np.testing.assert_allclose(prod.coeffs, expected, rtol=0, atol=1e-14)
 
     def test_retained_band_products_are_alias_free(self):
@@ -289,21 +355,24 @@ class TestDealias:
         n, fine = 16, 48
         g, gf = Grid(2, n), Grid(2, fine)
         rng = np.random.default_rng(17)
-        coeffs = np.zeros(g.shape, dtype=complex)
+        coeffs = np.zeros(g.spectral_shape, dtype=complex)
         for _ in range(6):
             k = rng.integers(-5, 6, size=2)
             a = rng.standard_normal() + 1j * rng.standard_normal()
-            coeffs[g.mode_index(tuple(k))] += a
-            coeffs[g.mode_index(tuple(-k))] += np.conj(a)
+            # the pair (k, a), (-k, conj a), restricted to the stored slots
+            for mode, value in ((k, a), (-k, np.conj(a))):
+                idx, conjugated = g.mode_index(tuple(mode))
+                if not conjugated:
+                    coeffs[idx] += value
         f = dealias(SpectralField(g, coeffs))
         phys = inverse_transform(f)
 
         # same modes on the fine grid
-        cf = np.zeros(gf.shape, dtype=complex)
+        cf = np.zeros(gf.spectral_shape, dtype=complex)
         ks = f.coeffs.nonzero()
         for idx in zip(*ks):
             k = tuple(int(v) if v <= n // 2 else int(v) - n for v in idx)
-            cf[gf.mode_index(k)] = f.coeffs[idx]
+            cf[gf.mode_index(k)[0]] = f.coeffs[idx]
         phys_f = inverse_transform(SpectralField(gf, cf))
 
         coarse = dealias(forward_transform(phys * phys, g))
@@ -311,7 +380,7 @@ class TestDealias:
         for idx in zip(*coarse.coeffs.nonzero()):
             k = tuple(int(v) if v <= n // 2 else int(v) - n for v in idx)
             assert coarse.coeffs[idx] == pytest.approx(
-                fine_prod.coeffs[gf.mode_index(k)], rel=1e-12, abs=1e-13)
+                fine_prod.coeffs[gf.mode_index(k)[0]], rel=1e-12, abs=1e-13)
 
 
 class TestNormsAndInnerProducts:
@@ -385,25 +454,65 @@ class TestNormsAndInnerProducts:
                 assert abs(cross) <= bound * (1.0 + 1e-12)
 
 
+def full_spectrum_sum(f_phys, g_phys, sigma, homogeneous):
+    """(2pi)^d sum over the whole lattice of w(k) Re f(k) conj g(k), from
+    complex fftn of the samples."""
+    d, n = f_phys.ndim, f_phys.shape[0]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    ksq = sum(np.meshgrid(*[k * k] * d, indexing="ij"))
+    if homogeneous:
+        w = np.where(ksq > 0, np.where(ksq > 0, ksq, 1.0) ** sigma, 0.0)
+    else:
+        w = (1.0 + ksq) ** sigma
+    fh = np.fft.fftn(f_phys, norm="forward")
+    gh = np.fft.fftn(g_phys, norm="forward")
+    return TWO_PI ** d * float(np.sum(w * (fh * gh.conj()).real))
+
+
+class TestHalfLayoutSums:
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 8), (3, 16)])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_sums_match_the_full_spectrum(self, d, n, homogeneous):
+        """Column multiplicity 2 inside, 1 at columns 0 and n/2."""
+        g = Grid(d, n)
+        x = g.coordinates()
+        rng = np.random.default_rng(7 * d + n)
+        nyquist = np.cos(0.5 * n * x[-1]) * (1.0 + np.cos(x[0]))
+        f_phys = rng.standard_normal(g.shape) + 3.0 * nyquist
+        g_phys = rng.standard_normal(g.shape) - 2.0 * nyquist
+        f, h = forward_transform(f_phys, g), forward_transform(g_phys, g)
+        assert np.max(np.abs(f.coeffs[..., -1])) > 0.5
+        s, beta = 2.01, 0.5
+        for sigma in (0.0, s, s - beta):
+            for a, b in ((f, f), (f, h)):
+                pa, pb = inverse_transform(a), inverse_transform(b)
+                ref = full_spectrum_sum(pa, pb, sigma, homogeneous)
+                got = sobolev_inner_product(a, b, sigma, homogeneous)
+                assert got == pytest.approx(ref, rel=1e-13)
+        ref = math.sqrt(full_spectrum_sum(f_phys, f_phys, 0.0, False))
+        assert l2_norm(f) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_tensor_sum_matches_the_full_spectrum(self, d, n):
+        g = Grid(d, n)
+        tau = random_symmetric_tensor(g, seed=d)
+        phys = tau.to_physical()
+        ref = sum((1.0 if i == j else 2.0)
+                  * full_spectrum_sum(phys[m], phys[m], 1.5, False)
+                  for m, (i, j) in enumerate(tau.pairs))
+        assert sobolev_inner_product(tau, tau, 1.5) == pytest.approx(
+            ref, rel=1e-13)
+
+
 class TestTensorFieldLayout:
     def test_symmetric_mirror(self):
         g = Grid(2, 16)
         tau = random_symmetric_tensor(g, seed=9)
         np.testing.assert_array_equal(tau.component(1, 0).coeffs,
                                       tau.component(0, 1).coeffs)
-        full = tau.full_matrix()
-        np.testing.assert_array_equal(full[0, 1], full[1, 0])
-
-    def test_skew_mirror_and_zero_diagonal(self):
-        g = Grid(2, 16)
-        w = TensorField.zeros(g, kind="skew")
-        w.comps[0] = random_scalar(g, seed=10).coeffs
-        np.testing.assert_array_equal(w.component(1, 0).coeffs,
-                                      -w.component(0, 1).coeffs)
-        assert np.max(np.abs(w.component(0, 0).coeffs)) == 0.0
 
     def test_pair_enumeration_3d(self):
         g = Grid(3, 8)
         tau = TensorField.zeros(g)
         assert tau.pairs == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-        assert tau.comps.shape == (6, 8, 8, 8)
+        assert tau.comps.shape == (6, 8, 8, 5)

@@ -32,10 +32,11 @@ from obflow.stepping import (
 
 def mode_pair(state, mode):
     """(uhat, shat) of one mode, with shat the projected stress divergence."""
-    idx = state.grid.mode_index(mode)
+    idx, conjugated = state.grid.mode_index(mode)
     shat = leray_project(divergence(state.tau))
-    return (state.u.comps[(slice(None),) + idx].copy(),
+    pair = (state.u.comps[(slice(None),) + idx].copy(),
             shat.comps[(slice(None),) + idx].copy())
+    return tuple(v.conj() for v in pair) if conjugated else pair
 
 
 def linear_deviation(dt, k=4, eta=0.2, beta=0.5, eps=0.5, t_end=1.0,
@@ -266,3 +267,11 @@ class TestIntegrate:
             StepperConfig(dt=-0.1)
         with pytest.raises(ValueError):
             StepperConfig(t_end=-1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("dt", math.inf), ("dt", math.nan), ("t_end", math.nan),
+        ("t_end", math.inf), ("dt_cap", math.nan), ("dt_cap", math.inf),
+        ("cfl_wave", math.nan), ("cfl_advective", math.inf)])
+    def test_non_finite_numbers_are_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            StepperConfig(**{name: value})

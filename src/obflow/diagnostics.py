@@ -50,6 +50,8 @@ class DiagnosticParams:
     k_cross: float = 0.1
 
     def __post_init__(self):
+        if self.s is not None and not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         if not 0.0 < self.k_cross < 0.25:
             raise ValueError(
                 f"k_cross must lie in (0, 1/4), got {self.k_cross}")

@@ -270,11 +270,18 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
     nus = sorted((float(v) for v in nus), reverse=True)
     if len(nus) < 3:
         raise ConfigError(["sweep needs at least three viscosity values"])
-    if len(set(nus)) != len(nus):
-        raise ConfigError(["sweep viscosities must be distinct"])
-    if min(nus) <= 0:
-        raise ConfigError(["sweep viscosities must be positive; the nu = 0 "
-                           "baseline is run implicitly"])
+    if not all(math.isfinite(nu) and nu > 0 for nu in nus):
+        raise ConfigError(["sweep viscosities must be positive and finite; "
+                           "the nu = 0 baseline is run implicitly"])
+    # members are stored under nu_{nu:.3e}, so they must differ there
+    names: Dict[str, float] = {}
+    for nu in nus:
+        name = _member_dir(Path(), nu).name
+        if name in names:
+            raise ConfigError([f"sweep viscosities must be distinct in four "
+                               f"significant digits: {names[name]!r} and "
+                               f"{nu!r} both map to member directory {name}"])
+        names[name] = nu
     if max(nus) / min(nus) < 100.0 * (1.0 - 1e-12):
         raise ConfigError(["sweep viscosities must span at least two decades"])
     if cfg.stepper.dt == "auto":

@@ -24,13 +24,10 @@ import numpy as np
 
 from .spectral import (
     SYM_PAIRS,
-    Field,
     Grid,
     GridMismatchError,
-    SpectralField,
     TensorField,
     VectorField,
-    _data,
     _forward,
     _inverse,
     divergence,
@@ -190,27 +187,6 @@ def _full_physical_tensor(tau: TensorField) -> np.ndarray:
     return out
 
 
-def advect(u: VectorField, f: Field) -> Field:
-    """Dealiased pseudo-spectral transport term u . grad f.
-
-    Derivatives are taken spectrally, the product is formed on the grid,
-    and the result is transformed back and dealiased.
-    """
-    grid = u.grid
-    if f.grid != grid:
-        raise GridMismatchError("advecting field lives on a different grid")
-    u_phys = u.to_physical()
-    data = _data(f)
-    scalar = isinstance(f, SpectralField)
-    comps = data[None] if scalar else data
-    grads = _gradient_physical(comps, grid)
-    products = np.einsum("j...,mj...->m...", u_phys, grads)
-    out = _forward(products, grid) * grid.dealias_mask
-    if scalar:
-        return f.with_coeffs(out[0])
-    return f.with_comps(out)
-
-
 def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float) -> np.ndarray:
     """Physical samples of the upper triangle of Q(tau, grad u).
 
@@ -233,17 +209,6 @@ def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float) -> np.n
     return tri
 
 
-def q_bilinear(tau: TensorField, u: VectorField, b: float) -> TensorField:
-    """Dealiased bilinear stress term Q = tau W - W tau - b (D tau + tau D)."""
-    grid = tau.grid
-    if u.grid != grid:
-        raise GridMismatchError("velocity and stress grids differ")
-    grad_u = _gradient_physical(u.comps, grid)      # grad_u[i, j] = dj u_i
-    tri = _q_triangle_physical(tau, grad_u, b)
-    out = _forward(tri, grid) * grid.dealias_mask
-    return TensorField(grid, out)
-
-
 def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
     """Diagonal decay rates (velocity, stress) honouring the toggles.
 
@@ -262,6 +227,8 @@ def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.n
 def _explicit_terms(state: FlowState, params: ModelParams,
                     ) -> Tuple[VectorField, TensorField, Optional[np.ndarray]]:
     """Kernel of explicit_rhs, plus the physical Q triangle (None if Q is off).
+
+    The only place the nonlinear terms u.grad u, u.grad tau and Q are built.
 
     u, grad u, grad tau and tau are inverted one stack each; u.grad tau and
     Q are summed on the grid and transformed once.
@@ -414,6 +381,8 @@ def make_initial_data(grid: Grid, recipe: str = "random-band",
     The pair (u, tau) is scaled so that ||u||_{H^s} + ||tau||_{H^s} equals
     epsilon; epsilon = 0 yields the zero state.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if s is None:

@@ -242,121 +242,90 @@ def _inverse(coeffs: np.ndarray, grid: Grid, tol: float = 1e-12) -> np.ndarray:
 
 
 @dataclass
-class SpectralField:
-    """Scalar field stored as half-layout Fourier coefficients on a grid."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != self.grid.spectral_shape:
-            raise GridMismatchError(
-                f"coefficients have shape {self.coeffs.shape}, "
-                f"grid expects {self.grid.spectral_shape}")
-
-    @classmethod
-    def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
-        return cls(grid, _forward(values, grid))
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
-
-    def to_physical(self) -> np.ndarray:
-        return _inverse(self.coeffs, self.grid)
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.grid, coeffs)
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
-    def _pairs(self) -> Iterator[Tuple[np.ndarray, float]]:
-        yield self.coeffs, 1.0
-
-
-@dataclass
-class VectorField:
-    """Vector field; component axis first, then grid axes."""
+class _FieldBase:
+    """Half-layout coefficients of a real field: leading component axes,
+    then the grid axes.  Subclasses declare the leading shape in _lead."""
 
     grid: Grid
     comps: np.ndarray
 
+    @staticmethod
+    def _lead(grid: Grid) -> Tuple[int, ...]:
+        raise NotImplementedError
+
     def __post_init__(self):
         self.comps = np.asarray(self.comps, dtype=np.complex128)
-        expected = (self.grid.d,) + self.grid.spectral_shape
+        expected = self._lead(self.grid) + self.grid.spectral_shape
         if self.comps.shape != expected:
             raise GridMismatchError(
                 f"components have shape {self.comps.shape}, expected {expected}")
 
     @classmethod
-    def from_physical(cls, grid: Grid, values: np.ndarray) -> "VectorField":
-        values = np.asarray(values)
-        if values.shape != (grid.d,) + grid.shape:
-            raise GridMismatchError(
-                f"samples have shape {values.shape}, expected "
-                f"{(grid.d,) + grid.shape}")
-        return cls(grid, _forward(values, grid))
+    def zeros(cls, grid: Grid):
+        return cls(grid, np.zeros(cls._lead(grid) + grid.spectral_shape,
+                                  dtype=np.complex128))
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        return cls(grid, np.zeros((grid.d,) + grid.spectral_shape,
-                                  dtype=np.complex128))
+    def from_physical(cls, grid: Grid, values: np.ndarray):
+        values = np.asarray(values)
+        expected = cls._lead(grid) + grid.shape
+        if values.shape != expected:
+            raise GridMismatchError(
+                f"samples have shape {values.shape}, expected {expected}")
+        return cls(grid, _forward(values, grid))
 
     def to_physical(self) -> np.ndarray:
         return _inverse(self.comps, self.grid)
 
-    def component(self, i: int) -> SpectralField:
-        return SpectralField(self.grid, self.comps[i])
+    def with_comps(self, comps: np.ndarray):
+        return type(self)(self.grid, comps)
 
-    def with_comps(self, comps: np.ndarray) -> "VectorField":
-        return VectorField(self.grid, comps)
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.comps.copy())
+    def copy(self):
+        return type(self)(self.grid, self.comps.copy())
 
     def _pairs(self) -> Iterator[Tuple[np.ndarray, float]]:
-        for i in range(self.grid.d):
-            yield self.comps[i], 1.0
+        """(component, multiplicity) pairs of the L2 / Sobolev sums."""
+        stack = self.comps if self._lead(self.grid) else self.comps[None]
+        for c in stack:
+            yield c, 1.0
 
 
 @dataclass
-class TensorField:
+class SpectralField(_FieldBase):
+    """Scalar field stored as half-layout Fourier coefficients on a grid."""
+
+    @staticmethod
+    def _lead(grid: Grid) -> Tuple[int, ...]:
+        return ()
+
+
+@dataclass
+class VectorField(_FieldBase):
+    """Vector field; component axis first, then grid axes."""
+
+    @staticmethod
+    def _lead(grid: Grid) -> Tuple[int, ...]:
+        return (grid.d,)
+
+    def component(self, i: int) -> SpectralField:
+        return SpectralField(self.grid, self.comps[i])
+
+
+@dataclass
+class TensorField(_FieldBase):
     """Symmetric rank-2 tensor field with triangular storage.
 
     Stores the upper triangle (i <= j) in SYM_PAIRS order and mirrors on
     read, so component (i, j) and (j, i) are the same array by construction.
     """
 
-    grid: Grid
-    comps: np.ndarray
-
-    def __post_init__(self):
-        self.comps = np.asarray(self.comps, dtype=np.complex128)
-        expected = (len(self.pairs),) + self.grid.spectral_shape
-        if self.comps.shape != expected:
-            raise GridMismatchError(
-                f"components have shape {self.comps.shape}, expected {expected}")
+    @staticmethod
+    def _lead(grid: Grid) -> Tuple[int, ...]:
+        return (len(SYM_PAIRS[grid.d]),)
 
     @property
     def pairs(self) -> Tuple[Tuple[int, int], ...]:
         return SYM_PAIRS[self.grid.d]
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "TensorField":
-        m = len(SYM_PAIRS[grid.d])
-        return cls(grid, np.zeros((m,) + grid.spectral_shape,
-                                  dtype=np.complex128))
-
-    @classmethod
-    def from_physical(cls, grid: Grid, values: np.ndarray) -> "TensorField":
-        values = np.asarray(values)
-        m = len(SYM_PAIRS[grid.d])
-        if values.shape != (m,) + grid.shape:
-            raise GridMismatchError(
-                f"samples have shape {values.shape}, expected {(m,) + grid.shape}")
-        return cls(grid, _forward(values, grid))
 
     def pair_index(self, i: int, j: int) -> int:
         a, b = (i, j) if i <= j else (j, i)
@@ -369,16 +338,6 @@ class TensorField:
             raise IndexError(f"tensor index ({i}, {j}) out of range for d={d}")
         return SpectralField(self.grid, self.comps[self.pair_index(i, j)])
 
-    def to_physical(self) -> np.ndarray:
-        """Physical samples of the stored (triangular) components."""
-        return _inverse(self.comps, self.grid)
-
-    def with_comps(self, comps: np.ndarray) -> "TensorField":
-        return TensorField(self.grid, comps)
-
-    def copy(self) -> "TensorField":
-        return TensorField(self.grid, self.comps.copy())
-
     def _pairs(self) -> Iterator[Tuple[np.ndarray, float]]:
         for m, (i, j) in enumerate(self.pairs):
             yield self.comps[m], 1.0 if i == j else 2.0
@@ -387,34 +346,12 @@ class TensorField:
 Field = Union[SpectralField, VectorField, TensorField]
 
 
-def forward_transform(values: np.ndarray, grid: Grid) -> SpectralField:
-    """Transform real scalar samples to a SpectralField."""
-    return SpectralField.from_physical(grid, values)
-
-
-def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Transform a SpectralField back to real samples."""
-    return field.to_physical()
-
-
-def _data(field: Field) -> np.ndarray:
-    return field.coeffs if isinstance(field, SpectralField) else field.comps
-
-
-def _rewrap(field: Field, data: np.ndarray) -> Field:
-    if isinstance(field, SpectralField):
-        return field.with_coeffs(data)
-    if isinstance(field, VectorField):
-        return field.with_comps(data)
-    return field.with_comps(data)
-
-
 def gradient(f: SpectralField) -> VectorField:
     """Spectral gradient; Nyquist modes of each derivative are zeroed."""
     grid = f.grid
     out = np.empty((grid.d,) + grid.spectral_shape, dtype=np.complex128)
     for axis, ik in enumerate(grid.derivative_multipliers):
-        out[axis] = ik * f.coeffs
+        out[axis] = ik * f.comps
     return VectorField(grid, out)
 
 
@@ -434,7 +371,7 @@ def divergence(field: Union[VectorField, TensorField]) -> Union[SpectralField, V
         out = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
         for i in range(grid.d):
             for j in range(grid.d):
-                out[i] += ik[j] * field.component(i, j).coeffs
+                out[i] += ik[j] * field.component(i, j).comps
         return VectorField(grid, out)
     raise TypeError(f"divergence expects a vector or tensor field, got {type(field)}")
 
@@ -446,7 +383,7 @@ def fractional_laplacian(field: Field, gamma: float) -> Field:
     gamma < 0 is rejected.
     """
     mult = field.grid.fractional_multiplier(gamma)
-    return _rewrap(field, _data(field) * mult)
+    return field.with_comps(field.comps * mult)
 
 
 def leray_project(v: VectorField) -> VectorField:
@@ -470,7 +407,7 @@ def leray_project(v: VectorField) -> VectorField:
 
 def dealias(field: Field) -> Field:
     """Zero every coefficient with any |k_i| >= n/3 (idempotent)."""
-    return _rewrap(field, _data(field) * field.grid.dealias_mask)
+    return field.with_comps(field.comps * field.grid.dealias_mask)
 
 
 def _check_compatible(f: Field, g: Field) -> None:

@@ -31,13 +31,12 @@ from obflow.model import (
 )
 from obflow.spectral import (
     Grid,
+    SpectralField,
     TensorField,
     VectorField,
     dealias,
     divergence,
-    forward_transform,
     gradient,
-    inverse_transform,
     l2_norm,
     leray_project,
 )
@@ -58,13 +57,13 @@ def accept(request):
 def random_state(grid, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     u = leray_project(dealias(VectorField(grid, np.stack([
-        forward_transform(scale * rng.standard_normal(grid.shape),
-                          grid).coeffs
+        SpectralField.from_physical(
+            grid, scale * rng.standard_normal(grid.shape)).comps
         for _ in range(grid.d)]))))
     tau = TensorField.zeros(grid)
     for i in range(tau.comps.shape[0]):
-        tau.comps[i] = forward_transform(
-            scale * rng.standard_normal(grid.shape), grid).coeffs
+        tau.comps[i] = SpectralField.from_physical(
+            grid, scale * rng.standard_normal(grid.shape)).comps
     return FlowState(u, dealias(tau))
 
 
@@ -78,27 +77,27 @@ class TestAcceptance:
                 g = Grid(d, n)
                 x = g.coordinates()
                 f_phys = np.sin(3.0 * x[0]) + 2.0 * np.cos(x[1])
-                f = forward_transform(f_phys, g)
+                f = SpectralField.from_physical(g, f_phys)
 
                 # round trip
-                err = np.max(np.abs(inverse_transform(f) - f_phys))
+                err = np.max(np.abs(f.to_physical() - f_phys))
                 worst = max(worst, err / max(np.max(np.abs(f_phys)), 1.0))
 
                 # gradient of an analytic profile
                 prof = np.sin(3.0 * x[0]) * np.cos(2.0 * x[1])
-                gf = gradient(forward_transform(prof, g))
+                gf = gradient(SpectralField.from_physical(g, prof))
                 d0 = 3.0 * np.cos(3.0 * x[0]) * np.cos(2.0 * x[1])
                 d1 = -2.0 * np.sin(3.0 * x[0]) * np.sin(2.0 * x[1])
                 scale = 3.0
                 worst = max(worst, np.max(np.abs(
-                    inverse_transform(gf.component(0)) - d0)) / scale)
+                    gf.component(0).to_physical() - d0)) / scale)
                 worst = max(worst, np.max(np.abs(
-                    inverse_transform(gf.component(1)) - d1)) / scale)
+                    gf.component(1).to_physical() - d1)) / scale)
 
                 # Parseval against the physical quadrature
                 rng = np.random.default_rng(n + d)
                 vals = rng.standard_normal(g.shape)
-                h = forward_transform(vals, g)
+                h = SpectralField.from_physical(g, vals)
                 quad = math.sqrt(g.cell_volume * float(np.sum(vals * vals)))
                 worst = max(worst, abs(l2_norm(h) - quad) / quad)
 

@@ -1,0 +1,53 @@
+"""The exported package surface."""
+
+import numpy as np
+import pytest
+
+import obflow
+import obflow.model
+import obflow.spectral
+
+# Retired API: the split nonlinear operators (the fused kernel behind
+# explicit_rhs builds every nonlinear term), the transform wrappers
+# (SpectralField.from_physical / to_physical), and the scalar-only names
+# of the field data.
+REMOVED = [
+    (obflow.model, "advect"),
+    (obflow.model, "q_bilinear"),
+    (obflow.spectral, "forward_transform"),
+    (obflow.spectral, "inverse_transform"),
+    (obflow.spectral, "_data"),
+    (obflow.spectral, "_rewrap"),
+    (obflow.spectral.SpectralField, "coeffs"),
+    (obflow.spectral.SpectralField, "with_coeffs"),
+]
+
+
+def test_every_exported_name_resolves():
+    assert len(set(obflow.__all__)) == len(obflow.__all__)
+    missing = [name for name in obflow.__all__ if not hasattr(obflow, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("owner, name", REMOVED,
+                         ids=[name for _, name in REMOVED])
+def test_removed_names_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert name not in obflow.__all__
+    assert not hasattr(obflow, name)
+
+
+def test_field_classes_share_one_implementation():
+    grid = obflow.Grid(2, 8)
+    for cls, lead in ((obflow.SpectralField, ()),
+                      (obflow.VectorField, (2,)),
+                      (obflow.TensorField, (3,))):
+        field = cls.zeros(grid)
+        assert field.comps.shape == lead + grid.spectral_shape
+        assert type(field.copy()) is cls
+        assert type(field.with_comps(field.comps)) is cls
+        assert type(cls.from_physical(grid, field.to_physical())) is cls
+        with pytest.raises(obflow.spectral.GridMismatchError):
+            cls(grid, np.zeros((4,) + grid.spectral_shape))
+        with pytest.raises(obflow.spectral.GridMismatchError):
+            cls.from_physical(grid, np.zeros((4,) + grid.shape))

@@ -25,10 +25,10 @@ from obflow.model import (
 )
 from obflow.spectral import (
     Grid,
+    SpectralField,
     TensorField,
     VectorField,
     dealias,
-    forward_transform,
     leray_project,
 )
 from obflow.stepping import StepperConfig, integrate
@@ -39,13 +39,13 @@ TWO_PI = 2.0 * math.pi
 def random_state(grid, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     u = leray_project(dealias(VectorField(grid, np.stack([
-        forward_transform(scale * rng.standard_normal(grid.shape),
-                          grid).coeffs
+        SpectralField.from_physical(
+            grid, scale * rng.standard_normal(grid.shape)).comps
         for _ in range(grid.d)]))))
     tau = TensorField.zeros(grid)
     for i in range(tau.comps.shape[0]):
-        tau.comps[i] = forward_transform(
-            scale * rng.standard_normal(grid.shape), grid).coeffs
+        tau.comps[i] = SpectralField.from_physical(
+            grid, scale * rng.standard_normal(grid.shape)).comps
     return FlowState(u, dealias(tau))
 
 
@@ -74,8 +74,8 @@ class TestRecordFields:
         g = Grid(2, 16)
         x = g.coordinates()
         tau = TensorField.zeros(g)
-        tau.comps[tau.pair_index(0, 1)] = forward_transform(
-            np.sin(x[1]), g).coeffs
+        tau.comps[tau.pair_index(0, 1)] = SpectralField.from_physical(
+            g, np.sin(x[1])).comps
         st = FlowState(VectorField.zeros(g), tau)
         rec, _ = collect_one(st, ModelParams(eta=1.0))
         assert rec.cross == 0.0
@@ -89,10 +89,10 @@ class TestRecordFields:
         g = Grid(2, 32)
         x = g.coordinates()
         u = VectorField.zeros(g)
-        u.comps[0] = forward_transform(2.0 * np.cos(x[1]), g).coeffs
+        u.comps[0] = SpectralField.from_physical(g, 2.0 * np.cos(x[1])).comps
         tau = TensorField.zeros(g)
-        tau.comps[tau.pair_index(0, 1)] = forward_transform(
-            3.0 * np.sin(x[1]), g).coeffs
+        tau.comps[tau.pair_index(0, 1)] = SpectralField.from_physical(
+            g, 3.0 * np.sin(x[1])).comps
         st = FlowState(u, tau)
         params = ModelParams(eta=1.0, beta=1.0)
         diag = DiagnosticParams(s=2.0, k_cross=0.1)
@@ -314,6 +314,13 @@ class TestDiagnosticParams:
             DiagnosticParams(k_cross=0.0)
         with pytest.raises(ValueError):
             DiagnosticParams(k_cross=-0.1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("s", math.nan), ("s", math.inf), ("s", -math.inf),
+        ("k_cross", math.nan), ("k_cross", math.inf)])
+    def test_non_finite_values_are_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            DiagnosticParams(**{name: value})
 
     def test_default_s_tracks_dimension(self):
         assert DiagnosticParams().resolve_s(Grid(2, 16)) == pytest.approx(2.01)

@@ -152,10 +152,23 @@ class TestSweep:
             sweep_viscosity(cfg, [1e-2, 5e-3, 2e-3], tmp_path)
         with pytest.raises(ConfigError):
             sweep_viscosity(cfg, [1e-2, 1e-3, 0.0], tmp_path)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                sweep_viscosity(cfg, [1e-2, 1e-4, bad], tmp_path)
         raw = json.loads(json.dumps(SMALL_RUN))
         raw["stepper"]["dt"] = "auto"
         with pytest.raises(ConfigError):
             sweep_viscosity(cfg_of(raw), [1e-2, 1e-3, 1e-4], tmp_path)
+
+    @pytest.mark.parametrize("nus", [[1e-2, 1e-3, 1.0001e-3, 1e-4],
+                                     [1e-2, 1e-3, 1e-3, 1e-4]])
+    def test_members_sharing_a_directory_are_rejected(self, tmp_path, nus):
+        """Members are stored as nu_{nu:.3e}; two viscosities that print
+        alike would overwrite each other's runs, so no member may run."""
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match="nu_1.000e-03"):
+            sweep_viscosity(self.base(), nus, out)
+        assert not out.exists()
 
     def test_slope_near_one(self, tmp_path):
         """The discrete trajectory map is smooth in nu, so the distance to
@@ -263,6 +276,14 @@ class TestCli:
         assert main(["sweep-nu", "--config", str(path),
                      "--output", str(tmp_path / "x"),
                      "--nu", "1e-2", "--nu", "1e-3"]) == 2
+
+    def test_sweep_shared_member_directory_is_config_error(self, tmp_path):
+        path = self.write_config(tmp_path, SMALL_RUN)
+        assert main(["sweep-nu", "--config", str(path),
+                     "--output", str(tmp_path / "x"),
+                     "--nu", "1e-2", "--nu", "1e-3", "--nu", "1.0001e-3",
+                     "--nu", "1e-4"]) == 2
+        assert not (tmp_path / "x" / "nu_0").exists()
 
     def test_dispersion_writes_table(self, tmp_path):
         path = self.write_config(tmp_path, SMALL_RUN)

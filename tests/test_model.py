@@ -9,24 +9,21 @@ from obflow.model import (
     FlowState,
     ModelParams,
     TermToggles,
-    advect,
     dissipation_rates,
     energy_budget,
     explicit_rhs,
     make_initial_data,
-    q_bilinear,
     rhs,
     strain_rate,
 )
 from obflow.spectral import (
     Grid,
+    SpectralField,
     TensorField,
     VectorField,
     dealias,
     divergence,
-    forward_transform,
     gradient,
-    inverse_transform,
     l2_inner_product,
     l2_norm,
     leray_project,
@@ -39,26 +36,60 @@ def random_state(grid, seed, scale=1.0, project=True):
     """Dealiased random state; u divergence-free unless project=False."""
     rng = np.random.default_rng(seed)
     u = VectorField(grid, np.stack([
-        forward_transform(scale * rng.standard_normal(grid.shape), grid).coeffs
+        SpectralField.from_physical(
+            grid, scale * rng.standard_normal(grid.shape)).comps
         for _ in range(grid.d)]))
     u = dealias(u)
     if project:
         u = leray_project(u)
     tau = TensorField.zeros(grid)
     for i in range(tau.comps.shape[0]):
-        tau.comps[i] = forward_transform(
-            scale * rng.standard_normal(grid.shape), grid).coeffs
+        tau.comps[i] = SpectralField.from_physical(
+            grid, scale * rng.standard_normal(grid.shape)).comps
     tau = dealias(tau)
     return FlowState(u, tau)
 
 
-def dense_gradient(u):
-    """(d, d, *grid) physical array with G[i, j] = d_j u_i."""
-    g = u.grid
+def dense_gradient(field):
+    """(m, d, *grid) physical array with G[i, j] = d_j of component i."""
+    g = field.grid
     return np.stack([
-        np.stack([inverse_transform(gradient(u.component(i)).component(j))
+        np.stack([gradient(SpectralField(g, c)).component(j).to_physical()
                   for j in range(g.d)])
-        for i in range(g.d)])
+        for c in field.comps])
+
+
+def dense_q(tau, u, b):
+    """(d, d, *grid) physical Q = (tau W - W tau) - b (D tau + tau D) from
+    full matrices and the dense gradient."""
+    g = u.grid
+    grad = dense_gradient(u)
+    dmat = 0.5 * (grad + np.swapaxes(grad, 0, 1))
+    wmat = 0.5 * (grad - np.swapaxes(grad, 0, 1))
+    tri = tau.to_physical()
+    full = np.zeros((g.d, g.d) + g.shape)
+    for m, (i, j) in enumerate(tau.pairs):
+        full[i, j] = full[j, i] = tri[m]
+    tw = np.einsum("ab...,bc...->ac...", full, wmat)
+    wt = np.einsum("ab...,bc...->ac...", wmat, full)
+    dt = np.einsum("ab...,bc...->ac...", dmat, full)
+    td = np.einsum("ab...,bc...->ac...", full, dmat)
+    return (tw - wt) - b * (dt + td)
+
+
+def only(term):
+    """TermToggles with the single explicit term `term` switched on."""
+    off = dict(advection_u=False, advection_tau=False, q_term=False,
+               stress_divergence=False, strain_source=False)
+    return TermToggles(**{**off, term: True})
+
+
+def q_term(tau, u, b):
+    """mask F(Q(tau, grad u)) from the production kernel: with only Q on,
+    the explicit stress tendency is -mask F(Q)."""
+    _, dtau = explicit_rhs(FlowState(u, tau),
+                           ModelParams(b=b, toggles=only("q_term")))
+    return dtau.with_comps(-dtau.comps)
 
 
 class TestStrainAndVorticity:
@@ -71,7 +102,7 @@ class TestStrainAndVorticity:
             grad = dense_gradient(st.u)
             for i in range(d):
                 for j in range(d):
-                    dij = inverse_transform(dmat.component(i, j))
+                    dij = dmat.component(i, j).to_physical()
                     wij = 0.5 * (grad[i, j] - grad[j, i])
                     np.testing.assert_allclose(dij + wij, grad[i, j],
                                                rtol=0, atol=1e-12)
@@ -86,7 +117,7 @@ class TestQBilinear:
         for i in range(g.d):
             tau.comps[tau.pair_index(i, i)][g.mode_index((0, 0))[0]] = 1.0
         for b in (-1.0, 0.0, 0.5, 1.0):
-            q = q_bilinear(tau, st.u, b)
+            q = q_term(tau, st.u, b)
             dmat = strain_rate(st.u)
             np.testing.assert_allclose(q.comps, -2.0 * b * dmat.comps,
                                        rtol=0, atol=1e-13)
@@ -101,17 +132,17 @@ class TestQBilinear:
         g = Grid(2, 32)
         x = g.coordinates()
         u = VectorField.zeros(g)
-        u.comps[0] = forward_transform(np.sin(x[1]), g).coeffs
+        u.comps[0] = SpectralField.from_physical(g, np.sin(x[1])).comps
         tau = TensorField.zeros(g)
         for (i, j), val in (((0, 0), 2.0), ((0, 1), 1.0), ((1, 1), 3.0)):
             tau.comps[tau.pair_index(i, j)][g.mode_index((0, 0))[0]] = val
-        q = q_bilinear(tau, u, b=0.5)
+        q = q_term(tau, u, b=0.5)
         c = np.cos(x[1])
-        np.testing.assert_allclose(inverse_transform(q.component(0, 0)),
+        np.testing.assert_allclose(q.component(0, 0).to_physical(),
                                    -1.5 * c, atol=1e-13)
-        np.testing.assert_allclose(inverse_transform(q.component(0, 1)),
+        np.testing.assert_allclose(q.component(0, 1).to_physical(),
                                    -1.75 * c, atol=1e-13)
-        np.testing.assert_allclose(inverse_transform(q.component(1, 1)),
+        np.testing.assert_allclose(q.component(1, 1).to_physical(),
                                    0.5 * c, atol=1e-13)
 
     def test_matches_dense_matrix_oracle(self):
@@ -120,32 +151,19 @@ class TestQBilinear:
             g = Grid(d, n)
             st = random_state(g, seed=d + 10)
             b = 0.7
-            q = q_bilinear(st.tau, st.u, b)
-
-            grad = dense_gradient(st.u)
-            dmat = 0.5 * (grad + np.swapaxes(grad, 0, 1))
-            wmat = 0.5 * (grad - np.swapaxes(grad, 0, 1))
-            tau_full = st.tau.to_physical()  # triangle
-            full = np.zeros((d, d) + g.shape)
+            q = q_term(st.tau, st.u, b)
+            oracle = dense_q(st.tau, st.u, b)
             for idx, (i, j) in enumerate(st.tau.pairs):
-                full[i, j] = tau_full[idx]
-                full[j, i] = tau_full[idx]
-            tw = np.einsum("ab...,bc...->ac...", full, wmat)
-            wt = np.einsum("ab...,bc...->ac...", wmat, full)
-            dt = np.einsum("ab...,bc...->ac...", dmat, full)
-            td = np.einsum("ab...,bc...->ac...", full, dmat)
-            oracle = (tw - wt) - b * (dt + td)
-            for idx, (i, j) in enumerate(st.tau.pairs):
-                got = dealias(forward_transform(oracle[i, j], g))
-                np.testing.assert_allclose(q.comps[idx], got.coeffs,
+                got = dealias(SpectralField.from_physical(g, oracle[i, j]))
+                np.testing.assert_allclose(q.comps[idx], got.comps,
                                            rtol=0, atol=1e-13)
 
     def test_result_is_symmetric(self):
         g = Grid(2, 16)
         st = random_state(g, seed=21)
         for b in (-1.0, 0.3, 1.0):
-            q = q_bilinear(st.tau, st.u, b)
-            full = np.stack([np.stack([q.component(i, j).coeffs
+            q = q_term(st.tau, st.u, b)
+            full = np.stack([np.stack([q.component(i, j).comps
                                        for j in range(g.d)])
                              for i in range(g.d)])
             gap = np.max(np.abs(full - np.swapaxes(full, 0, 1)))
@@ -153,29 +171,42 @@ class TestQBilinear:
 
 
 class TestAdvectionSkewSymmetry:
-    def test_scalar_advection_integrates_to_zero(self):
-        """<u . grad f, f> = 0 for divergence-free u; the strict dealias
-        band keeps the pairing alias-free so this holds to roundoff."""
-        from obflow.model import advect
+    """<u . grad f, f> = 0 for divergence-free u; the strict dealias band
+    keeps the pairing alias-free so this holds to roundoff.  The transport
+    terms come from explicit_rhs with only that term on, where the
+    tendencies are -mask F(u . grad tau) and -P mask F(u . grad u)."""
 
+    def test_scalar_advection_integrates_to_zero(self):
+        """A scalar carried as the one nonzero stress component (0, 0)."""
+        params = ModelParams(toggles=only("advection_tau"))
         for n in (16, 32):
             g = Grid(2, n)
             st = random_state(g, seed=n)
-            f = dealias(forward_transform(
-                np.random.default_rng(n + 1).standard_normal(g.shape), g))
-            adv = advect(st.u, f)
-            ip = l2_inner_product(adv, f)
+            f = dealias(SpectralField.from_physical(
+                g, np.random.default_rng(n + 1).standard_normal(g.shape)))
+            tau = TensorField.zeros(g)
+            tau.comps[tau.pair_index(0, 0)] = f.comps
+            _, dtau = explicit_rhs(FlowState(st.u, tau), params)
+            assert np.max(np.abs(dtau.comps[1:])) == 0.0
+            ip = l2_inner_product(dtau, tau)
             scale = l2_norm(st.u) * l2_norm(f) ** 2 * (n / 3.0)
             assert abs(ip) < 1e-13 * max(scale, 1.0)
 
     def test_tensor_advection_integrates_to_zero(self):
-        from obflow.model import advect
-
         g = Grid(2, 16)
         st = random_state(g, seed=33)
-        adv = advect(st.u, st.tau)
-        ip = l2_inner_product(adv, st.tau)
+        _, dtau = explicit_rhs(st, ModelParams(toggles=only("advection_tau")))
+        ip = l2_inner_product(dtau, st.tau)
         scale = l2_norm(st.u) * l2_norm(st.tau) ** 2 * (16 / 3.0)
+        assert abs(ip) < 1e-13 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 8)])
+    def test_velocity_advection_integrates_to_zero(self, d, n):
+        st = random_state(Grid(d, n), seed=50 + n)
+        du, _ = explicit_rhs(st, ModelParams(toggles=only("advection_u")))
+        assert np.max(np.abs(du.comps)) > 0.0
+        ip = l2_inner_product(du, st.u)
+        scale = l2_norm(st.u) ** 3 * (n / 3.0)
         assert abs(ip) < 1e-13 * max(scale, 1.0)
 
 
@@ -237,11 +268,20 @@ class TestTendencies:
 
 
 def split_explicit_rhs(state, params):
-    """Reference tendencies built term by term from the split operators."""
+    """Reference tendencies built term by term on the grid from dense
+    gradients and full matrices, one forward transform per term."""
     u, tau = state.u, state.tau
-    du = divergence(tau).comps - advect(u, u).comps
-    dtau = (strain_rate(u).comps - advect(u, tau).comps
-            - q_bilinear(tau, u, params.b).comps)
+    g = u.grid
+    u_phys = u.to_physical()
+    q_full = dense_q(tau, u, params.b)
+    q_tri = np.stack([q_full[i, j] for i, j in tau.pairs])
+    adv_u = np.einsum("j...,ij...->i...", u_phys, dense_gradient(u))
+    adv_tau = np.einsum("j...,mj...->m...", u_phys, dense_gradient(tau))
+    du = (divergence(tau).comps
+          - dealias(VectorField.from_physical(g, adv_u)).comps)
+    dtau = (strain_rate(u).comps
+            - dealias(TensorField.from_physical(g, adv_tau)).comps
+            - dealias(TensorField.from_physical(g, q_tri)).comps)
     return leray_project(u.with_comps(du)).comps, dtau
 
 
@@ -319,9 +359,12 @@ class TestFusedKernel:
         assert fft_components == [4 * inverse, 4 * forward]
 
     def test_q_work_matches_q_bilinear(self):
+        """q_work = <mask F(Q), tau> = -<dtau, tau> with only Q on."""
         st = random_state(Grid(2, 16), seed=97, scale=0.5)
         params = ModelParams(eta=1.0, beta=0.5, b=0.7)
-        ref = l2_inner_product(q_bilinear(st.tau, st.u, params.b), st.tau)
+        _, dtau = explicit_rhs(st.copy(), ModelParams(
+            eta=1.0, beta=0.5, b=0.7, toggles=only("q_term")))
+        ref = -l2_inner_product(dtau, st.tau)
         assert energy_budget(st, params)["q_work"] == ref
 
 
@@ -385,6 +428,12 @@ class TestInitialData:
         st = make_initial_data(g, recipe="random-band", epsilon=0.0)
         assert np.max(np.abs(st.u.comps)) == 0.0
         assert np.max(np.abs(st.tau.comps)) == 0.0
+
+    @pytest.mark.parametrize("recipe", ["single-mode", "random-band"])
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_is_named(self, recipe, epsilon):
+        with pytest.raises(ValueError, match="^epsilon must be finite"):
+            make_initial_data(Grid(2, 16), recipe=recipe, epsilon=epsilon)
 
     def test_single_mode_validation(self):
         g = Grid(2, 16)

@@ -13,10 +13,8 @@ from obflow.spectral import (
     VectorField,
     dealias,
     divergence,
-    forward_transform,
     fractional_laplacian,
     gradient,
-    inverse_transform,
     l2_inner_product,
     l2_norm,
     leray_project,
@@ -29,13 +27,14 @@ TWO_PI = 2.0 * math.pi
 
 def random_scalar(grid, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    return forward_transform(scale * rng.standard_normal(grid.shape), grid)
+    return SpectralField.from_physical(
+        grid, scale * rng.standard_normal(grid.shape))
 
 
 def random_vector(grid, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     phys = scale * rng.standard_normal((grid.d,) + grid.shape)
-    comps = np.stack([forward_transform(phys[i], grid).coeffs
+    comps = np.stack([SpectralField.from_physical(grid, phys[i]).comps
                       for i in range(grid.d)])
     return VectorField(grid, comps)
 
@@ -44,7 +43,7 @@ def random_symmetric_tensor(grid, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     npair = len(grid_pairs(grid))
     phys = scale * rng.standard_normal((npair,) + grid.shape)
-    comps = np.stack([forward_transform(phys[i], grid).coeffs
+    comps = np.stack([SpectralField.from_physical(grid, phys[i]).comps
                       for i in range(npair)])
     return TensorField(grid, comps)
 
@@ -81,7 +80,7 @@ class TestGrid:
         rng = np.random.default_rng(d)
         phys = rng.standard_normal(g.shape)
         full = np.fft.fftn(phys, norm="forward")
-        half = forward_transform(phys, g).coeffs
+        half = SpectralField.from_physical(g, phys).comps
         lasts = (-n // 2 + 1, -1, 0, 1, n // 2 - 1, n // 2, -n // 2)
         for lead in ((0,) * (d - 1), (1,) * (d - 1), (-n // 2,) * (d - 1),
                      (-3,) + (2,) * (d - 2)):
@@ -121,24 +120,24 @@ class TestTransforms:
         g = Grid(2, 16)
         phys = np.zeros(g.shape)
         phys[0, 0] = 1.0
-        f = forward_transform(phys, g)
-        np.testing.assert_allclose(f.coeffs, 1.0 / 16 ** 2, rtol=0, atol=1e-15)
+        f = SpectralField.from_physical(g, phys)
+        np.testing.assert_allclose(f.comps, 1.0 / 16 ** 2, rtol=0, atol=1e-15)
 
     def test_cosine_coefficients(self):
         g = Grid(2, 16)
         x = g.coordinates()
-        f = forward_transform(np.cos(3.0 * x[0]), g)
+        f = SpectralField.from_physical(g, np.cos(3.0 * x[0]))
         expected = np.zeros(g.spectral_shape, dtype=complex)
         expected[g.mode_index((3, 0))[0]] = 0.5
         expected[g.mode_index((-3, 0))[0]] = 0.5
-        np.testing.assert_allclose(f.coeffs, expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(f.comps, expected, rtol=0, atol=1e-14)
 
     def test_round_trip(self):
         for d, n in ((2, 16), (3, 8)):
             g = Grid(d, n)
             rng = np.random.default_rng(11 + d)
             phys = rng.standard_normal(g.shape)
-            back = inverse_transform(forward_transform(phys, g))
+            back = SpectralField.from_physical(g, phys).to_physical()
             np.testing.assert_allclose(back, phys, rtol=0, atol=1e-13)
 
     def test_inverse_rejects_broken_symmetry(self):
@@ -146,7 +145,7 @@ class TestTransforms:
         coeffs = np.zeros(g.spectral_shape, dtype=complex)
         coeffs[g.mode_index((1, 0))[0]] = 1.0  # no conjugate partner
         with pytest.raises(HermitianSymmetryError):
-            inverse_transform(SpectralField(g, coeffs))
+            SpectralField(g, coeffs).to_physical()
 
     def test_symmetry_tolerance_scales_with_magnitude(self):
         """A residue above tol passes when it is below tol * (1 + max|f|)."""
@@ -155,11 +154,11 @@ class TestTransforms:
         coeffs[g.mode_index((1, 0))[0]] = 1e6
         coeffs[g.mode_index((-1, 0))[0]] = 1e6
         coeffs[g.mode_index((2, 0))[0]] = 1e-8  # no conjugate partner
-        inverse_transform(SpectralField(g, coeffs))
+        SpectralField(g, coeffs).to_physical()
         coeffs[g.mode_index((2, 0))[0]] = 1e-4
         with pytest.raises(HermitianSymmetryError,
                            match=r"exceeds tolerance 1\.0e-12 \* \(1 \+ 2\.000e\+06\)"):
-            inverse_transform(SpectralField(g, coeffs))
+            SpectralField(g, coeffs).to_physical()
 
 
 class TestHalfLayoutSymmetryCheck:
@@ -170,16 +169,16 @@ class TestHalfLayoutSymmetryCheck:
         (2, 16, (5, 8)), (3, 8, (1, 6, 4)), (3, 8, (4, 4, 4))])
     def test_broken_redundant_column_is_rejected(self, d, n, slot):
         g = Grid(d, n)
-        coeffs = random_scalar(g, seed=d).coeffs.copy()
+        coeffs = random_scalar(g, seed=d).comps.copy()
         coeffs[slot] += 1e-3j
         with pytest.raises(HermitianSymmetryError):
-            inverse_transform(SpectralField(g, coeffs))
+            SpectralField(g, coeffs).to_physical()
 
     def test_interior_columns_have_no_partner_to_break(self):
         g = Grid(3, 8)
-        coeffs = random_scalar(g, seed=4).coeffs.copy()
+        coeffs = random_scalar(g, seed=4).comps.copy()
         coeffs[1, 6, 2] += 1e-3j
-        inverse_transform(SpectralField(g, coeffs))
+        SpectralField(g, coeffs).to_physical()
 
     @pytest.mark.parametrize("d, n", [(2, 16), (2, 64), (3, 8), (3, 16)])
     def test_every_forward_transform_passes(self, d, n):
@@ -199,18 +198,18 @@ class TestDifferentialOperators:
     def test_gradient_of_sine(self):
         g = Grid(2, 32)
         x = g.coordinates()
-        f = forward_transform(np.sin(2.0 * x[1]), g)
+        f = SpectralField.from_physical(g, np.sin(2.0 * x[1]))
         grad = gradient(f)
-        np.testing.assert_allclose(inverse_transform(grad.component(0)),
+        np.testing.assert_allclose(grad.component(0).to_physical(),
                                    0.0, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(inverse_transform(grad.component(1)),
+        np.testing.assert_allclose(grad.component(1).to_physical(),
                                    2.0 * np.cos(2.0 * x[1]), atol=1e-12)
 
     def test_gradient_kills_nyquist(self):
         """The odd derivative multiplier is zeroed at k = n/2."""
         g = Grid(2, 16)
         x = g.coordinates()
-        f = forward_transform(np.cos(8.0 * x[0]), g)
+        f = SpectralField.from_physical(g, np.cos(8.0 * x[0]))
         grad = gradient(f)
         assert np.max(np.abs(grad.comps)) == 0.0
 
@@ -218,25 +217,27 @@ class TestDifferentialOperators:
         g = Grid(2, 32)
         x = g.coordinates()
         u = VectorField(g, np.stack([
-            forward_transform(np.sin(x[0]), g).coeffs,
-            forward_transform(np.cos(2.0 * x[1]), g).coeffs]))
+            SpectralField.from_physical(g, np.sin(x[0])).comps,
+            SpectralField.from_physical(g, np.cos(2.0 * x[1])).comps]))
         div = divergence(u)
         expected = np.cos(x[0]) - 2.0 * np.sin(2.0 * x[1])
-        np.testing.assert_allclose(inverse_transform(div), expected, atol=1e-12)
+        np.testing.assert_allclose(div.to_physical(), expected, atol=1e-12)
 
     def test_tensor_divergence_uses_mirrored_components(self):
         """(div tau)_i = sum_j d_j tau_ij with tau_10 read from tau_01."""
         g = Grid(2, 32)
         x = g.coordinates()
         tau = TensorField.zeros(g)
-        tau.comps[tau.pair_index(0, 0)] = forward_transform(np.cos(x[0]), g).coeffs
-        tau.comps[tau.pair_index(0, 1)] = forward_transform(np.sin(x[1]), g).coeffs
+        tau.comps[tau.pair_index(0, 0)] = SpectralField.from_physical(
+            g, np.cos(x[0])).comps
+        tau.comps[tau.pair_index(0, 1)] = SpectralField.from_physical(
+            g, np.sin(x[1])).comps
         div = divergence(tau)
         d0 = -np.sin(x[0]) + np.cos(x[1])   # d0 tau00 + d1 tau01
         d1 = np.zeros(g.shape)              # d0 tau10 + d1 tau11, tau10 = tau01
-        np.testing.assert_allclose(inverse_transform(div.component(0)), d0,
+        np.testing.assert_allclose(div.component(0).to_physical(), d0,
                                    atol=1e-12)
-        np.testing.assert_allclose(inverse_transform(div.component(1)), d1,
+        np.testing.assert_allclose(div.component(1).to_physical(), d1,
                                    atol=1e-12)
 
     def test_fractional_multiplier_values(self):
@@ -258,10 +259,10 @@ class TestDifferentialOperators:
         """(-Lap)^g of a plane wave multiplies by |k|^(2g)."""
         g = Grid(2, 32)
         x = g.coordinates()
-        f = forward_transform(np.cos(3.0 * x[0] + 4.0 * x[1]), g)
+        f = SpectralField.from_physical(g, np.cos(3.0 * x[0] + 4.0 * x[1]))
         out = fractional_laplacian(f, 0.75)
         expected = 25.0 ** 0.75 * np.cos(3.0 * x[0] + 4.0 * x[1])
-        np.testing.assert_allclose(inverse_transform(out), expected,
+        np.testing.assert_allclose(out.to_physical(), expected,
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -335,7 +336,7 @@ class TestDealias:
         f = random_scalar(g, seed=3)
         once = dealias(f)
         twice = dealias(once)
-        np.testing.assert_array_equal(once.coeffs, twice.coeffs)
+        np.testing.assert_array_equal(once.comps, twice.comps)
 
     def test_quadratic_product_matches_fine_grid(self):
         """sin(4x)^2 on n=12: the |k|=8 harmonic aliases onto -4, and the
@@ -344,10 +345,10 @@ class TestDealias:
         g = Grid(2, 12)
         x = g.coordinates()
         f = np.sin(4.0 * x[0])
-        prod = dealias(forward_transform(f * f, g))
+        prod = dealias(SpectralField.from_physical(g, f * f))
         expected = np.zeros(g.spectral_shape, dtype=complex)
         expected[g.mode_index((0, 0))[0]] = 0.5
-        np.testing.assert_allclose(prod.coeffs, expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(prod.comps, expected, rtol=0, atol=1e-14)
 
     def test_retained_band_products_are_alias_free(self):
         """Products of dealiased fields, dealiased again, agree with the
@@ -365,22 +366,22 @@ class TestDealias:
                 if not conjugated:
                     coeffs[idx] += value
         f = dealias(SpectralField(g, coeffs))
-        phys = inverse_transform(f)
+        phys = f.to_physical()
 
         # same modes on the fine grid
         cf = np.zeros(gf.spectral_shape, dtype=complex)
-        ks = f.coeffs.nonzero()
+        ks = f.comps.nonzero()
         for idx in zip(*ks):
             k = tuple(int(v) if v <= n // 2 else int(v) - n for v in idx)
-            cf[gf.mode_index(k)[0]] = f.coeffs[idx]
-        phys_f = inverse_transform(SpectralField(gf, cf))
+            cf[gf.mode_index(k)[0]] = f.comps[idx]
+        phys_f = SpectralField(gf, cf).to_physical()
 
-        coarse = dealias(forward_transform(phys * phys, g))
-        fine_prod = forward_transform(phys_f * phys_f, gf)
-        for idx in zip(*coarse.coeffs.nonzero()):
+        coarse = dealias(SpectralField.from_physical(g, phys * phys))
+        fine_prod = SpectralField.from_physical(gf, phys_f * phys_f)
+        for idx in zip(*coarse.comps.nonzero()):
             k = tuple(int(v) if v <= n // 2 else int(v) - n for v in idx)
-            assert coarse.coeffs[idx] == pytest.approx(
-                fine_prod.coeffs[gf.mode_index(k)[0]], rel=1e-12, abs=1e-13)
+            assert coarse.comps[idx] == pytest.approx(
+                fine_prod.comps[gf.mode_index(k)[0]], rel=1e-12, abs=1e-13)
 
 
 class TestNormsAndInnerProducts:
@@ -390,7 +391,7 @@ class TestNormsAndInnerProducts:
             g = Grid(d, n)
             rng = np.random.default_rng(n + d)
             phys = rng.standard_normal(g.shape)
-            f = forward_transform(phys, g)
+            f = SpectralField.from_physical(g, phys)
             quad = math.sqrt(g.cell_volume * np.sum(phys * phys))
             assert l2_norm(f) == pytest.approx(quad, rel=1e-12)
 
@@ -398,7 +399,8 @@ class TestNormsAndInnerProducts:
         """f = 2 cos(3x + 4y): ||f||_{H^s}^2 = 2 (2 pi)^2 26^s."""
         g = Grid(2, 32)
         x = g.coordinates()
-        f = forward_transform(2.0 * np.cos(3.0 * x[0] + 4.0 * x[1]), g)
+        f = SpectralField.from_physical(
+            g, 2.0 * np.cos(3.0 * x[0] + 4.0 * x[1]))
         for s in (0.0, 1.5, 2.01):
             expected = math.sqrt(2.0 * TWO_PI ** 2 * 26.0 ** s)
             assert sobolev_norm(f, s) == pytest.approx(expected, rel=1e-12)
@@ -406,7 +408,8 @@ class TestNormsAndInnerProducts:
     def test_single_mode_homogeneous_norm(self):
         g = Grid(2, 32)
         x = g.coordinates()
-        f = forward_transform(2.0 * np.cos(3.0 * x[0] + 4.0 * x[1]), g)
+        f = SpectralField.from_physical(
+            g, 2.0 * np.cos(3.0 * x[0] + 4.0 * x[1]))
         expected = math.sqrt(2.0 * TWO_PI ** 2 * 125.0)
         assert sobolev_norm(f, 1.5, homogeneous=True) == pytest.approx(
             expected, rel=1e-12)
@@ -414,8 +417,8 @@ class TestNormsAndInnerProducts:
     def test_homogeneous_norm_ignores_mean(self):
         g = Grid(2, 16)
         x = g.coordinates()
-        f = forward_transform(3.0 + np.cos(x[0]), g)
-        h = forward_transform(np.cos(x[0]), g)
+        f = SpectralField.from_physical(g, 3.0 + np.cos(x[0]))
+        h = SpectralField.from_physical(g, np.cos(x[0]))
         assert sobolev_norm(f, 1.0, homogeneous=True) == pytest.approx(
             sobolev_norm(h, 1.0, homogeneous=True), rel=1e-13)
 
@@ -432,8 +435,9 @@ class TestNormsAndInnerProducts:
         g = Grid(2, 16)
         x = g.coordinates()
         tau = TensorField.zeros(g)
-        tau.comps[tau.pair_index(0, 1)] = forward_transform(np.cos(x[0]), g).coeffs
-        scalar = forward_transform(np.cos(x[0]), g)
+        tau.comps[tau.pair_index(0, 1)] = SpectralField.from_physical(
+            g, np.cos(x[0])).comps
+        scalar = SpectralField.from_physical(g, np.cos(x[0]))
         assert sobolev_norm(tau, 1.0) == pytest.approx(
             math.sqrt(2.0) * sobolev_norm(scalar, 1.0), rel=1e-13)
 
@@ -480,12 +484,13 @@ class TestHalfLayoutSums:
         nyquist = np.cos(0.5 * n * x[-1]) * (1.0 + np.cos(x[0]))
         f_phys = rng.standard_normal(g.shape) + 3.0 * nyquist
         g_phys = rng.standard_normal(g.shape) - 2.0 * nyquist
-        f, h = forward_transform(f_phys, g), forward_transform(g_phys, g)
-        assert np.max(np.abs(f.coeffs[..., -1])) > 0.5
+        f, h = SpectralField.from_physical(
+            g, f_phys), SpectralField.from_physical(g, g_phys)
+        assert np.max(np.abs(f.comps[..., -1])) > 0.5
         s, beta = 2.01, 0.5
         for sigma in (0.0, s, s - beta):
             for a, b in ((f, f), (f, h)):
-                pa, pb = inverse_transform(a), inverse_transform(b)
+                pa, pb = a.to_physical(), b.to_physical()
                 ref = full_spectrum_sum(pa, pb, sigma, homogeneous)
                 got = sobolev_inner_product(a, b, sigma, homogeneous)
                 assert got == pytest.approx(ref, rel=1e-13)
@@ -508,8 +513,8 @@ class TestTensorFieldLayout:
     def test_symmetric_mirror(self):
         g = Grid(2, 16)
         tau = random_symmetric_tensor(g, seed=9)
-        np.testing.assert_array_equal(tau.component(1, 0).coeffs,
-                                      tau.component(0, 1).coeffs)
+        np.testing.assert_array_equal(tau.component(1, 0).comps,
+                                      tau.component(0, 1).comps)
 
     def test_pair_enumeration_3d(self):
         g = Grid(3, 8)

@@ -15,10 +15,10 @@ from obflow.model import (
 )
 from obflow.spectral import (
     Grid,
+    SpectralField,
     TensorField,
     VectorField,
     divergence,
-    forward_transform,
     leray_project,
 )
 from obflow.stepping import (
@@ -138,8 +138,8 @@ class TestCfl:
         g = Grid(2, 16)
         x = g.coordinates()
         u = VectorField(g, np.stack([
-            forward_transform(10.0 * np.cos(x[1]), g).coeffs,
-            forward_transform(np.zeros(g.shape), g).coeffs]))
+            SpectralField.from_physical(g, 10.0 * np.cos(x[1])).comps,
+            SpectralField.from_physical(g, np.zeros(g.shape)).comps]))
         st = FlowState(u, TensorField.zeros(g))
         cfg = StepperConfig(dt="auto", cfl_advective=0.5, cfl_wave=100.0,
                             dt_cap=1.0)

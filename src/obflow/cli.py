@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from .config import ConfigError, RunConfig, load_config
 from .experiments import linear_verify, run_single, sweep_viscosity
-from .linear import decay_envelope, write_dispersion_csv
+from .linear import decay_envelope, mode_coefficients, write_dispersion_csv
 from .snapshots import atomic_write_text
 from .stepping import BlowUpError
 
@@ -160,7 +160,8 @@ def _cmd_dispersion(args: argparse.Namespace, cfg: RunConfig,
                     warnings: List[str]) -> int:
     outdir = _resolve_outdir(args, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = decay_envelope(cfg.model.eta, cfg.model.beta, cfg.grid.n // 2)
+    rows = decay_envelope(k_max=cfg.grid.n // 2,
+                          **mode_coefficients(cfg.model))
     path = outdir / "dispersion.csv"
     write_dispersion_csv(path, rows)
     for w in warnings:

@@ -1,9 +1,21 @@
-"""Run configuration: JSON schema, strict validation, and overrides.
+"""Run configuration: the JSON schema, its parser, and overrides.
 
-A config file is one JSON object with the sections below; unknown keys at
-any level are hard errors, as are physically meaningless parameters.
-Questionable-but-runnable choices (e.g. beta outside [1/2, 1], s at or below
-the embedding index) are collected as warnings and the run proceeds.
+A config file is one JSON object with the sections below; every key is
+optional.  validate_config checks its JSON shape only: each section is an
+object, unknown keys at any level are hard errors, and each value has its
+JSON type (number, integer, boolean, string, null or list).
+
+Every domain rule has one owner, the class that holds the value: Grid,
+ModelParams, StepperConfig and DiagnosticParams check their own fields
+(eta > 0, b in [-1, 1], even n >= 8, finite numbers, ...), and
+model.check_initial_data checks recipe, epsilon, seed, mode and band, the
+last two against the grid (once the grid is valid).  Each raises one
+ConfigError listing all of its problems; validate_config prefixes them with
+the section name ("model.eta must be positive, got -1") and raises one
+ConfigError with every problem of the file.  The two cadences are the only
+values it checks itself, because only the config holds them.
+Questionable-but-runnable choices (e.g. beta outside [1/2, 1], s at or
+below the embedding index) are collected as warnings and the run proceeds.
 
     {
       "grid":         {"d": 2, "n": 64},
@@ -22,25 +34,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .diagnostics import DiagnosticParams
-from .model import ModelParams, TermToggles
-from .spectral import Grid
+from .model import ModelParams, TermToggles, check_initial_data
+from .spectral import ConfigError, Grid
 from .stepping import StepperConfig
-
-RECIPES = ("single-mode", "random-band", "taylor-green")
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; carries the full list of problems."""
-
-    def __init__(self, errors: Sequence[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
 
 
 @dataclass(frozen=True)
@@ -73,244 +74,135 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Resolved config as a JSON-ready dict (inverse of validate_config)."""
-        return {
-            "grid": {"d": self.grid.d, "n": self.grid.n},
-            "model": {
-                "eta": self.model.eta, "beta": self.model.beta,
-                "nu": self.model.nu, "alpha": self.model.alpha,
-                "b": self.model.b, "a": self.model.a,
-                "toggles": dataclasses.asdict(self.model.toggles),
-            },
-            "stepper": {
-                "scheme": self.stepper.scheme, "dt": self.stepper.dt,
-                "t_end": self.stepper.t_end,
-                "cfl_advective": self.stepper.cfl_advective,
-                "cfl_wave": self.stepper.cfl_wave,
-                "dt_cap": self.stepper.dt_cap,
-            },
-            "diagnostics": {
-                "s": self.diagnostics.s, "k_cross": self.diagnostics.k_cross,
-                "cadence_steps": self.cadence_steps,
-            },
-            "initial_data": {
-                "recipe": self.initial_data.recipe,
-                "epsilon": self.initial_data.epsilon,
-                "seed": self.initial_data.seed,
-                "mode": list(self.initial_data.mode)
-                if self.initial_data.mode is not None else None,
-                "band": list(self.initial_data.band),
-            },
-            "output": {
-                "directory": self.output.directory,
-                "snapshot_cadence_steps": self.output.snapshot_cadence_steps,
-            },
-        }
+        out = dataclasses.asdict(self)
+        out["diagnostics"]["cadence_steps"] = out.pop("cadence_steps")
+        initial = out["initial_data"]
+        for key in ("mode", "band"):
+            if initial[key] is not None:
+                initial[key] = list(initial[key])
+        return out
 
 
-def _require_keys(section: dict, allowed: Sequence[str], where: str,
-                  errors: List[str]) -> None:
-    for key in section:
-        if key not in allowed:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON type of every key: (description, accepts), or the schema of a nested
+# object
+_NUMBER = ("a number", _is_number)
+_INTEGER = ("an integer", _is_integer)
+_STRING = ("a string", lambda v: isinstance(v, str))
+_SCHEMA = {
+    "grid": {"d": _INTEGER, "n": _INTEGER},
+    "model": {
+        "eta": _NUMBER, "beta": _NUMBER, "nu": _NUMBER, "alpha": _NUMBER,
+        "b": _NUMBER, "a": _NUMBER,
+        "toggles": {f.name: ("a boolean", lambda v: isinstance(v, bool))
+                    for f in dataclasses.fields(TermToggles)},
+    },
+    "stepper": {
+        "scheme": _STRING,
+        "dt": ("a number or a string",
+               lambda v: _is_number(v) or isinstance(v, str)),
+        "t_end": _NUMBER, "cfl_advective": _NUMBER, "cfl_wave": _NUMBER,
+        "dt_cap": _NUMBER,
+    },
+    "diagnostics": {
+        "s": ("a number or null", lambda v: v is None or _is_number(v)),
+        "k_cross": _NUMBER, "cadence_steps": _INTEGER,
+    },
+    "initial_data": {
+        "recipe": _STRING,
+        "epsilon": _NUMBER, "seed": _INTEGER,
+        "mode": ("a list of integers or null", lambda v: v is None or (
+            isinstance(v, list) and all(map(_is_integer, v)))),
+        "band": ("a list of two integers", lambda v: isinstance(v, list)
+                 and len(v) == 2 and all(map(_is_integer, v))),
+    },
+    "output": {
+        "directory": ("a string or null",
+                      lambda v: v is None or isinstance(v, str)),
+        "snapshot_cadence_steps": _INTEGER,
+    },
+}
+
+
+def _fields(raw, where: str, schema: dict, errors: List[str]) -> dict:
+    """The entries of the JSON object raw that schema accepts.
+
+    Unknown keys and values of the wrong JSON type are reported in errors
+    and left out, so their owner falls back to its default.
+    """
+    if not isinstance(raw, dict):
+        errors.append(f"{where} must be an object, got {raw!r}")
+        return {}
+    out = {}
+    for key, value in raw.items():
+        kind = schema.get(key)
+        if kind is None:
             errors.append(f"unknown key {where}.{key}")
+        elif isinstance(kind, dict):
+            out[key] = _fields(value, f"{where}.{key}", kind, errors)
+        elif kind[1](value):
+            out[key] = value
+        else:
+            errors.append(f"{where}.{key} must be {kind[0]}, got {value!r}")
+    return out
 
 
-def _number(section: dict, key: str, where: str, errors: List[str],
-            default: Any) -> Any:
-    val = section.get(key, default)
-    if val is None or isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"{where}.{key} must be a number, got {val!r}")
-        return default
-    if not math.isfinite(val):
-        errors.append(f"{where}.{key} must be finite, got {val!r}")
-        return default
-    return val
-
-
-def _integer(section: dict, key: str, where: str, errors: List[str],
-             default: int) -> int:
-    val = section.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        errors.append(f"{where}.{key} must be an integer, got {val!r}")
-        return default
-    return val
+def _checked(where: str, errors: List[str], make, *args, **kwargs):
+    """make(*args, **kwargs), or None with its problems prefixed by where."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        errors.extend(f"{where}.{problem}" for problem in exc.errors)
+        return None
 
 
 def validate_config(raw: dict) -> Tuple[RunConfig, List[str]]:
-    """Validate a raw JSON dict; returns (config, warnings) or raises ConfigError.
+    """Parse a raw JSON dict; returns (config, warnings) or raises ConfigError.
 
-    Hard errors (non-exhaustive): unknown keys anywhere, eta <= 0, odd n,
-    d outside {2, 3}, b outside [-1, 1], negative damping or viscosity,
-    unknown recipe/scheme, non-positive dt.  Warnings never block the run.
+    The ConfigError lists every problem: unknown keys, values of the wrong
+    JSON type, and the domain rules of each section's owner (see the module
+    docstring).  Warnings never block the run.
     """
-    errors: List[str] = []
     if not isinstance(raw, dict):
         raise ConfigError([f"config root must be an object, got {type(raw).__name__}"])
-    _require_keys(raw, ("grid", "model", "stepper", "diagnostics",
-                        "initial_data", "output"), "config", errors)
+    errors = [f"unknown key config.{key}" for key in raw if key not in _SCHEMA]
+    sec = {name: _fields(raw.get(name, {}), name, schema, errors)
+           for name, schema in _SCHEMA.items()}
 
-    sec = raw.get("grid", {})
-    if not isinstance(sec, dict):
-        errors.append("grid must be an object")
-        sec = {}
-    _require_keys(sec, ("d", "n"), "grid", errors)
-    d = _integer(sec, "d", "grid", errors, 2)
-    n = _integer(sec, "n", "grid", errors, 64)
-    grid = None
-    if d not in (2, 3):
-        errors.append(f"grid.d must be 2 or 3, got {d}")
-    elif n < 8 or n % 2 != 0:
-        errors.append(f"grid.n must be even and >= 8, got {n}")
-    else:
-        grid = Grid(d, n)
-
-    sec = raw.get("model", {})
-    if not isinstance(sec, dict):
-        errors.append("model must be an object")
-        sec = {}
-    _require_keys(sec, ("eta", "beta", "nu", "alpha", "b", "a", "toggles"),
-                  "model", errors)
-    toggles_raw = sec.get("toggles", {})
-    if not isinstance(toggles_raw, dict):
-        errors.append("model.toggles must be an object")
-        toggles_raw = {}
-    toggle_fields = tuple(f.name for f in dataclasses.fields(TermToggles))
-    _require_keys(toggles_raw, toggle_fields, "model.toggles", errors)
-    toggle_kwargs = {}
-    for key, val in toggles_raw.items():
-        if key in toggle_fields:
-            if not isinstance(val, bool):
-                errors.append(f"model.toggles.{key} must be a boolean, got {val!r}")
-            else:
-                toggle_kwargs[key] = val
-    eta = _number(sec, "eta", "model", errors, 1.0)
-    beta = _number(sec, "beta", "model", errors, 1.0)
-    nu = _number(sec, "nu", "model", errors, 0.0)
-    alpha = _number(sec, "alpha", "model", errors, 1.0)
-    b = _number(sec, "b", "model", errors, 0.0)
-    a = _number(sec, "a", "model", errors, 0.0)
-    model = None
-    if eta <= 0:
-        errors.append(f"model.eta must be positive, got {eta}")
-    if not -1.0 <= b <= 1.0:
-        errors.append(f"model.b must lie in [-1, 1], got {b}")
-    if a < 0:
-        errors.append(f"model.a must be >= 0, got {a}")
-    if nu < 0:
-        errors.append(f"model.nu must be >= 0, got {nu}")
-    if alpha < 0 or beta < 0:
-        errors.append(f"model exponents must be >= 0, got alpha={alpha}, beta={beta}")
-    if not errors:
-        model = ModelParams(eta=eta, beta=beta, nu=nu, alpha=alpha, b=b, a=a,
-                            toggles=TermToggles(**toggle_kwargs))
-
-    sec = raw.get("stepper", {})
-    if not isinstance(sec, dict):
-        errors.append("stepper must be an object")
-        sec = {}
-    _require_keys(sec, ("scheme", "dt", "t_end", "cfl_advective", "cfl_wave",
-                        "dt_cap"), "stepper", errors)
-    scheme = sec.get("scheme", "if-rk4")
-    dt = sec.get("dt", "auto")
-    if isinstance(dt, str) and dt != "auto":
-        errors.append(f"stepper.dt must be a positive number or 'auto', got {dt!r}")
-        dt = "auto"
-    elif not isinstance(dt, str):
-        if (isinstance(dt, bool) or not isinstance(dt, (int, float))
-                or not math.isfinite(dt) or dt <= 0):
-            errors.append(f"stepper.dt must be a positive finite number or "
-                          f"'auto', got {dt!r}")
-            dt = "auto"
-    t_end = _number(sec, "t_end", "stepper", errors, 1.0)
-    cfl_a = _number(sec, "cfl_advective", "stepper", errors, 0.4)
-    cfl_w = _number(sec, "cfl_wave", "stepper", errors, 0.4)
-    dt_cap = _number(sec, "dt_cap", "stepper", errors, 1e-2)
-    stepper = None
-    try:
-        stepper = StepperConfig(scheme=scheme, dt=dt, t_end=t_end,
-                                cfl_advective=cfl_a, cfl_wave=cfl_w,
-                                dt_cap=dt_cap)
-    except ValueError as exc:
-        errors.append(f"stepper: {exc}")
-
-    sec = raw.get("diagnostics", {})
-    if not isinstance(sec, dict):
-        errors.append("diagnostics must be an object")
-        sec = {}
-    _require_keys(sec, ("s", "k_cross", "cadence_steps"), "diagnostics", errors)
-    s = sec.get("s", None)
-    if s is not None and (isinstance(s, bool) or not isinstance(s, (int, float))
-                          or not math.isfinite(s)):
-        errors.append(f"diagnostics.s must be a finite number or null, got {s!r}")
-        s = None
-    k_cross = _number(sec, "k_cross", "diagnostics", errors, 0.1)
-    cadence = _integer(sec, "cadence_steps", "diagnostics", errors, 10)
-    if cadence < 1:
-        errors.append(f"diagnostics.cadence_steps must be >= 1, got {cadence}")
-    diag = None
-    try:
-        diag = DiagnosticParams(s=s, k_cross=k_cross)
-    except ValueError as exc:
-        errors.append(f"diagnostics: {exc}")
-
-    sec = raw.get("initial_data", {})
-    if not isinstance(sec, dict):
-        errors.append("initial_data must be an object")
-        sec = {}
-    _require_keys(sec, ("recipe", "epsilon", "seed", "mode", "band"),
-                  "initial_data", errors)
-    recipe = sec.get("recipe", "random-band")
-    if recipe not in RECIPES:
-        errors.append(f"initial_data.recipe must be one of {RECIPES}, got {recipe!r}")
-    epsilon = _number(sec, "epsilon", "initial_data", errors, 1e-2)
-    if isinstance(epsilon, (int, float)) and epsilon < 0:
-        errors.append(f"initial_data.epsilon must be >= 0, got {epsilon}")
-    seed = _integer(sec, "seed", "initial_data", errors, 1234)
-    mode = sec.get("mode", None)
-    if mode is not None:
-        if (not isinstance(mode, list) or
-                any(isinstance(m, bool) or not isinstance(m, int) for m in mode)):
-            errors.append(f"initial_data.mode must be a list of integers, got {mode!r}")
-            mode = None
-        else:
-            mode = tuple(mode)
-    if mode is not None and grid is not None:
-        if len(mode) != grid.d:
-            errors.append(f"initial_data.mode must have {grid.d} entries, "
-                          f"got {list(mode)}")
-        elif all(m == 0 for m in mode):
-            errors.append("initial_data.mode must be nonzero")
-        elif max(abs(m) for m in mode) >= grid.n // 2:
-            errors.append(f"initial_data.mode {list(mode)} is not resolved "
-                          f"on an n={grid.n} grid")
-    band = sec.get("band", [1, 4])
-    if (not isinstance(band, list) or len(band) != 2 or
-            any(isinstance(x, bool) or not isinstance(x, int) for x in band)):
-        errors.append(f"initial_data.band must be two integers, got {band!r}")
-        band = (1, 4)
-    elif not 1 <= band[0] <= band[1]:
-        errors.append(f"initial_data.band must satisfy 1 <= lo <= hi, got {band}")
-        band = (1, 4)
-    initial = InitialDataConfig(recipe=recipe, epsilon=epsilon, seed=seed,
-                                mode=mode, band=tuple(band))
-
-    sec = raw.get("output", {})
-    if not isinstance(sec, dict):
-        errors.append("output must be an object")
-        sec = {}
-    _require_keys(sec, ("directory", "snapshot_cadence_steps"), "output", errors)
-    directory = sec.get("directory", None)
-    if directory is not None and not isinstance(directory, str):
-        errors.append(f"output.directory must be a string or null, got {directory!r}")
-        directory = None
-    snap_cadence = _integer(sec, "snapshot_cadence_steps", "output", errors, 50)
-    if snap_cadence < 1:
-        errors.append(f"output.snapshot_cadence_steps must be >= 1, got {snap_cadence}")
-    output = OutputConfig(directory=directory, snapshot_cadence_steps=snap_cadence)
+    grid = _checked("grid", errors, Grid, **{"d": 2, "n": 64, **sec["grid"]})
+    toggles = TermToggles(**sec["model"].pop("toggles", {}))
+    model = _checked("model", errors, ModelParams, toggles=toggles,
+                     **sec["model"])
+    stepper = _checked("stepper", errors, StepperConfig, **sec["stepper"])
+    cadence = sec["diagnostics"].pop("cadence_steps", RunConfig.cadence_steps)
+    diagnostics = _checked("diagnostics", errors, DiagnosticParams,
+                           **sec["diagnostics"])
+    for key in ("mode", "band"):
+        if sec["initial_data"].get(key) is not None:
+            sec["initial_data"][key] = tuple(sec["initial_data"][key])
+    initial = InitialDataConfig(**sec["initial_data"])
+    if grid is not None:
+        _checked("initial_data", errors, check_initial_data, grid,
+                 **dataclasses.asdict(initial))
+    output = OutputConfig(**sec["output"])
+    for where, value in (("diagnostics.cadence_steps", cadence),
+                         ("output.snapshot_cadence_steps",
+                          output.snapshot_cadence_steps)):
+        if value < 1:
+            errors.append(f"{where} must be >= 1, got {value}")
 
     if errors:
         raise ConfigError(errors)
-    cfg = RunConfig(grid=grid, model=model, stepper=stepper, diagnostics=diag,
-                    initial_data=initial, output=output, cadence_steps=cadence)
+    cfg = RunConfig(grid=grid, model=model, stepper=stepper,
+                    diagnostics=diagnostics, initial_data=initial,
+                    output=output, cadence_steps=cadence)
     return cfg, cfg.warnings()
 
 

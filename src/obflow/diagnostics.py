@@ -30,6 +30,7 @@ from .spectral import (
     SYM_PAIRS,
     Grid,
     TWO_PI,
+    check_fields,
     divergence,
     fractional_laplacian,
     gradient,
@@ -50,11 +51,10 @@ class DiagnosticParams:
     k_cross: float = 0.1
 
     def __post_init__(self):
-        if self.s is not None and not math.isfinite(self.s):
-            raise ValueError(f"s must be finite, got {self.s}")
-        if not 0.0 < self.k_cross < 0.25:
-            raise ValueError(
-                f"k_cross must lie in (0, 1/4), got {self.k_cross}")
+        check_fields(self, (
+            ("s", None, ""),
+            ("k_cross", lambda v: 0.0 < v < 0.25, "must lie in (0, 1/4)"),
+        ))
 
     def resolve_s(self, grid: Grid) -> float:
         return 1.0 + grid.d / 2.0 + 0.01 if self.s is None else float(self.s)

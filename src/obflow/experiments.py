@@ -28,7 +28,7 @@ from .diagnostics import (
     trajectory_distance,
     write_diagnostics_csv,
 )
-from .linear import linear_mode_solution
+from .linear import linear_mode_solution, mode_coefficients
 from .model import FlowState, make_initial_data
 from .snapshots import atomic_write_text, read_snapshot, write_snapshot
 from .spectral import divergence, leray_project
@@ -169,7 +169,10 @@ def linear_verify(cfg: RunConfig, outdir: Optional[Path] = None,
     Requires the single-mode recipe.  The excited mode pair (uhat, shat),
     with shat the projected stress divergence, is tracked at the record
     cadence and compared with the closed-form solution propagated from the
-    initial amplitudes.  With the nonlinear terms toggled off the deviation
+    initial amplitudes.  The closed form uses the effective viscosity,
+    stress dissipation and damping (linear.mode_coefficients), so it
+    describes the toggled system; both coupling toggles must be on.  With
+    the nonlinear terms toggled off the deviation
     is pure integrator error and is gated at oracle_tol; with full physics
     at small amplitude the deviation is quadratic in epsilon, which the
     reported ratios expose.
@@ -179,6 +182,7 @@ def linear_verify(cfg: RunConfig, outdir: Optional[Path] = None,
                            "= 'single-mode'"])
     grid = cfg.grid
     params = cfg.model
+    coefficients = mode_coefficients(params)
     mode = cfg.initial_data.mode or (0,) * (grid.d - 1) + (1,)
     idx, conjugated = grid.mode_index(mode)
     k_mag = math.sqrt(sum(m * m for m in mode))
@@ -202,8 +206,8 @@ def linear_verify(cfg: RunConfig, outdir: Optional[Path] = None,
     t0, u0, s0 = samples[0]
     times, devs = [], []
     for t, u_num, s_num in samples:
-        u_ref, s_ref = linear_mode_solution(u0, s0, k_mag, params.eta,
-                                            params.beta, t - t0)
+        u_ref, s_ref = linear_mode_solution(u0, s0, k_mag, t=t - t0,
+                                            **coefficients)
         dev = max(float(np.max(np.abs(u_num - u_ref))),
                   float(np.max(np.abs(s_num - s_ref))))
         times.append(t)

@@ -24,18 +24,22 @@ import numpy as np
 
 from .spectral import (
     SYM_PAIRS,
+    ConfigError,
     Grid,
     GridMismatchError,
     TensorField,
     VectorField,
     _forward,
     _inverse,
+    check_fields,
     divergence,
     fractional_laplacian,
     l2_inner_product,
     leray_project,
     sobolev_norm,
 )
+
+RECIPES = ("single-mode", "random-band", "taylor-green")
 
 
 @dataclass(frozen=True)
@@ -82,21 +86,16 @@ class ModelParams:
     toggles: TermToggles = field(default_factory=TermToggles)
 
     def __post_init__(self):
-        for name in ("eta", "beta", "nu", "alpha", "b", "a"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not -1.0 <= self.b <= 1.0:
-            raise ValueError(f"b must lie in [-1, 1], got {self.b}")
-        if self.a < 0:
-            raise ValueError(f"a must be >= 0, got {self.a}")
-        if self.nu < 0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("fractional exponents must be >= 0, got "
-                             f"alpha={self.alpha}, beta={self.beta}")
+        exponent = (lambda v: v >= 0,
+                    "must be >= 0 (dissipation exponents are nonnegative)")
+        check_fields(self, (
+            ("eta", lambda v: v > 0, "must be positive"),
+            ("beta",) + exponent,
+            ("nu", lambda v: v >= 0, "must be >= 0"),
+            ("alpha",) + exponent,
+            ("b", lambda v: -1.0 <= v <= 1.0, "must lie in [-1, 1]"),
+            ("a", lambda v: v >= 0, "must be >= 0"),
+        ))
 
     @property
     def eta_eff(self) -> float:
@@ -362,6 +361,42 @@ def _orthogonal_direction(mode: Tuple[int, ...]) -> np.ndarray:
     return v / norm
 
 
+def check_initial_data(grid: Grid, recipe: str, epsilon: float, seed: int,
+                       mode: Optional[Sequence[int]],
+                       band: Tuple[int, int]) -> None:
+    """Raise one ConfigError listing every initial-data rule that is broken.
+
+    make_initial_data and validate_config both call it.  mode and band are
+    checked against the grid whatever the recipe: no entry of mode may reach
+    n/2, and a band may reach n/2 but not pass it.
+    """
+    problems = []
+    if recipe not in RECIPES:
+        problems.append(f"recipe must be one of {RECIPES}, got {recipe!r}")
+    if not math.isfinite(epsilon):
+        problems.append(f"epsilon must be finite, got {epsilon!r}")
+    elif epsilon < 0:
+        problems.append(f"epsilon must be >= 0, got {epsilon!r}")
+    if seed < 0:
+        problems.append(f"seed must be >= 0, got {seed!r}")
+    if mode is not None:
+        mode = list(mode)
+        if len(mode) != grid.d:
+            problems.append(f"mode must have {grid.d} entries, got {mode}")
+        elif not any(mode):
+            problems.append(f"mode must be nonzero, got {mode}")
+        elif max(abs(m) for m in mode) >= grid.n // 2:
+            problems.append(f"mode {mode} is not resolved on n={grid.n}")
+    lo, hi = band
+    if not 1 <= lo <= hi:
+        problems.append(f"band must satisfy 1 <= lo <= hi, got {list(band)}")
+    elif hi > grid.n // 2:
+        problems.append(f"band {list(band)} is not resolved on n={grid.n}: "
+                        f"hi must be <= {grid.n // 2}")
+    if problems:
+        raise ConfigError(problems)
+
+
 def make_initial_data(grid: Grid, recipe: str = "random-band",
                       epsilon: float = 1e-2, s: Optional[float] = None,
                       seed: int = 0, mode: Optional[Sequence[int]] = None,
@@ -379,12 +414,10 @@ def make_initial_data(grid: Grid, recipe: str = "random-band",
       stress component.
 
     The pair (u, tau) is scaled so that ||u||_{H^s} + ||tau||_{H^s} equals
-    epsilon; epsilon = 0 yields the zero state.
+    epsilon; epsilon = 0 yields the zero state.  Arguments that break a rule
+    of check_initial_data raise its ConfigError.
     """
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    check_initial_data(grid, recipe, epsilon, seed, mode, band)
     if s is None:
         s = 1.0 + grid.d / 2.0 + 0.01
     u = VectorField.zeros(grid)
@@ -396,10 +429,6 @@ def make_initial_data(grid: Grid, recipe: str = "random-band",
     if recipe == "single-mode":
         kvec = tuple(int(m) for m in (mode if mode is not None
                                       else (0,) * (grid.d - 1) + (1,)))
-        if len(kvec) != grid.d or all(m == 0 for m in kvec):
-            raise ValueError(f"mode must be a nonzero {grid.d}-vector, got {kvec}")
-        if any(abs(m) >= grid.n // 2 for m in kvec):
-            raise ValueError(f"mode {kvec} is not resolved on n={grid.n}")
         direction = _orthogonal_direction(kvec)
         row = int(np.argmax(np.abs(direction)))
         col = int(np.argmax(np.abs(np.asarray(kvec))))
@@ -412,8 +441,6 @@ def make_initial_data(grid: Grid, recipe: str = "random-band",
             tau.comps[(m,) + idx] = 0.25
     elif recipe == "random-band":
         lo, hi = int(band[0]), int(band[1])
-        if not 1 <= lo <= hi:
-            raise ValueError(f"band must satisfy 1 <= lo <= hi, got {band}")
         rng = np.random.default_rng(seed)
         ksq = grid.k_squared
         keep = (ksq >= lo * lo) & (ksq <= hi * hi)
@@ -423,7 +450,7 @@ def make_initial_data(grid: Grid, recipe: str = "random-band",
         tau = TensorField.from_physical(
             grid, rng.standard_normal((len(tau.pairs),) + grid.shape))
         tau = tau.with_comps(tau.comps * keep)
-    elif recipe == "taylor-green":
+    else:  # taylor-green
         x = grid.coordinates()
         u_phys = np.zeros((grid.d,) + grid.shape)
         if grid.d == 2:
@@ -438,8 +465,6 @@ def make_initial_data(grid: Grid, recipe: str = "random-band",
         tau_phys = np.zeros((len(tau.pairs),) + grid.shape)
         tau_phys[tau.pair_index(0, 1)] = shear
         tau = TensorField.from_physical(grid, tau_phys)
-    else:
-        raise ValueError(f"unknown initial-data recipe {recipe!r}")
 
     u = leray_project(u)
     size = sobolev_norm(u, s) + sobolev_norm(tau, s)

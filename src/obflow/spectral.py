@@ -28,9 +28,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +50,38 @@ class GridMismatchError(ValueError):
     """Operands live on different grids or have incompatible shapes."""
 
 
+class ConfigError(ValueError):
+    """Invalid parameters; carries the full list of problems.
+
+    Each problem starts with the name of the field it concerns, e.g.
+    "eta must be positive, got -1"; validate_config prefixes it with the
+    config section ("model.eta must be positive, got -1").
+    """
+
+    def __init__(self, errors: Sequence[str]):
+        self.errors = list(errors)
+        super().__init__("; ".join(self.errors))
+
+
+def check_fields(obj: object, rules: Sequence[tuple]) -> None:
+    """Raise one ConfigError listing every rule that obj's fields break.
+
+    rules holds (field, ok, requirement): ok(value) is true for a valid
+    value, or ok is None for a field that only has to be finite.  A float
+    field must be finite, and only a finite value is tried against ok; a
+    broken rule reads "<field> <requirement>, got <value>".
+    """
+    problems = []
+    for name, ok, requirement in rules:
+        value = getattr(obj, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            problems.append(f"{name} must be finite, got {value!r}")
+        elif ok is not None and not ok(value):
+            problems.append(f"{name} {requirement}, got {value!r}")
+    if problems:
+        raise ConfigError(problems)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform n^d grid on [0, 2pi)^d with integer wavenumbers.
@@ -63,10 +96,10 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.d}")
-        if self.n < 8 or self.n % 2 != 0:
-            raise ValueError(f"points per axis must be even and >= 8, got {self.n}")
+        check_fields(self, (
+            ("d", lambda d: d in (2, 3), "must be 2 or 3"),
+            ("n", lambda n: n >= 8 and n % 2 == 0, "must be even and >= 8"),
+        ))
 
     @property
     def shape(self) -> Tuple[int, ...]:

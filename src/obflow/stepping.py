@@ -21,7 +21,13 @@ from typing import Callable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .model import FlowState, ModelParams, dissipation_rates, explicit_rhs
-from .spectral import Grid, TensorField, VectorField, leray_project
+from .spectral import (
+    Grid,
+    TensorField,
+    VectorField,
+    check_fields,
+    leray_project,
+)
 
 SCHEMES = ("if-rk4", "if-euler")
 
@@ -52,21 +58,16 @@ class StepperConfig:
     dt_cap: float = 1e-2
 
     def __post_init__(self):
-        for name in ("dt", "t_end", "cfl_advective", "cfl_wave", "dt_cap"):
-            value = getattr(self, name)
-            if not isinstance(value, str) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; pick from {SCHEMES}")
-        if isinstance(self.dt, str):
-            if self.dt != "auto":
-                raise ValueError(f"dt must be positive or 'auto', got {self.dt!r}")
-        elif not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.cfl_advective <= 0 or self.cfl_wave <= 0 or self.dt_cap <= 0:
-            raise ValueError("CFL numbers and dt_cap must be positive")
+        positive = (lambda v: v > 0, "must be positive")
+        check_fields(self, (
+            ("scheme", lambda v: v in SCHEMES, f"must be one of {SCHEMES}"),
+            ("dt", lambda v: v == "auto" if isinstance(v, str) else v > 0,
+             "must be positive or 'auto'"),
+            ("t_end", lambda v: v >= 0, "must be >= 0"),
+            ("cfl_advective",) + positive,
+            ("cfl_wave",) + positive,
+            ("dt_cap",) + positive,
+        ))
 
 
 def cfl_dt(state: FlowState, config: StepperConfig) -> float:

@@ -1,16 +1,27 @@
 """Config schema: strict validation, aggregated errors, overrides."""
 
+import dataclasses
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
 from obflow.config import (
     ConfigError,
+    InitialDataConfig,
     apply_overrides,
     default_config_dict,
     load_config,
     validate_config,
 )
+from obflow.diagnostics import DiagnosticParams
+from obflow.model import ModelParams, check_initial_data
+from obflow.spectral import Grid
+from obflow.stepping import StepperConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def t_err(raw):
@@ -219,3 +230,92 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert any("not valid JSON" in e for e in info.value.errors)
+
+
+def _initial_data_rules(values):
+    kwargs = dataclasses.asdict(InitialDataConfig())
+    kwargs.update({k: tuple(v) if isinstance(v, list) else v
+                   for k, v in values.items()})
+    check_initial_data(Grid(2, 16), **kwargs)
+
+
+# section -> the owner of its domain rules, called with the section's values
+OWNERS = {
+    "grid": lambda v: Grid(**{"d": 2, "n": 64, **v}),
+    "model": lambda v: ModelParams(**v),
+    "stepper": lambda v: StepperConfig(**v),
+    "diagnostics": lambda v: DiagnosticParams(**v),
+    "initial_data": _initial_data_rules,
+}
+
+# one broken rule per case, for every rule that validate_config delegates
+BROKEN_RULES = [
+    ("grid", {"d": 4}), ("grid", {"n": 63}), ("grid", {"n": 4}),
+    ("model", {"eta": -1}), ("model", {"eta": 0.0}),
+    ("model", {"eta": math.nan}), ("model", {"beta": -0.5}),
+    ("model", {"nu": -1e-6}), ("model", {"alpha": -1.0}),
+    ("model", {"b": 1.5}), ("model", {"b": -math.inf}),
+    ("model", {"a": -0.1}),
+    ("stepper", {"scheme": "ab2"}), ("stepper", {"dt": -0.1}),
+    ("stepper", {"dt": "fast"}), ("stepper", {"dt": math.nan}),
+    ("stepper", {"t_end": -1.0}), ("stepper", {"t_end": math.inf}),
+    ("stepper", {"cfl_advective": 0.0}), ("stepper", {"cfl_wave": -0.4}),
+    ("stepper", {"dt_cap": 0}),
+    ("diagnostics", {"s": math.nan}), ("diagnostics", {"k_cross": 0.25}),
+    ("diagnostics", {"k_cross": math.inf}),
+    ("initial_data", {"recipe": "vortex"}),
+    ("initial_data", {"epsilon": -1.0}),
+    ("initial_data", {"epsilon": math.nan}),
+    ("initial_data", {"seed": -1}),
+    ("initial_data", {"mode": [0, 0]}), ("initial_data", {"mode": [0, 8]}),
+    ("initial_data", {"mode": [1, 2, 3]}),
+    ("initial_data", {"band": [4, 1]}), ("initial_data", {"band": [0, 4]}),
+    ("initial_data", {"band": [1, 9]}),
+]
+
+
+class TestSingleOwner:
+    @pytest.mark.parametrize("section, values", BROKEN_RULES, ids=[
+        f"{s}.{k}={x}" for s, v in BROKEN_RULES for k, x in v.items()])
+    def test_config_reports_the_owner_message(self, section, values):
+        """validate_config words a domain error exactly as the class that
+        holds the value, behind the section name."""
+        raw = {"grid": {"d": 2, "n": 16}} if section == "initial_data" else {}
+        raw[section] = values
+        errors = t_err(raw)
+        with pytest.raises(ConfigError) as info:
+            OWNERS[section](values)
+        key = next(iter(values))
+        assert len(errors) == 1, errors
+        assert errors[0].startswith(f"{section}.{key} ")
+        assert info.value.errors == [errors[0][len(section) + 1:]]
+
+    def test_owner_lists_every_problem(self):
+        with pytest.raises(ConfigError) as info:
+            ModelParams(eta=-1, b=2)
+        assert info.value.errors == ["eta must be positive, got -1",
+                                     "b must lie in [-1, 1], got 2"]
+        assert isinstance(info.value, ValueError)
+
+    def test_band_up_to_half_the_grid_is_accepted(self):
+        cfg, _ = validate_config({"grid": {"d": 2, "n": 16},
+                                  "initial_data": {"band": [1, 8]}})
+        assert cfg.initial_data.band == (1, 8)
+
+    def test_readme_minimal_config(self):
+        """The README's minimal config is valid, documents the defaults,
+        and round-trips through to_dict."""
+        text = README.read_text()
+        block = re.search(r"A minimal config.*?```json\n(.*?)```", text,
+                          re.S).group(1)
+        raw = json.loads(block)
+        cfg, warnings = validate_config(raw)
+        assert warnings == []
+        resolved = cfg.to_dict()
+        for section, values in raw.items():
+            for key, value in values.items():
+                if key != "toggles":
+                    assert resolved[section][key] == value, (section, key)
+        again, _ = validate_config(json.loads(json.dumps(resolved)))
+        assert again == cfg
+        assert again.to_dict() == resolved

@@ -135,6 +135,28 @@ class TestLinearVerify:
         with pytest.raises(ConfigError):
             linear_verify(cfg_of(SMALL_RUN))
 
+    @pytest.mark.parametrize("model", [
+        {"a": 0.5}, {"nu": 0.1}, {"toggles": {"eta_dissipation": False}},
+        {"nu": 0.1, "alpha": 0.5, "a": 0.5, "toggles": {"damping": False}}])
+    def test_oracle_covers_viscosity_damping_and_toggles(self, model):
+        """The closed form uses the effective nu, a and eta, so the linear
+        run agrees with it whichever dissipation terms are on."""
+        raw = json.loads(json.dumps(LINEAR_RUN))
+        raw["stepper"] = {"dt": 0.01, "t_end": 1.0}
+        raw["diagnostics"]["cadence_steps"] = 10
+        raw["model"]["toggles"].update(model.pop("toggles", {}))
+        raw["model"].update(model)
+        report = linear_verify(cfg_of(raw))
+        assert report.max_deviation < 1e-10
+        assert report.checks == {"oracle_agreement": True}
+
+    @pytest.mark.parametrize("toggle", ["stress_divergence", "strain_source"])
+    def test_decoupled_system_is_rejected(self, toggle):
+        raw = json.loads(json.dumps(LINEAR_RUN))
+        raw["model"]["toggles"][toggle] = False
+        with pytest.raises(ConfigError, match=f"model.toggles.{toggle}"):
+            linear_verify(cfg_of(raw))
+
 
 class TestSweep:
     def base(self, t_end=0.5):
@@ -284,6 +306,42 @@ class TestCli:
                      "--nu", "1e-2", "--nu", "1e-3", "--nu", "1.0001e-3",
                      "--nu", "1e-4"]) == 2
         assert not (tmp_path / "x" / "nu_0").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("initial_data.seed=-1", "initial_data.seed must be >= 0"),
+        ("initial_data.band=[1,9]",
+         "initial_data.band [1, 9] is not resolved"),
+    ])
+    def test_initial_data_rules_exit_2(self, tmp_path, capsys, override,
+                                       message):
+        path = self.write_config(tmp_path, SMALL_RUN)
+        assert main(["run", "--config", str(path), "--output",
+                     str(tmp_path / "out"), "--override", override]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_band_up_to_half_the_grid_runs(self, tmp_path):
+        path = self.write_config(tmp_path, SMALL_RUN)
+        assert main(["run", "--config", str(path), "--output",
+                     str(tmp_path / "out"),
+                     "--override", "initial_data.band=[1,8]"]) == 0
+
+    def test_dispersion_uses_effective_coefficients(self, tmp_path):
+        path = self.write_config(tmp_path, SMALL_RUN)
+        tables = {}
+        nu_off = ["model.nu=0.1", "model.toggles.nu_dissipation=false"]
+        for name, overrides in (("plain", []), ("viscous", ["model.nu=0.1"]),
+                                ("nu_off", nu_off)):
+            args = ["dispersion", "--config", str(path),
+                    "--output", str(tmp_path / name)]
+            for item in overrides:
+                args += ["--override", item]
+            assert main(args) == 0
+            tables[name] = (tmp_path / name / "dispersion.csv").read_text()
+        assert tables["viscous"] != tables["plain"]
+        assert tables["nu_off"] == tables["plain"]
+        assert main(["dispersion", "--config", str(path), "--output",
+                     str(tmp_path / "x"), "--override",
+                     "model.toggles.strain_source=false"]) == 2
 
     def test_dispersion_writes_table(self, tmp_path):
         path = self.write_config(tmp_path, SMALL_RUN)

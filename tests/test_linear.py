@@ -22,6 +22,12 @@ def companion(k, eta, beta):
                      [-0.5 * k * k, -eta * k ** (2.0 * beta)]])
 
 
+def full_companion(k, eta, beta, nu, alpha, a):
+    """A with velocity dissipation nu k^(2 alpha) and stress damping a."""
+    return np.array([[-nu * k ** (2.0 * alpha), 1.0],
+                     [-0.5 * k * k, -(eta * k ** (2.0 * beta) + a)]])
+
+
 class TestDispersionRoots:
     def test_overdamped_frozen_case(self):
         """eta=2, beta=1, k=1: lambda^2 + 2 lambda + 1/2 = 0 has roots
@@ -181,3 +187,76 @@ class TestEnvelope:
         assert float(first[0]) == 1.0
         assert float(first[1]) == pytest.approx(-1.0 + SQRT2 / 2.0,
                                                 rel=1e-15)
+
+
+class TestFullLinearSystem:
+    def test_keywords_default_to_the_undamped_inviscid_system(self):
+        plain = dispersion_roots(3.0, 0.7, 0.75)
+        assert dispersion_roots(3.0, 0.7, 0.75, nu=0.0, alpha=1.0,
+                                a=0.0) == plain
+        with pytest.raises(TypeError):
+            dispersion_roots(3.0, 0.7, 0.75, 0.1)
+
+    def test_vieta_relations_with_viscosity_and_damping(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            k = float(rng.uniform(0.5, 32.0))
+            eta, nu, a = (float(x) for x in rng.uniform(0.0, 3.0, 3))
+            beta, alpha = (float(x) for x in rng.uniform(0.25, 1.25, 2))
+            d_u, d_s = nu * k ** (2 * alpha), eta * k ** (2 * beta) + a
+            r = dispersion_roots(k, eta, beta, nu=nu, alpha=alpha, a=a)
+            s = r.lambda_plus + r.lambda_minus
+            p = r.lambda_plus * r.lambda_minus
+            assert s.real == pytest.approx(-(d_u + d_s), rel=1e-12)
+            assert p.real == pytest.approx(d_u * d_s + 0.5 * k * k, rel=1e-12)
+
+    def test_inviscid_undamped_waves_do_not_decay(self):
+        """eta = nu = a = 0: roots +- i k / sqrt(2), allowed now."""
+        r = dispersion_roots(4.0, 0.0, 1.0)
+        assert r.regime == "underdamped"
+        assert r.lambda_plus == pytest.approx(4.0j / SQRT2, rel=1e-15)
+        with pytest.raises(ValueError):
+            dispersion_roots(1.0, 1.0, 1.0, nu=-0.1)
+        with pytest.raises(ValueError):
+            dispersion_roots(1.0, 1.0, 1.0, a=-0.1)
+
+    def test_matches_matrix_exponential_on_random_parameters(self):
+        """Property test against expm over random (k, eta >= 0, beta, nu,
+        alpha, a); two cases in five are placed at (d_s - d_u)^2 = 2 k^2,
+        exactly or within a relative 2e-11 (Jordan branch), 1e-7 or 1e-3
+        of it, with either sign of d_s - d_u."""
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 300:
+            k = float(rng.uniform(0.5, 16.0))
+            beta, alpha = (float(x) for x in rng.uniform(0.25, 1.25, 2))
+            nu = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.5))
+            a = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 2.0))
+            near = rng.random() < 0.4
+            if near:
+                rel = float(rng.choice([0.0, 2e-11, -2e-11, 1e-7, -1e-7,
+                                        1e-3]))
+                gap = float(rng.choice([1.0, -1.0])) * SQRT2 * k * (1 + rel)
+                d_s = nu * k ** (2 * alpha) + gap
+                if d_s < a:
+                    continue
+                eta = (d_s - a) / k ** (2 * beta)
+            else:
+                eta = 0.0 if rng.random() < 0.25 else float(
+                    rng.uniform(0.0, 3.0))
+            checked += 1
+            y0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            a_mat = full_companion(k, eta, beta, nu, alpha, a)
+            tol = (1e-9 if near else 1e-11) * np.max(np.abs(y0))
+            for t in (0.0, 0.05, 0.5, 2.0):
+                u, s = linear_mode_solution(y0[0], y0[1], k, eta, beta, t,
+                                            nu=nu, alpha=alpha, a=a)
+                ref = scipy.linalg.expm(a_mat * t) @ y0
+                assert abs(u - ref[0]) < tol, (k, eta, beta, nu, alpha, a, t)
+                assert abs(s - ref[1]) < tol, (k, eta, beta, nu, alpha, a, t)
+
+    def test_envelope_passes_the_coefficients(self):
+        rows = decay_envelope(0.5, 0.75, 4, nu=0.2, alpha=0.5, a=0.3)
+        assert rows == [dispersion_roots(float(k), 0.5, 0.75, nu=0.2,
+                                         alpha=0.5, a=0.3)
+                        for k in range(1, 5)]

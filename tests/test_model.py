@@ -17,6 +17,7 @@ from obflow.model import (
     strain_rate,
 )
 from obflow.spectral import (
+    ConfigError,
     Grid,
     SpectralField,
     TensorField,
@@ -441,6 +442,24 @@ class TestInitialData:
             make_initial_data(g, recipe="single-mode", mode=(0, 0))
         with pytest.raises(ValueError):
             make_initial_data(g, recipe="single-mode", mode=(0, 8))
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            make_initial_data(Grid(2, 16), recipe="random-band", seed=-1)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_band_reaches_half_the_grid_and_no_further(self, d, n):
+        """A band edge above n/2 kept modes beside the Nyquist column whose
+        mirrors the projection got wrong; such a band is now rejected, and
+        one that ends at n/2 steps cleanly."""
+        g = Grid(d, n)
+        with pytest.raises(ConfigError, match="^band .* is not resolved"):
+            make_initial_data(g, recipe="random-band", band=(1, n // 2 + 1))
+        st = make_initial_data(g, recipe="random-band", band=(1, n // 2),
+                               epsilon=1e-2, seed=2)
+        out = step(st, ModelParams(eta=1.0, beta=0.5, b=0.5), 1e-3)
+        assert np.all(np.isfinite(out.u.comps))
+        assert np.all(np.isfinite(out.tau.comps))
 
     def test_3d_recipes(self):
         g = Grid(3, 8)

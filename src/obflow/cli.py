@@ -103,8 +103,8 @@ def _cmd_run(args: argparse.Namespace, cfg: RunConfig,
     print(f"wrote {outdir / 'summary.json'}")
     if result.blew_up:
         info = result.summary["blow_up"]
-        print(f"blow-up at t={info['t']:g} (step {info['step']})",
-              file=sys.stderr)
+        print(f"blow-up at t={info['t']:g} (step {info['step']}, "
+              f"{info['field']} non-finite)", file=sys.stderr)
         return EXIT_BLOWUP
     print(f"t_final={result.summary['t_final']:g} "
           f"steps={result.summary['steps']} "
@@ -211,8 +211,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:
-        print(f"blow-up at t={exc.state.t:g} (step {exc.step})",
-              file=sys.stderr)
+        print(f"blow-up at t={exc.state.t:g} (step {exc.step}, "
+              f"{exc.field} non-finite)", file=sys.stderr)
         return EXIT_BLOWUP
 
 

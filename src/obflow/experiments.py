@@ -89,7 +89,7 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
         final_state, steps = result.state, result.steps
     except BlowUpError as exc:
         final_state, steps = exc.state, exc.step
-        blow_up = {"t": exc.state.t, "step": exc.step}
+        blow_up = {"t": exc.state.t, "step": exc.step, "field": exc.field}
 
     records = collector.records
     report = bootstrap_monitor(records)

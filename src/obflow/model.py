@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -170,42 +171,43 @@ def _gradient_physical(field_comps: np.ndarray, grid: Grid) -> np.ndarray:
     m = field_comps.shape[0]
     grads = np.empty((m, grid.d) + grid.spectral_shape, dtype=np.complex128)
     for axis in range(grid.d):
-        grads[:, axis] = field_comps * ik[axis]
+        np.multiply(field_comps, ik[axis], out=grads[:, axis])
     return _inverse(grads, grid)
-
-
-def _full_physical_tensor(tau: TensorField) -> np.ndarray:
-    """Dense (d, d, *grid) physical samples of a symmetric tensor."""
-    grid = tau.grid
-    tri = _inverse(tau.comps, grid)
-    out = np.empty((grid.d, grid.d) + grid.shape)
-    for m, (i, j) in enumerate(tau.pairs):
-        out[i, j] = tri[m]
-        if i != j:
-            out[j, i] = tri[m]
-    return out
 
 
 def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float) -> np.ndarray:
     """Physical samples of the upper triangle of Q(tau, grad u).
 
-    Both contributions are assembled as M + M^T on the grid, so the result
-    is symmetric by construction:
-    tau W - W tau = M + M^T with M = tau W, and D tau + tau D likewise.
+    Q_ij = (M_ij + M_ji) - b (N_ij + N_ji) with M = tau W and N = D tau, so
+    the result is symmetric by construction.  Each entry of M and N is
+    summed over k in ascending order, pair by pair from the tau triangle
+    and grad u, with no dense tensor; the k = j term of M is skipped, as
+    W_jj = 0, and D_ii is G_ii, which 0.5 (G_ii + G_ii) equals exactly.
+    The rounding is that of the dense products M + M^T.
     """
-    grid = tau.grid
-    swap = (1, 0) + tuple(range(2, 2 + grid.d))
-    gt = grad_u.transpose(swap)
-    d_phys = 0.5 * (grad_u + gt)
-    w_phys = 0.5 * (grad_u - gt)
-    tau_phys = _full_physical_tensor(tau)
-    tw = np.einsum("ab...,bc...->ac...", tau_phys, w_phys)
-    dt = np.einsum("ab...,bc...->ac...", d_phys, tau_phys)
-    q_full = (tw + tw.transpose(swap)) - b * (dt + dt.transpose(swap))
-    tri = np.empty((len(tau.pairs),) + grid.shape)
+    grid, d = tau.grid, tau.grid.d
+    tri = _inverse(tau.comps, grid)
+    t = [[tri[tau.pair_index(i, j)] for j in range(d)] for i in range(d)]
+    w = [[None] * d for _ in range(d)]  # None marks the zero diagonal
+    s = [[grad_u[i, i]] * d for i in range(d)]  # off-diagonals set below
+    for i, j in tau.pairs:
+        if i != j:
+            w[i][j] = 0.5 * (grad_u[i, j] - grad_u[j, i])
+            w[j][i] = -w[i][j]
+            s[i][j] = s[j][i] = 0.5 * (grad_u[i, j] + grad_u[j, i])
+
+    def product(a, c, i, j):  # (a c)_ij, summed over k in ascending order
+        return reduce(np.add, [a[i][k] * c[k][j] for k in range(d)
+                               if c[k][j] is not None])
+
+    out = np.empty((len(tau.pairs),) + grid.shape)
     for m, (i, j) in enumerate(tau.pairs):
-        tri[m] = q_full[i, j]
-    return tri
+        rot, slip = product(t, w, i, j), product(s, t, i, j)
+        rot += rot if i == j else product(t, w, j, i)
+        slip += slip if i == j else product(s, t, j, i)
+        slip *= b
+        np.subtract(rot, slip, out=out[m])
+    return out
 
 
 def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:

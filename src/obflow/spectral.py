@@ -159,6 +159,11 @@ class Grid:
         return ksq
 
     @cached_property
+    def k_squared_divisor(self) -> np.ndarray:
+        """|k|^2 as floats, 1 at k = 0: the divisor of leray_project."""
+        return np.where(self.k_squared > 0, self.k_squared, 1).astype(np.float64)
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean keep-mask of the 2/3 rule: True where all |k_i| < n/3."""
         mask = np.ones(self.spectral_shape, dtype=bool)
@@ -426,15 +431,15 @@ def leray_project(v: VectorField) -> VectorField:
     mode is left untouched, so the mean flow is preserved.
     """
     grid = v.grid
-    ksq = grid.k_squared
-    kdotv = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    factor = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for j, k in enumerate(grid.wavenumbers):
-        kdotv += k * v.comps[j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(ksq > 0, kdotv / np.where(ksq > 0, ksq, 1), 0.0)
+        factor += k * v.comps[j]
+    np.divide(factor, grid.k_squared_divisor, out=factor)
+    factor[(0,) * grid.d] = 0.0
     out = np.empty_like(v.comps)
     for j, k in enumerate(grid.wavenumbers):
-        out[j] = v.comps[j] - k * factor
+        np.multiply(k, factor, out=out[j])
+        np.subtract(v.comps[j], out[j], out=out[j])
     return VectorField(grid, out)
 
 

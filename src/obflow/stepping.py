@@ -33,13 +33,23 @@ SCHEMES = ("if-rk4", "if-euler")
 
 
 class BlowUpError(RuntimeError):
-    """A step produced non-finite values; carries the last finite state."""
+    """A step produced non-finite values; carries the last finite state and
+    field, the first non-finite component of the step ("u[1]", "tau[0,1]")."""
 
-    def __init__(self, state: FlowState, step: int):
-        super().__init__(
-            f"solution lost finiteness after step {step} (t = {state.t:g})")
+    def __init__(self, state: FlowState, step: int, field: str):
+        super().__init__(f"solution lost finiteness in {field} after step "
+                         f"{step} (t = {state.t:g})")
         self.state = state
         self.step = step
+        self.field = field
+
+
+def _first_non_finite(state: FlowState) -> str:
+    """u components first, then tau in triangle order."""
+    names = [f"u[{i}]" for i in range(state.grid.d)] + \
+        [f"tau[{i},{j}]" for i, j in state.tau.pairs]
+    return next(name for name, c in zip(names, [*state.u.comps, *state.tau.comps])
+                if not np.all(np.isfinite(c)))
 
 
 @dataclass(frozen=True)
@@ -222,7 +232,7 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
         if not (np.all(np.isfinite(new.u.comps)) and
                 np.all(np.isfinite(new.tau.comps))):
             events.append({"event": "blow-up", "t": current.t, "step": i})
-            raise BlowUpError(current, i)
+            raise BlowUpError(current, i, _first_non_finite(new))
         current = new
         finished = (target - current.t) <= 1e-12 * max(1.0, abs(target))
         for every, fn in callbacks:

@@ -91,6 +91,8 @@ class TestRunSingle:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["blow_up"] is not None
         assert summary["blow_up"]["step"] > 0
+        assert summary["blow_up"]["field"] in (
+            "u[0]", "u[1]", "tau[0,0]", "tau[0,1]", "tau[1,1]")
         assert (out / "diagnostics.csv").exists()
 
     def test_snapshot_series_round_trip(self, tmp_path):
@@ -256,10 +258,13 @@ class TestCli:
                      "--output", str(out)]) == 0
         assert (out / "summary.json").exists()
 
-    def test_run_blow_up_exit_code(self, tmp_path):
+    def test_run_blow_up_exit_code(self, tmp_path, capsys):
         path = self.write_config(tmp_path, BLOWUP_RUN)
         assert main(["run", "--config", str(path),
                      "--output", str(tmp_path / "b")]) == 3
+        field = json.loads(
+            (tmp_path / "b" / "summary.json").read_text())["blow_up"]["field"]
+        assert f"{field} non-finite" in capsys.readouterr().err
 
     def test_run_override_changes_config_echo(self, tmp_path):
         path = self.write_config(tmp_path, SMALL_RUN)

@@ -9,6 +9,8 @@ from obflow.model import (
     FlowState,
     ModelParams,
     TermToggles,
+    _gradient_physical,
+    _q_triangle_physical,
     dissipation_rates,
     energy_budget,
     explicit_rhs,
@@ -19,6 +21,7 @@ from obflow.model import (
 from obflow.spectral import (
     ConfigError,
     Grid,
+    HermitianSymmetryError,
     SpectralField,
     TensorField,
     VectorField,
@@ -29,6 +32,7 @@ from obflow.spectral import (
     l2_norm,
     leray_project,
     sobolev_norm,
+    _inverse,
 )
 from obflow.stepping import step
 
@@ -169,6 +173,54 @@ class TestQBilinear:
                              for i in range(g.d)])
             gap = np.max(np.abs(full - np.swapaxes(full, 0, 1)))
             assert gap < 1e-13
+
+
+def dense_q_triangle(tau, grad_u, b):
+    """The dense Q assembly the pairwise one replaced: full d x d tensors,
+    two einsums and M + M^T, read back as the upper triangle."""
+    g = tau.grid
+    swap = (1, 0) + tuple(range(2, 2 + g.d))
+    gt = grad_u.transpose(swap)
+    d_phys = 0.5 * (grad_u + gt)
+    w_phys = 0.5 * (grad_u - gt)
+    tri = _inverse(tau.comps, g)
+    tau_phys = np.empty((g.d, g.d) + g.shape)
+    for m, (i, j) in enumerate(tau.pairs):
+        tau_phys[i, j] = tau_phys[j, i] = tri[m]
+    tw = np.einsum("ab...,bc...->ac...", tau_phys, w_phys)
+    dt = np.einsum("ab...,bc...->ac...", d_phys, tau_phys)
+    q_full = (tw + tw.transpose(swap)) - b * (dt + dt.transpose(swap))
+    return np.stack([q_full[i, j] for i, j in tau.pairs])
+
+
+class TestPairwiseQ:
+    """The pairwise Q triangle keeps the rounding of the dense assembly."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("project", [True, False])
+    def test_equals_dense_assembly_exactly(self, d, n, b, project):
+        g = Grid(d, n)
+        st = random_state(g, seed=d + 30, scale=3.0, project=project)
+        grad_u = _gradient_physical(st.u.comps, g)
+        np.testing.assert_array_equal(_q_triangle_physical(st.tau, grad_u, b),
+                                      dense_q_triangle(st.tau, grad_u, b))
+
+
+class TestKernelHermitianCheck:
+    """A broken column-0 or Nyquist mode of u or tau stops the kernel."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("name", ["u", "tau"])
+    @pytest.mark.parametrize("column", ["zero", "nyquist"])
+    def test_broken_mode_raises(self, d, n, name, column):
+        g = Grid(d, n)
+        st = random_state(g, seed=d)
+        # the mirror of this slot, at -k, is in the same column and kept
+        slot = (0,) + (1,) * (d - 1) + (0 if column == "zero" else n // 2,)
+        getattr(st, name).comps[slot] += 0.5
+        with pytest.raises(HermitianSymmetryError):
+            explicit_rhs(st, ModelParams(b=0.5))
 
 
 class TestAdvectionSkewSymmetry:

@@ -321,6 +321,50 @@ class TestLerayProjection:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def leray_by_where(v):
+    """The formula leray_project replaced: two np.where around an integer
+    |k|^2, and fresh arrays for every component."""
+    grid = v.grid
+    ksq = grid.k_squared
+    kdotv = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    for j, k in enumerate(grid.wavenumbers):
+        kdotv += k * v.comps[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(ksq > 0, kdotv / np.where(ksq > 0, ksq, 1), 0.0)
+    return np.stack([v.comps[j] - k * factor
+                     for j, k in enumerate(grid.wavenumbers)])
+
+
+class TestLerayDivisor:
+    """The cached float divisor keeps every bit of the np.where formula."""
+
+    @pytest.mark.parametrize("d, n", [(2, 8), (2, 16), (3, 8)])
+    def test_equals_where_formula_exactly(self, d, n):
+        g = Grid(d, n)
+        rng = np.random.default_rng(d * n)
+        shape = (d,) + g.spectral_shape
+        comps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v = VectorField(g, comps)
+        got = leray_project(v).comps
+        np.testing.assert_array_equal(got, leray_by_where(v))
+        # the data fill every slot, so the comparison covers k = 0, the
+        # Nyquist modes and modes of mixed sign
+        half = n // 2
+        for mode in [(0,) * d, (-half,) * d, (1,) * (d - 1) + (-half,),
+                     (-half,) + (3,) * (d - 1), (-1,) + (2,) * (d - 1),
+                     (2,) + (-3,) * (d - 2) + (1,)]:
+            assert np.all(comps[(slice(None),) + g.mode_index(mode)[0]] != 0)
+        zero = (slice(None),) + (0,) * d
+        np.testing.assert_array_equal(got[zero], comps[zero])
+
+    def test_divisor_is_one_only_at_the_mean(self):
+        g = Grid(3, 8)
+        div = g.k_squared_divisor
+        assert div.dtype == np.float64 and div[0, 0, 0] == 1.0
+        np.testing.assert_array_equal(div.ravel()[1:],
+                                      g.k_squared.ravel()[1:])
+
+
 class TestDealias:
     def test_cutoff_bounds_n16(self):
         """On n=16 the mask keeps |k_i| <= 5 and zeroes |k_i| >= 6."""

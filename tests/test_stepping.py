@@ -24,6 +24,7 @@ from obflow.spectral import (
 from obflow.stepping import (
     BlowUpError,
     StepperConfig,
+    _first_non_finite,
     cfl_dt,
     integrate,
     step,
@@ -259,6 +260,26 @@ class TestIntegrate:
         assert np.all(np.isfinite(exc.state.u.comps))
         assert np.all(np.isfinite(exc.state.tau.comps))
         assert exc.step > 0
+        # the failed step, rerun, is finite in every component before the
+        # named one (u first, then tau in triangle order) and not in it
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = step(exc.state, params, 0.5)
+        names = ["u[0]", "u[1]", "tau[0,0]", "tau[0,1]", "tau[1,1]"]
+        finite = [bool(np.all(np.isfinite(c)))
+                  for c in (*bad.u.comps, *bad.tau.comps)]
+        assert exc.field == names[finite.index(False)]
+        assert f"lost finiteness in {exc.field} after step {exc.step}" \
+            in str(exc)
+
+    @pytest.mark.parametrize("slots, field", [
+        ((("tau", 4),), "tau[1,2]"), ((("tau", 5), ("u", 2)), "u[2]"),
+        ((("tau", 0), ("tau", 3)), "tau[0,0]")])
+    def test_blow_up_names_first_non_finite_component(self, slots, field):
+        g = Grid(3, 8)
+        st = make_initial_data(g, epsilon=0.1, seed=1)
+        for name, m in slots:
+            getattr(st, name).comps[m][1, 2, 3] = np.nan
+        assert _first_non_finite(st) == field
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):

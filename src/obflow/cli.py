@@ -69,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="check a single-mode run against the exact "
                                 "damped-wave solution")
     _add_common(p_lin)
-    p_lin.add_argument("--oracle-tol", type=float, default=1e-10,
-                       help="gate for the toggles-off deviation (default 1e-10)")
 
     p_sweep = sub.add_parser("sweep-nu", help="vanishing-viscosity sweep")
     _add_common(p_sweep)
@@ -120,7 +118,7 @@ def _cmd_run(args: argparse.Namespace, cfg: RunConfig,
 def _cmd_linear_verify(args: argparse.Namespace, cfg: RunConfig,
                        warnings: List[str]) -> int:
     outdir = _resolve_outdir(args, cfg)
-    report = linear_verify(cfg, outdir, oracle_tol=args.oracle_tol)
+    report = linear_verify(cfg, outdir)
     for w in warnings:
         print(f"warning: {w}")
     print(f"wrote {outdir / 'linear_verify.json'}")

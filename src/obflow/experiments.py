@@ -34,6 +34,9 @@ from .snapshots import atomic_write_text, read_snapshot, write_snapshot
 from .spectral import divergence, leray_project
 from .stepping import BlowUpError, integrate
 
+# Gate on the deviation of a linear-toggles run from the exact mode solution.
+ORACLE_TOL = 1e-10
+
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -162,8 +165,8 @@ class LinearVerifyReport:
     checks: Dict[str, bool]
 
 
-def linear_verify(cfg: RunConfig, outdir: Optional[Path] = None,
-                  oracle_tol: float = 1e-10) -> LinearVerifyReport:
+def linear_verify(cfg: RunConfig,
+                  outdir: Optional[Path] = None) -> LinearVerifyReport:
     """Compare the solver against the exact two-component mode solution.
 
     Requires the single-mode recipe.  The excited mode pair (uhat, shat),
@@ -173,7 +176,7 @@ def linear_verify(cfg: RunConfig, outdir: Optional[Path] = None,
     stress dissipation and damping (linear.mode_coefficients), so it
     describes the toggled system; both coupling toggles must be on.  With
     the nonlinear terms toggled off the deviation
-    is pure integrator error and is gated at oracle_tol; with full physics
+    is pure integrator error and is gated at ORACLE_TOL; with full physics
     at small amplitude the deviation is quadratic in epsilon, which the
     reported ratios expose.
     """
@@ -218,7 +221,7 @@ def linear_verify(cfg: RunConfig, outdir: Optional[Path] = None,
     linear_toggles = not (tg.advection_u or tg.advection_tau or tg.q_term)
     checks: Dict[str, bool] = {}
     if linear_toggles:
-        checks["oracle_agreement"] = max_dev < oracle_tol
+        checks["oracle_agreement"] = max_dev < ORACLE_TOL
     report = LinearVerifyReport(
         mode=tuple(mode), k_mag=k_mag, epsilon=eps, max_deviation=max_dev,
         deviation_over_eps=max_dev / eps if eps > 0 else 0.0,

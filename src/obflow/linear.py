@@ -8,9 +8,9 @@ projected stress-divergence amplitudes obeys
 with velocity dissipation d_u = nu k^(2 alpha) and stress dissipation plus
 damping d_s = eta k^(2 beta) + a.  The characteristic polynomial is
 lambda^2 + (d_u + d_s) lambda + d_u d_s + k^2/2, with discriminant
-(d_s - d_u)^2 - 2 k^2.  This module evaluates the two roots with stable
-arithmetic, the closed-form matrix exponential (including the defective
-double-root branch), and decay envelopes over integer wavenumbers.
+(d_s - d_u - sqrt(2) k)(d_s - d_u + sqrt(2) k).  This module evaluates the
+two roots with stable arithmetic, the matrix exponential in one closed form
+for every damping regime, and decay envelopes over integer wavenumbers.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from .model import ModelParams
 from .snapshots import atomic_write_text
 from .spectral import ConfigError
 
-# Relative discriminant size below which the double-root (Jordan) branch
-# of the matrix exponential is used.
-CRITICAL_TOL = 1e-10
-
 ArrayLike = Union[complex, np.ndarray]
 
 
@@ -41,7 +37,7 @@ class ModeAnalysis:
     eta: float
     beta: float
     damping: float          # d_u + d_s, minus the sum of the roots
-    discriminant: float     # (d_s - d_u)^2 - 2 k^2
+    discriminant: float     # (d_s - d_u - sqrt(2) k)(d_s - d_u + sqrt(2) k)
     lambda_plus: complex    # root with the larger real part / +Im branch
     lambda_minus: complex
     regime: str             # "underdamped" | "critical" | "overdamped"
@@ -79,8 +75,8 @@ def dispersion_roots(k: float, eta: float, beta: float, *, nu: float = 0.0,
     d_s = eta * k ** (2.0 * beta) + a
     damping = d_u + d_s
     gap = d_s - d_u
-    disc = gap * gap - 2.0 * k * k
-    if abs(disc) < CRITICAL_TOL * gap * gap:
+    disc = (gap - math.sqrt(2.0) * k) * (gap + math.sqrt(2.0) * k)
+    if disc == 0.0:
         lam = -0.5 * damping
         return ModeAnalysis(k, eta, beta, damping, disc,
                             complex(lam), complex(lam), "critical")
@@ -100,31 +96,35 @@ def linear_mode_solution(u0: ArrayLike, s0: ArrayLike, k: float, eta: float,
                          a: float = 0.0) -> Tuple[ArrayLike, ArrayLike]:
     """Exact (uhat, shat) at time t >= 0 from initial amplitudes.
 
-    Accepts scalars or arrays (propagated componentwise).  Near-critical
-    discriminants take the Jordan branch exp(lambda t)(I + N t), N = A -
-    lambda I nilpotent.  Otherwise the eigenvector of a root lambda is
-    (1, lambda + d_u).
+    Accepts scalars or arrays (propagated componentwise).  One formula
+    serves every regime: exp(A t) = e^(m t) [C I + S (A - m I)], with
+    m = -(d_u + d_s)/2 and A - m I = [[g, 1], [-k^2/2, -g]], g = (d_s - d_u)/2,
+    squaring to delta^2 I = discriminant I / 4.  C = cosh(delta t) and
+    S = sinh(delta t) / delta are entire in x = (delta t)^2: for |x| < 1 they
+    come from their even series, else from the roots m +- delta, >= 2/t apart.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     u0 = np.asarray(u0, dtype=np.complex128)
     s0 = np.asarray(s0, dtype=np.complex128)
     roots = dispersion_roots(k, eta, beta, nu=nu, alpha=alpha, a=a)
-    d_u = nu * k ** (2.0 * alpha)
-    if roots.regime == "critical":
-        lam = roots.lambda_plus
-        half_gap = -d_u - lam   # N = [[half_gap, 1], [-k^2/2, -half_gap]]
-        growth = cmath.exp(lam * t)
-        u_t = growth * (u0 + t * (half_gap * u0 + s0))
-        s_t = growth * (s0 - t * (0.5 * k * k * u0 + half_gap * s0))
+    g = 0.5 * (eta * k ** (2.0 * beta) + a - nu * k ** (2.0 * alpha))
+    x = 0.25 * roots.discriminant * t * t
+    if abs(x) < 1.0:
+        c = s = 1.0
+        # Horner over 12 terms; the first one left out is below 1/24!
+        for n in range(22, 0, -2):
+            c = 1.0 + x * c / ((n - 1) * n)
+            s = 1.0 + x * s / (n * (n + 1))
+        growth = math.exp(-0.5 * roots.damping * t)
+        c, s = growth * c, growth * t * s
     else:
-        lp, lm = roots.lambda_plus, roots.lambda_minus
-        v0 = s0 - d_u * u0
-        c_plus = (v0 - lm * u0) / (lp - lm)
-        c_minus = (lp * u0 - v0) / (lp - lm)
-        ep, em = cmath.exp(lp * t), cmath.exp(lm * t)
-        u_t = c_plus * ep + c_minus * em
-        s_t = c_plus * lp * ep + c_minus * lm * em + d_u * u_t
+        ep = cmath.exp(roots.lambda_plus * t)
+        em = cmath.exp(roots.lambda_minus * t)
+        c = (0.5 * (ep + em)).real
+        s = ((ep - em) / cmath.sqrt(roots.discriminant)).real
+    u_t = c * u0 + s * (g * u0 + s0)
+    s_t = c * s0 - s * (0.5 * k * k * u0 + g * s0)
     if u_t.ndim == 0:
         return complex(u_t), complex(s_t)
     return u_t, s_t

@@ -407,9 +407,10 @@ def divergence(field: Union[VectorField, TensorField]) -> Union[SpectralField, V
         return SpectralField(grid, out)
     if isinstance(field, TensorField):
         out = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
-        for i in range(grid.d):
-            for j in range(grid.d):
-                out[i] += ik[j] * field.component(i, j).comps
+        for m, (i, j) in enumerate(field.pairs):  # row i sums j ascending
+            out[i] += ik[j] * field.comps[m]
+            if i != j:
+                out[j] += ik[i] * field.comps[m]
         return VectorField(grid, out)
     raise TypeError(f"divergence expects a vector or tensor field, got {type(field)}")
 

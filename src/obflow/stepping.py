@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -168,7 +168,6 @@ def step(state: FlowState, params: ModelParams, dt: float,
 class IntegrationResult:
     state: FlowState
     steps: int
-    events: List[dict]
 
 
 def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
@@ -182,14 +181,12 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
     partial step closes any remainder.  Non-finite values abort the march
     with a BlowUpError carrying the last finite state.
     """
-    events: List[dict] = [{"event": "start", "t": state.t, "step": 0}]
     for _, fn in callbacks:
         fn(state, 0)
     t_end = config.t_end
     if t_end == 0.0:
         state._handoff = None  # no step follows the record
-        events.append({"event": "end", "t": state.t, "step": 0})
-        return IntegrationResult(state, 0, events)
+        return IntegrationResult(state, 0)
 
     auto = config.dt == "auto"
     t0 = state.t
@@ -231,7 +228,6 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
         i += 1
         if not (np.all(np.isfinite(new.u.comps)) and
                 np.all(np.isfinite(new.tau.comps))):
-            events.append({"event": "blow-up", "t": current.t, "step": i})
             raise BlowUpError(current, i, _first_non_finite(new))
         current = new
         finished = (target - current.t) <= 1e-12 * max(1.0, abs(target))
@@ -241,5 +237,4 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
         if finished:
             break
     current._handoff = None  # the last record's tendency serves no step
-    events.append({"event": "end", "t": current.t, "step": i})
-    return IntegrationResult(current, i, events)
+    return IntegrationResult(current, i)

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 import obflow
+import obflow.linear
 import obflow.model
 import obflow.spectral
 
-# Retired API: the split nonlinear operators (the fused kernel behind
-# explicit_rhs builds every nonlinear term), the transform wrappers
-# (SpectralField.from_physical / to_physical), and the scalar-only names
-# of the field data.
+# Retired API: the critical-damping switch of the mode propagator (one
+# closed form serves every regime), the split nonlinear operators (the
+# fused kernel behind explicit_rhs builds every nonlinear term), the
+# transform wrappers (SpectralField.from_physical / to_physical), and the
+# scalar-only names of the field data.
 REMOVED = [
+    (obflow.linear, "CRITICAL_TOL"),
     (obflow.model, "advect"),
     (obflow.model, "q_bilinear"),
     (obflow.spectral, "forward_transform"),

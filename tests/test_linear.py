@@ -111,15 +111,49 @@ class TestModeSolution:
                 assert s == pytest.approx(ref[1], rel=1e-11, abs=1e-13)
 
     def test_near_critical_stability(self):
-        """A discriminant within roundoff of zero must not blow up the
-        eigenvector formulas; compare against expm just off the switch."""
+        """A discriminant within roundoff of zero must not cost digits;
+        compare against expm on both sides of critical damping."""
         k = 1.0
         for eta in (SQRT2 * (1.0 + 3e-11), SQRT2 * (1.0 - 3e-11), SQRT2):
             a_mat = companion(k, eta, 1.0)
             u, s = linear_mode_solution(1.0, 0.5, k, eta, 1.0, 2.0)
             ref = scipy.linalg.expm(a_mat * 2.0) @ np.array([1.0, 0.5])
-            assert u == pytest.approx(ref[0], rel=1e-9)
-            assert s == pytest.approx(ref[1], rel=1e-9)
+            assert u == pytest.approx(ref[0], rel=1e-12)
+            assert s == pytest.approx(ref[1], rel=1e-12)
+
+    def test_near_critical_zero_time_is_exact_identity(self):
+        """At a relative discriminant of 2e-7 the old eigenvector formula
+        returned y0 off by 2e-11 |y0| at t = 0."""
+        k, beta, nu, alpha, a = 15.0, 0.586, 0.326, 1.07, 0.83
+        gap = SQRT2 * k * (1.0 + 1e-7)
+        eta = (nu * k ** (2 * alpha) + gap - a) / k ** (2 * beta)
+        assert dispersion_roots(k, eta, beta, nu=nu, alpha=alpha,
+                                a=a).discriminant != 0.0
+        y0 = (0.3 - 1.7j, 2.9 + 0.4j)
+        assert linear_mode_solution(*y0, k, eta, beta, 0.0, nu=nu,
+                                    alpha=alpha, a=a) == y0
+
+    def test_near_critical_long_time_decays_to_zero(self):
+        """Both exponentials underflow at t = 1e7; no division by the tiny
+        root gap may turn that into an exception or a NaN."""
+        u, s = linear_mode_solution(1.0, 0.5, 1.0, SQRT2 * (1.0 + 1e-12),
+                                    1.0, 1e7)
+        assert (u, s) == (0.0, 0.0)
+
+    def test_series_and_root_forms_meet_at_the_switch(self):
+        """(delta t)^2 = 1 separates the even series from the root form;
+        both sides match expm, underdamped and overdamped, at |m t| ~ 2."""
+        k, beta = 2.0, 1.0
+        for rel in (0.15, -0.1):
+            eta = SQRT2 * k * (1.0 + rel) / k ** (2 * beta)
+            disc = dispersion_roots(k, eta, beta).discriminant
+            for x in (1.0 - 1e-9, 1.0 + 1e-9):
+                t = math.sqrt(x / (0.25 * abs(disc)))
+                ref = scipy.linalg.expm(companion(k, eta, beta) * t) @ \
+                    np.array([1.0, 0.5])
+                u, s = linear_mode_solution(1.0, 0.5, k, eta, beta, t)
+                assert abs(u - ref[0]) < 1e-13
+                assert abs(s - ref[1]) < 1e-13
 
     def test_fine_step_ode_oracle(self):
         """Classic RK4 at dt=1e-5 on the raw ODE reproduces the closed
@@ -223,8 +257,8 @@ class TestFullLinearSystem:
     def test_matches_matrix_exponential_on_random_parameters(self):
         """Property test against expm over random (k, eta >= 0, beta, nu,
         alpha, a); two cases in five are placed at (d_s - d_u)^2 = 2 k^2,
-        exactly or within a relative 2e-11 (Jordan branch), 1e-7 or 1e-3
-        of it, with either sign of d_s - d_u."""
+        exactly or within a relative 2e-11, 1e-7 or 1e-3 of it, with either
+        sign of d_s - d_u."""
         rng = np.random.default_rng(5)
         checked = 0
         while checked < 300:
@@ -247,7 +281,7 @@ class TestFullLinearSystem:
             checked += 1
             y0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             a_mat = full_companion(k, eta, beta, nu, alpha, a)
-            tol = (1e-9 if near else 1e-11) * np.max(np.abs(y0))
+            tol = (1e-12 if near else 1e-11) * np.max(np.abs(y0))
             for t in (0.0, 0.05, 0.5, 2.0):
                 u, s = linear_mode_solution(y0[0], y0[1], k, eta, beta, t,
                                             nu=nu, alpha=alpha, a=a)

@@ -365,6 +365,31 @@ class TestLerayDivisor:
                                       g.k_squared.ravel()[1:])
 
 
+def divergence_by_double_loop(t):
+    """The dense double loop over (i, j) that the triangle loop replaced."""
+    g = t.grid
+    out = np.zeros((g.d,) + g.spectral_shape, dtype=np.complex128)
+    for i in range(g.d):
+        for j in range(g.d):
+            out[i] += g.derivative_multipliers[j] * t.component(i, j).comps
+    return out
+
+
+class TestTensorDivergence:
+    """Reading the stored triangle keeps every bit of the double loop."""
+
+    @pytest.mark.parametrize("d, n", [(2, 8), (2, 16), (3, 8)])
+    def test_equals_double_loop_exactly(self, d, n):
+        g = Grid(d, n)
+        rng = np.random.default_rng(10 * d + n)
+        shape = (d * (d + 1) // 2,) + g.spectral_shape
+        t = TensorField(g, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+        got = divergence(t)
+        assert isinstance(got, VectorField)
+        np.testing.assert_array_equal(got.comps, divergence_by_double_loop(t))
+
+
 class TestDealias:
     def test_cutoff_bounds_n16(self):
         """On n=16 the mask keeps |k_i| <= 5 and zeroes |k_i| >= 6."""

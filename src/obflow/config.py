@@ -1,19 +1,21 @@
 """Run configuration: the JSON schema, its parser, and overrides.
 
 A config file is one JSON object with the sections below; every key is
-optional.  validate_config checks its JSON shape only: each section is an
-object, unknown keys at any level are hard errors, and each value has its
-JSON type (number, integer, boolean, string, null or list).
+optional.  Each section is read into the class that owns it (SECTIONS), and
+its keys are that class's dataclass fields, so a field added to an owner is
+a config key at once.  validate_config checks the JSON shape only: each
+section is an object, unknown keys at any level are hard errors, and each
+value has the JSON type of its field's annotation (number, integer,
+boolean, string, null or list).
 
 Every domain rule has one owner, the class that holds the value: Grid,
-ModelParams, StepperConfig and DiagnosticParams check their own fields
-(eta > 0, b in [-1, 1], even n >= 8, finite numbers, ...), and
-model.check_initial_data checks recipe, epsilon, seed, mode and band, the
-last two against the grid (once the grid is valid).  Each raises one
-ConfigError listing all of its problems; validate_config prefixes them with
-the section name ("model.eta must be positive, got -1") and raises one
-ConfigError with every problem of the file.  The two cadences are the only
-values it checks itself, because only the config holds them.
+ModelParams, StepperConfig, DiagnosticParams and OutputConfig check their
+own fields (eta > 0, b in [-1, 1], even n >= 8, cadences >= 1, finite
+numbers, ...), and model.check_initial_data checks recipe, epsilon, seed,
+mode and band, the last two against the grid (once the grid is valid).
+Each raises one ConfigError listing all of its problems; validate_config
+prefixes them with the section name ("model.eta must be positive, got -1")
+and raises one ConfigError with every problem of the file.
 Questionable-but-runnable choices (e.g. beta outside [1/2, 1], s at or
 below the embedding index) are collected as warnings and the run proceeds.
 
@@ -21,8 +23,8 @@ below the embedding index) are collected as warnings and the run proceeds.
       "grid":         {"d": 2, "n": 64},
       "model":        {"eta": 1.0, "beta": 1.0, "nu": 0.0, "alpha": 1.0,
                        "b": 0.0, "a": 0.0, "toggles": {...}},
-      "stepper":      {"scheme": "if-rk4", "dt": "auto", "t_end": 1.0,
-                       "cfl_advective": 0.4, "cfl_wave": 0.4, "dt_cap": 0.01},
+      "stepper":      {"dt": "auto", "t_end": 1.0, "cfl_advective": 0.4,
+                       "cfl_wave": 0.4, "dt_cap": 0.01},
       "diagnostics":  {"s": null, "k_cross": 0.1, "cadence_steps": 10},
       "initial_data": {"recipe": "random-band", "epsilon": 0.01, "seed": 1234,
                        "mode": null, "band": [1, 4]},
@@ -33,14 +35,15 @@ below the embedding index) are collected as warnings and the run proceeds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union, get_type_hints
 
 from .diagnostics import DiagnosticParams
-from .model import ModelParams, TermToggles, check_initial_data
-from .spectral import ConfigError, Grid
+from .model import ModelParams, check_initial_data
+from .spectral import ConfigError, Grid, check_fields
 from .stepping import StepperConfig
 
 
@@ -58,6 +61,10 @@ class OutputConfig:
     directory: Optional[str] = None
     snapshot_cadence_steps: int = 50
 
+    def __post_init__(self):
+        check_fields(self, (
+            ("snapshot_cadence_steps", lambda v: v >= 1, "must be >= 1"),))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -67,20 +74,19 @@ class RunConfig:
     diagnostics: DiagnosticParams
     initial_data: InitialDataConfig
     output: OutputConfig
-    cadence_steps: int = 10
 
     def warnings(self) -> List[str]:
         return self.model.warnings() + self.diagnostics.warnings(self.grid)
 
     def to_dict(self) -> dict:
         """Resolved config as a JSON-ready dict (inverse of validate_config)."""
-        out = dataclasses.asdict(self)
-        out["diagnostics"]["cadence_steps"] = out.pop("cadence_steps")
-        initial = out["initial_data"]
-        for key in ("mode", "band"):
-            if initial[key] is not None:
-                initial[key] = list(initial[key])
-        return out
+        return json.loads(json.dumps(dataclasses.asdict(self)))
+
+
+# field name -> annotation of a class, evaluated once per class; SECTIONS maps
+# each config section to the class whose fields are its keys
+_kinds = functools.cache(get_type_hints)
+SECTIONS = _kinds(RunConfig)
 
 
 def _is_number(value) -> bool:
@@ -91,67 +97,26 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# JSON type of every key: (description, accepts), or the schema of a nested
-# object
-_NUMBER = ("a number", _is_number)
-_INTEGER = ("an integer", _is_integer)
-_STRING = ("a string", lambda v: isinstance(v, str))
-_SCHEMA = {
-    "grid": {"d": _INTEGER, "n": _INTEGER},
-    "model": {
-        "eta": _NUMBER, "beta": _NUMBER, "nu": _NUMBER, "alpha": _NUMBER,
-        "b": _NUMBER, "a": _NUMBER,
-        "toggles": {f.name: ("a boolean", lambda v: isinstance(v, bool))
-                    for f in dataclasses.fields(TermToggles)},
-    },
-    "stepper": {
-        "scheme": _STRING,
-        "dt": ("a number or a string",
-               lambda v: _is_number(v) or isinstance(v, str)),
-        "t_end": _NUMBER, "cfl_advective": _NUMBER, "cfl_wave": _NUMBER,
-        "dt_cap": _NUMBER,
-    },
-    "diagnostics": {
-        "s": ("a number or null", lambda v: v is None or _is_number(v)),
-        "k_cross": _NUMBER, "cadence_steps": _INTEGER,
-    },
-    "initial_data": {
-        "recipe": _STRING,
-        "epsilon": _NUMBER, "seed": _INTEGER,
-        "mode": ("a list of integers or null", lambda v: v is None or (
-            isinstance(v, list) and all(map(_is_integer, v)))),
-        "band": ("a list of two integers", lambda v: isinstance(v, list)
-                 and len(v) == 2 and all(map(_is_integer, v))),
-    },
-    "output": {
-        "directory": ("a string or null",
-                      lambda v: v is None or isinstance(v, str)),
-        "snapshot_cadence_steps": _INTEGER,
-    },
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_integer, value))
+
+
+# JSON type of each field annotation of a section owner: (description,
+# accepts); a field whose type is a dataclass is a nested object
+_JSON_TYPES = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_integer),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    Optional[str]: ("a string or null", lambda v: v is None or isinstance(v, str)),
+    Optional[float]: ("a number or null", lambda v: v is None or _is_number(v)),
+    Union[float, str]: ("a number or a string",
+                        lambda v: _is_number(v) or isinstance(v, str)),
+    Optional[Tuple[int, ...]]: ("a list of integers or null",
+                                lambda v: v is None or _is_int_list(v)),
+    Tuple[int, int]: ("a list of two integers",
+                      lambda v: _is_int_list(v) and len(v) == 2),
 }
-
-
-def _fields(raw, where: str, schema: dict, errors: List[str]) -> dict:
-    """The entries of the JSON object raw that schema accepts.
-
-    Unknown keys and values of the wrong JSON type are reported in errors
-    and left out, so their owner falls back to its default.
-    """
-    if not isinstance(raw, dict):
-        errors.append(f"{where} must be an object, got {raw!r}")
-        return {}
-    out = {}
-    for key, value in raw.items():
-        kind = schema.get(key)
-        if kind is None:
-            errors.append(f"unknown key {where}.{key}")
-        elif isinstance(kind, dict):
-            out[key] = _fields(value, f"{where}.{key}", kind, errors)
-        elif kind[1](value):
-            out[key] = value
-        else:
-            errors.append(f"{where}.{key} must be {kind[0]}, got {value!r}")
-    return out
 
 
 def _checked(where: str, errors: List[str], make, *args, **kwargs):
@@ -163,6 +128,30 @@ def _checked(where: str, errors: List[str], make, *args, **kwargs):
         return None
 
 
+def _section(raw, where: str, owner: type, errors: List[str]):
+    """owner built from the JSON object raw, or None if it breaks a rule.
+
+    Unknown keys and values of the wrong JSON type are reported in errors
+    and left out, so owner falls back to its default.  Lists become tuples.
+    """
+    if not isinstance(raw, dict):
+        errors.append(f"{where} must be an object, got {raw!r}")
+        raw = {}
+    values = {}
+    for key, value in raw.items():
+        kind = _kinds(owner).get(key)
+        if kind is None:
+            errors.append(f"unknown key {where}.{key}")
+        elif dataclasses.is_dataclass(kind):
+            values[key] = _section(value, f"{where}.{key}", kind, errors)
+        elif _JSON_TYPES[kind][1](value):
+            values[key] = tuple(value) if isinstance(value, list) else value
+        else:
+            errors.append(f"{where}.{key} must be {_JSON_TYPES[kind][0]}, "
+                          f"got {value!r}")
+    return _checked(where, errors, owner, **values)
+
+
 def validate_config(raw: dict) -> Tuple[RunConfig, List[str]]:
     """Parse a raw JSON dict; returns (config, warnings) or raises ConfigError.
 
@@ -172,37 +161,15 @@ def validate_config(raw: dict) -> Tuple[RunConfig, List[str]]:
     """
     if not isinstance(raw, dict):
         raise ConfigError([f"config root must be an object, got {type(raw).__name__}"])
-    errors = [f"unknown key config.{key}" for key in raw if key not in _SCHEMA]
-    sec = {name: _fields(raw.get(name, {}), name, schema, errors)
-           for name, schema in _SCHEMA.items()}
-
-    grid = _checked("grid", errors, Grid, **{"d": 2, "n": 64, **sec["grid"]})
-    toggles = TermToggles(**sec["model"].pop("toggles", {}))
-    model = _checked("model", errors, ModelParams, toggles=toggles,
-                     **sec["model"])
-    stepper = _checked("stepper", errors, StepperConfig, **sec["stepper"])
-    cadence = sec["diagnostics"].pop("cadence_steps", RunConfig.cadence_steps)
-    diagnostics = _checked("diagnostics", errors, DiagnosticParams,
-                           **sec["diagnostics"])
-    for key in ("mode", "band"):
-        if sec["initial_data"].get(key) is not None:
-            sec["initial_data"][key] = tuple(sec["initial_data"][key])
-    initial = InitialDataConfig(**sec["initial_data"])
-    if grid is not None:
-        _checked("initial_data", errors, check_initial_data, grid,
-                 **dataclasses.asdict(initial))
-    output = OutputConfig(**sec["output"])
-    for where, value in (("diagnostics.cadence_steps", cadence),
-                         ("output.snapshot_cadence_steps",
-                          output.snapshot_cadence_steps)):
-        if value < 1:
-            errors.append(f"{where} must be >= 1, got {value}")
-
+    errors = [f"unknown key config.{key}" for key in raw if key not in SECTIONS]
+    sections = {name: _section(raw.get(name, {}), name, owner, errors)
+                for name, owner in SECTIONS.items()}
+    if sections["grid"] is not None:
+        _checked("initial_data", errors, check_initial_data, sections["grid"],
+                 **dataclasses.asdict(sections["initial_data"]))
     if errors:
         raise ConfigError(errors)
-    cfg = RunConfig(grid=grid, model=model, stepper=stepper,
-                    diagnostics=diagnostics, initial_data=initial,
-                    output=output, cadence_steps=cadence)
+    cfg = RunConfig(**sections)
     return cfg, cfg.warnings()
 
 
@@ -225,7 +192,8 @@ def apply_overrides(raw: dict, overrides: Sequence[str]) -> dict:
     Values are parsed as JSON when possible and fall back to plain strings,
     so --override stepper.dt=auto and --override model.eta=0.5 both work.
     Paths may create missing intermediate sections; unknown keys are then
-    rejected by validate_config.
+    rejected by validate_config.  A path through a value that is not an
+    object (the root included) leaves it alone, so validate_config names it.
     """
     out = json.loads(json.dumps(raw))  # deep copy, JSON types only
     for item in overrides:
@@ -241,12 +209,11 @@ def apply_overrides(raw: dict, overrides: Sequence[str]) -> dict:
             value = text
         node = out
         for key in keys[:-1]:
-            nxt = node.get(key)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[key] = nxt
-            node = nxt
-        node[keys[-1]] = value
+            if not isinstance(node, dict):
+                break
+            node = node.setdefault(key, {})
+        if isinstance(node, dict):
+            node[keys[-1]] = value
     return out
 
 

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import FlowState, ModelParams, energy_budget
+from .model import FlowState, ModelParams, default_sobolev_index, energy_budget
 from .snapshots import atomic_write_text
 from .spectral import (
     SYM_PAIRS,
@@ -41,23 +41,25 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class DiagnosticParams:
-    """Sobolev index and cross-term coefficient for the functionals.
+    """Sobolev index, cross-term coefficient and record cadence.
 
-    s = None resolves to 1 + d/2 + 0.01, the smallest convenient index
-    above the embedding threshold.  k_cross must lie in (0, 1/4).
+    s = None resolves to model.default_sobolev_index.  k_cross must lie in
+    (0, 1/4).  A record is taken every cadence_steps steps.
     """
 
     s: Optional[float] = None
     k_cross: float = 0.1
+    cadence_steps: int = 10
 
     def __post_init__(self):
         check_fields(self, (
             ("s", None, ""),
             ("k_cross", lambda v: 0.0 < v < 0.25, "must lie in (0, 1/4)"),
+            ("cadence_steps", lambda v: v >= 1, "must be >= 1"),
         ))
 
     def resolve_s(self, grid: Grid) -> float:
-        return 1.0 + grid.d / 2.0 + 0.01 if self.s is None else float(self.s)
+        return default_sobolev_index(grid.d) if self.s is None else float(self.s)
 
     def warnings(self, grid: Grid) -> List[str]:
         s = self.resolve_s(grid)

@@ -29,7 +29,7 @@ from .diagnostics import (
     write_diagnostics_csv,
 )
 from .linear import linear_mode_solution, mode_coefficients
-from .model import FlowState, make_initial_data
+from .model import FlowState, make_initial_data, single_mode
 from .snapshots import atomic_write_text, read_snapshot, write_snapshot
 from .spectral import divergence, leray_project
 from .stepping import BlowUpError, integrate
@@ -74,7 +74,7 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
 
     manifest: List[dict] = []
     callbacks: List[Tuple[int, object]] = [
-        (cfg.cadence_steps, lambda s, i: collector.observe(s, i))]
+        (cfg.diagnostics.cadence_steps, lambda s, i: collector.observe(s, i))]
     if outdir is not None:
         outdir = Path(outdir)
         (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
@@ -186,7 +186,7 @@ def linear_verify(cfg: RunConfig,
     grid = cfg.grid
     params = cfg.model
     coefficients = mode_coefficients(params)
-    mode = cfg.initial_data.mode or (0,) * (grid.d - 1) + (1,)
+    mode = single_mode(grid, cfg.initial_data.mode)
     idx, conjugated = grid.mode_index(mode)
     k_mag = math.sqrt(sum(m * m for m in mode))
     state = make_initial_data(
@@ -204,7 +204,7 @@ def linear_verify(cfg: RunConfig,
         shat = leray_project(divergence(s.tau))
         samples.append((s.t, at_mode(s.u.comps), at_mode(shat.comps)))
 
-    integrate(state, params, cfg.stepper, [(cfg.cadence_steps, capture)])
+    integrate(state, params, cfg.stepper, [(cfg.diagnostics.cadence_steps, capture)])
 
     t0, u0, s0 = samples[0]
     times, devs = [], []

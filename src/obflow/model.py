@@ -399,6 +399,17 @@ def check_initial_data(grid: Grid, recipe: str, epsilon: float, seed: int,
         raise ConfigError(problems)
 
 
+def default_sobolev_index(d: int) -> float:
+    """1 + d/2 + 0.01: the H^s index used when none is given, just above 1 + d/2."""
+    return 1.0 + d / 2.0 + 0.01
+
+
+def single_mode(grid: Grid, mode: Optional[Sequence[int]]) -> Tuple[int, ...]:
+    """The wavevector the single-mode recipe excites: mode, else (0, .., 0, 1)."""
+    return tuple(int(m) for m in (mode if mode is not None
+                                  else (0,) * (grid.d - 1) + (1,)))
+
+
 def make_initial_data(grid: Grid, recipe: str = "random-band",
                       epsilon: float = 1e-2, s: Optional[float] = None,
                       seed: int = 0, mode: Optional[Sequence[int]] = None,
@@ -420,8 +431,7 @@ def make_initial_data(grid: Grid, recipe: str = "random-band",
     of check_initial_data raise its ConfigError.
     """
     check_initial_data(grid, recipe, epsilon, seed, mode, band)
-    if s is None:
-        s = 1.0 + grid.d / 2.0 + 0.01
+    s = default_sobolev_index(grid.d) if s is None else s
     u = VectorField.zeros(grid)
     tau = TensorField.zeros(grid)
 
@@ -429,8 +439,7 @@ def make_initial_data(grid: Grid, recipe: str = "random-band",
         return FlowState(u, tau, 0.0)
 
     if recipe == "single-mode":
-        kvec = tuple(int(m) for m in (mode if mode is not None
-                                      else (0,) * (grid.d - 1) + (1,)))
+        kvec = single_mode(grid, mode)
         direction = _orthogonal_direction(kvec)
         row = int(np.argmax(np.abs(direction)))
         col = int(np.argmax(np.abs(np.asarray(kvec))))

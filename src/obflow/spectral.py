@@ -92,8 +92,8 @@ class Grid:
     n : points per axis; must be even and at least 8.
     """
 
-    d: int
-    n: int
+    d: int = 2
+    n: int = 64
 
     def __post_init__(self):
         check_fields(self, (

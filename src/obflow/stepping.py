@@ -2,11 +2,8 @@
 
 The diagonal dissipation (nu |k|^(2 alpha) on u, eta |k|^(2 beta) + a on
 tau) is integrated exactly through exponential factors; everything else is
-advanced explicitly.  Two schemes are provided:
-
-- "if-rk4": classical fourth-order Runge-Kutta in the integrating-factor
-  variables (the workhorse),
-- "if-euler": first-order variant kept for debugging and order checks.
+advanced explicitly by classical fourth-order Runge-Kutta in the
+integrating-factor variables.
 
 With all explicit terms switched off a step reduces to the exact
 mode-by-mode decay, whatever the step size.
@@ -28,9 +25,6 @@ from .spectral import (
     check_fields,
     leray_project,
 )
-
-SCHEMES = ("if-rk4", "if-euler")
-
 
 class BlowUpError(RuntimeError):
     """A step produced non-finite values; carries the last finite state and
@@ -54,13 +48,12 @@ def _first_non_finite(state: FlowState) -> str:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Scheme selection and step-size policy.
+    """Step-size policy.
 
     dt may be a positive float or "auto", in which case every step uses the
     CFL bound below (capped by dt_cap).
     """
 
-    scheme: str = "if-rk4"
     dt: Union[float, str] = "auto"
     t_end: float = 1.0
     cfl_advective: float = 0.4
@@ -70,7 +63,6 @@ class StepperConfig:
     def __post_init__(self):
         positive = (lambda v: v > 0, "must be positive")
         check_fields(self, (
-            ("scheme", lambda v: v in SCHEMES, f"must be one of {SCHEMES}"),
             ("dt", lambda v: v == "auto" if isinstance(v, str) else v > 0,
              "must be positive or 'auto'"),
             ("t_end", lambda v: v >= 0, "must be >= 0"),
@@ -115,32 +107,22 @@ def _tendency(grid: Grid, params: ModelParams, u: np.ndarray, tau: np.ndarray,
     return du.comps, dtau.comps
 
 
-def step(state: FlowState, params: ModelParams, dt: float,
-         scheme: str = "if-rk4") -> FlowState:
-    """Advance one step; u is re-projected after every stage.
+def step(state: FlowState, params: ModelParams, dt: float) -> FlowState:
+    """Advance one RK4 step in the variables z = exp(L (t - t0)) y; u is
+    re-projected after every stage.
 
     Stage 1 evaluates the state object itself, so it consumes a tendency
     that energy_budget handed off on it (see FlowState).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; pick from {SCHEMES}")
     grid = state.grid
     eu_h, et_h, eu_f, et_f = _decay_factors(grid, params, dt)
     u0, tau0 = state.u.comps, state.tau.comps
     t0 = state.t
 
     du, dtau = explicit_rhs(state, params)
-    du1, dt1 = du.comps, dtau.comps
-    if scheme == "if-euler":
-        u1 = _project(grid, eu_f * (u0 + dt * du1))
-        tau1 = et_f * (tau0 + dt * dt1)
-        return FlowState(VectorField(grid, u1),
-                         TensorField(grid, tau1), t0 + dt)
-
-    # if-rk4: RK4 in the variables z = exp(L (t - t0)) y.
-    ku1, kt1 = dt * du1, dt * dt1
+    ku1, kt1 = dt * du.comps, dt * dtau.comps
 
     u_s = _project(grid, eu_h * (u0 + 0.5 * ku1))
     tau_s = et_h * (tau0 + 0.5 * kt1)
@@ -222,7 +204,7 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
         # overflow during a diverging step is reported via BlowUpError, so
         # the intermediate inf/nan arithmetic need not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            new = step(current, params, dt_i, config.scheme)
+            new = step(current, params, dt_i)
         if next_t is not None:
             new.t = next_t
         i += 1

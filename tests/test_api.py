@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 import obflow
+import obflow.config
 import obflow.linear
 import obflow.model
 import obflow.spectral
+import obflow.stepping
 
 # Retired API: the critical-damping switch of the mode propagator (one
 # closed form serves every regime), the split nonlinear operators (the
 # fused kernel behind explicit_rhs builds every nonlinear term), the
-# transform wrappers (SpectralField.from_physical / to_physical), and the
-# scalar-only names of the field data.
+# transform wrappers (SpectralField.from_physical / to_physical), the
+# scalar-only names of the field data, the scheme switch (IF-RK4 is the
+# only scheme) and the run-level record cadence (diagnostics owns it).
 REMOVED = [
     (obflow.linear, "CRITICAL_TOL"),
     (obflow.model, "advect"),
@@ -23,6 +26,8 @@ REMOVED = [
     (obflow.spectral, "_rewrap"),
     (obflow.spectral.SpectralField, "coeffs"),
     (obflow.spectral.SpectralField, "with_coeffs"),
+    (obflow.stepping, "SCHEMES"),
+    (obflow.config.RunConfig, "cadence_steps"),
 ]
 
 

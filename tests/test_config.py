@@ -11,13 +11,14 @@ import pytest
 from obflow.config import (
     ConfigError,
     InitialDataConfig,
+    OutputConfig,
     apply_overrides,
     default_config_dict,
     load_config,
     validate_config,
 )
 from obflow.diagnostics import DiagnosticParams
-from obflow.model import ModelParams, check_initial_data
+from obflow.model import ModelParams, TermToggles, check_initial_data
 from obflow.spectral import Grid
 from obflow.stepping import StepperConfig
 
@@ -38,7 +39,7 @@ class TestDefaults:
         assert cfg.model.eta == 1.0
         assert cfg.stepper.dt == "auto"
         assert cfg.initial_data.recipe == "random-band"
-        assert cfg.cadence_steps == 10
+        assert cfg.diagnostics.cadence_steps == 10
         assert warnings == []
 
     def test_default_dict_round_trips(self):
@@ -84,7 +85,6 @@ class TestHardErrors:
         assert any("dt" in e for e in t_err({"stepper": {"dt": -0.1}}))
         assert any("dt" in e for e in t_err({"stepper": {"dt": "fast"}}))
         assert any("t_end" in e for e in t_err({"stepper": {"t_end": -1.0}}))
-        assert any("scheme" in e for e in t_err({"stepper": {"scheme": "ab2"}}))
         assert any("recipe" in e
                    for e in t_err({"initial_data": {"recipe": "vortex"}}))
         assert any("epsilon" in e
@@ -241,11 +241,12 @@ def _initial_data_rules(values):
 
 # section -> the owner of its domain rules, called with the section's values
 OWNERS = {
-    "grid": lambda v: Grid(**{"d": 2, "n": 64, **v}),
+    "grid": lambda v: Grid(**v),
     "model": lambda v: ModelParams(**v),
     "stepper": lambda v: StepperConfig(**v),
     "diagnostics": lambda v: DiagnosticParams(**v),
     "initial_data": _initial_data_rules,
+    "output": lambda v: OutputConfig(**v),
 }
 
 # one broken rule per case, for every rule that validate_config delegates
@@ -256,13 +257,15 @@ BROKEN_RULES = [
     ("model", {"nu": -1e-6}), ("model", {"alpha": -1.0}),
     ("model", {"b": 1.5}), ("model", {"b": -math.inf}),
     ("model", {"a": -0.1}),
-    ("stepper", {"scheme": "ab2"}), ("stepper", {"dt": -0.1}),
+    ("stepper", {"dt": -0.1}),
     ("stepper", {"dt": "fast"}), ("stepper", {"dt": math.nan}),
     ("stepper", {"t_end": -1.0}), ("stepper", {"t_end": math.inf}),
     ("stepper", {"cfl_advective": 0.0}), ("stepper", {"cfl_wave": -0.4}),
     ("stepper", {"dt_cap": 0}),
     ("diagnostics", {"s": math.nan}), ("diagnostics", {"k_cross": 0.25}),
     ("diagnostics", {"k_cross": math.inf}),
+    ("diagnostics", {"cadence_steps": 0}),
+    ("output", {"snapshot_cadence_steps": 0}),
     ("initial_data", {"recipe": "vortex"}),
     ("initial_data", {"epsilon": -1.0}),
     ("initial_data", {"epsilon": math.nan}),
@@ -272,6 +275,47 @@ BROKEN_RULES = [
     ("initial_data", {"band": [4, 1]}), ("initial_data", {"band": [0, 4]}),
     ("initial_data", {"band": [1, 9]}),
 ]
+
+
+# a valid value other than the default for every field of every owner
+NON_DEFAULT = {
+    "grid": {"d": 3, "n": 16},
+    "model": {"eta": 0.5, "beta": 0.75, "nu": 1e-3, "alpha": 0.5, "b": 0.5,
+              "a": 0.1,
+              "toggles": {f.name: False for f in dataclasses.fields(TermToggles)}},
+    "stepper": {"dt": 5e-3, "t_end": 0.5, "cfl_advective": 0.3,
+                "cfl_wave": 0.2, "dt_cap": 0.02},
+    "diagnostics": {"s": 2.6, "k_cross": 0.2, "cadence_steps": 5},
+    "initial_data": {"recipe": "single-mode", "epsilon": 0.1, "seed": 7,
+                     "mode": [0, 1, 2], "band": [2, 5]},
+    "output": {"directory": "out", "snapshot_cadence_steps": 25},
+}
+
+
+def _leaves(tree, prefix=""):
+    """Dotted key -> value of every non-object entry of a config dict."""
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+class TestSchemaFromOwners:
+    def test_every_field_is_a_key_that_round_trips(self):
+        """Each owner field is a config key with a JSON type: a field added
+        to an owner fails here until it is given a value and its annotation
+        a JSON type."""
+        defaults = _leaves(default_config_dict())
+        values = _leaves(NON_DEFAULT)
+        assert values.keys() == defaults.keys()
+        assert all(values[key] != defaults[key] for key in values)
+        cfg, _ = validate_config(json.loads(json.dumps(NON_DEFAULT)))
+        assert cfg.to_dict() == NON_DEFAULT
+        again, _ = validate_config(cfg.to_dict())
+        assert again == cfg
 
 
 class TestSingleOwner:

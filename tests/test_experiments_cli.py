@@ -248,6 +248,23 @@ class TestCli:
         assert "model.eta must be finite" in captured.err
         assert "config ok" not in captured.out
 
+    @pytest.mark.parametrize("raw, message", [
+        ([1, 2], "config root must be an object, got list"),
+        ({"model": 3}, "model must be an object, got 3"),
+        ({"model": None}, "model must be an object, got None"),
+        ({"stepper": {"scheme": "if-rk4"}}, "unknown key stepper.scheme"),
+    ], ids=["root-list", "section-number", "section-null", "retired-key"])
+    def test_check_config_names_the_bad_value(self, tmp_path, capsys, raw,
+                                              message):
+        """An override neither crashes on nor replaces a value that is not
+        an object, and a retired key is unknown."""
+        path = self.write_config(tmp_path, raw)
+        assert main(["check-config", "--config", str(path),
+                     "--override", "model.eta=2"]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert "config ok" not in captured.out
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 

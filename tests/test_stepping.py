@@ -40,16 +40,14 @@ def mode_pair(state, mode):
     return tuple(v.conj() for v in pair) if conjugated else pair
 
 
-def linear_deviation(dt, k=4, eta=0.2, beta=0.5, eps=0.5, t_end=1.0,
-                     scheme="if-rk4", n=16):
+def linear_deviation(dt, k=4, eta=0.2, beta=0.5, eps=0.5, t_end=1.0, n=16):
     """Max deviation from the exact mode solution after integrating."""
     g = Grid(2, n)
     params = ModelParams(eta=eta, beta=beta,
                          toggles=TermToggles.linear_waves())
     st = make_initial_data(g, recipe="single-mode", epsilon=eps, mode=(0, k))
     u0, s0 = mode_pair(st, (0, k))
-    res = integrate(st, params, StepperConfig(dt=dt, t_end=t_end,
-                                              scheme=scheme))
+    res = integrate(st, params, StepperConfig(dt=dt, t_end=t_end))
     u_num, s_num = mode_pair(res.state, (0, k))
     u_ref, s_ref = linear_mode_solution(u0, s0, float(k), eta, beta, t_end)
     return max(np.max(np.abs(u_num - u_ref)), np.max(np.abs(s_num - s_ref)))
@@ -95,12 +93,6 @@ class TestConvergenceOrders:
         assert coarse > 1e-9
         ratio = coarse / fine
         assert 13.0 <= ratio <= 19.0
-
-    def test_euler_ratio_against_exact_mode(self):
-        coarse = linear_deviation(0.02, scheme="if-euler")
-        fine = linear_deviation(0.01, scheme="if-euler")
-        ratio = coarse / fine
-        assert 1.7 <= ratio <= 2.3
 
     def test_nonlinear_self_convergence(self):
         """Full physics, no oracle: with errors E, E/16, E/256 at dt,
@@ -157,13 +149,12 @@ class TestTendencyHandOff:
         return make_initial_data(Grid(2, 16), recipe="random-band",
                                  epsilon=0.5, seed=8)
 
-    @pytest.mark.parametrize("scheme", ["if-rk4", "if-euler"])
-    def test_step_after_budget_is_bit_identical(self, scheme):
+    def test_step_after_budget_is_bit_identical(self):
         st = self.state()
-        fresh = step(st.copy(), self.PARAMS, 0.01, scheme)
+        fresh = step(st.copy(), self.PARAMS, 0.01)
         energy_budget(st, self.PARAMS)
         assert st._handoff is not None
-        out = step(st, self.PARAMS, 0.01, scheme)
+        out = step(st, self.PARAMS, 0.01)
         np.testing.assert_array_equal(out.u.comps, fresh.u.comps)
         np.testing.assert_array_equal(out.tau.comps, fresh.tau.comps)
         assert st._handoff is None
@@ -282,8 +273,9 @@ class TestIntegrate:
         assert _first_non_finite(st) == field
 
     def test_scheme_validation(self):
-        with pytest.raises(ValueError):
-            StepperConfig(scheme="rk45")
+        """IF-RK4 is the only scheme: there is no scheme to select."""
+        with pytest.raises(TypeError):
+            StepperConfig(scheme="if-rk4")
         with pytest.raises(ValueError):
             StepperConfig(dt=-0.1)
         with pytest.raises(ValueError):

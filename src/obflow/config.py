@@ -42,18 +42,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union, get_type_hints
 
 from .diagnostics import DiagnosticParams
-from .model import ModelParams, check_initial_data
+from .model import InitialDataConfig, ModelParams, check_initial_data
 from .spectral import ConfigError, Grid, check_fields
 from .stepping import StepperConfig
-
-
-@dataclass(frozen=True)
-class InitialDataConfig:
-    recipe: str = "random-band"
-    epsilon: float = 1e-2
-    seed: int = 1234
-    mode: Optional[Tuple[int, ...]] = None
-    band: Tuple[int, int] = (1, 4)
 
 
 @dataclass(frozen=True)

@@ -231,8 +231,9 @@ def _explicit_terms(state: FlowState, params: ModelParams,
 
     The only place the nonlinear terms u.grad u, u.grad tau and Q are built.
 
-    u, grad u, grad tau and tau are inverted one stack each; u.grad tau and
-    Q are summed on the grid and transformed once.
+    u, grad u and tau are inverted one stack each, and grad tau one stress
+    component at a time, each contracted with u into its row of u.grad tau
+    at once; u.grad tau and Q are summed on the grid and transformed once.
     """
     grid = state.grid
     tg = params.toggles
@@ -258,8 +259,13 @@ def _explicit_terms(state: FlowState, params: ModelParams,
         dtau += strain_rate(u).comps
     nl = None
     if tg.advection_tau:
-        nl = np.einsum("j...,mj...->m...", u_phys,
-                       _gradient_physical(tau.comps, grid))
+        # one stress component at a time: the m d-component gradient stack
+        # would be the largest array of the step
+        nl = np.empty((len(tau.pairs),) + grid.shape)
+        for m in range(len(tau.pairs)):
+            np.einsum("j...,mj...->m...", u_phys,
+                      _gradient_physical(tau.comps[m:m + 1], grid),
+                      out=nl[m:m + 1])
     q_tri = _q_triangle_physical(tau, grad_u, params.b) if tg.q_term else None
     if q_tri is not None:
         # in place into the advection samples, so q_tri itself survives
@@ -275,8 +281,10 @@ def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, Te
 
     This is the stiff-free part handled explicitly by the integrating-factor
     steppers.  The momentum tendency is Leray-projected.  One call inverts
-    15 components and forward-transforms 5 in 2D (36 and 9 in 3D): u.grad
-    tau and Q(tau, grad u) are summed on the grid before one transform.
+    15 components and forward-transforms 5 in 2D (36 and 9 in 3D): u, grad
+    u and tau as one stack each, grad tau one stress component at a time;
+    u.grad tau and Q(tau, grad u) are summed on the grid before one
+    transform.
 
     A tendency that energy_budget handed off on this state with equal
     params is returned as is, without a transform; any hand-off is dropped
@@ -363,6 +371,17 @@ def _orthogonal_direction(mode: Tuple[int, ...]) -> np.ndarray:
     return v / norm
 
 
+@dataclass(frozen=True)
+class InitialDataConfig:
+    """The initial_data config section; its defaults are make_initial_data's."""
+
+    recipe: str = "random-band"
+    epsilon: float = 1e-2
+    seed: int = 1234
+    mode: Optional[Tuple[int, ...]] = None
+    band: Tuple[int, int] = (1, 4)
+
+
 def check_initial_data(grid: Grid, recipe: str, epsilon: float, seed: int,
                        mode: Optional[Sequence[int]],
                        band: Tuple[int, int]) -> None:
@@ -410,10 +429,12 @@ def single_mode(grid: Grid, mode: Optional[Sequence[int]]) -> Tuple[int, ...]:
                                   else (0,) * (grid.d - 1) + (1,)))
 
 
-def make_initial_data(grid: Grid, recipe: str = "random-band",
-                      epsilon: float = 1e-2, s: Optional[float] = None,
-                      seed: int = 0, mode: Optional[Sequence[int]] = None,
-                      band: Tuple[int, int] = (1, 4)) -> FlowState:
+def make_initial_data(grid: Grid, recipe: str = InitialDataConfig.recipe,
+                      epsilon: float = InitialDataConfig.epsilon,
+                      s: Optional[float] = None,
+                      seed: int = InitialDataConfig.seed,
+                      mode: Optional[Sequence[int]] = InitialDataConfig.mode,
+                      band: Tuple[int, int] = InitialDataConfig.band) -> FlowState:
     """Build a divergence-free state with H^s size exactly epsilon.
 
     Recipes:

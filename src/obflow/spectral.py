@@ -11,6 +11,12 @@ Conventions used throughout the package:
   column, the Nyquist wavenumber -n/2 (the same slot as +n/2).  A mode
   with a negative interior last component is read as the conjugate of its
   mirror (Grid.mode_index).
+- Transforms run the 1-D passes of np.fft.rfftn / irfftn in their order,
+  so results equal theirs bit for bit, without a fresh array per pass:
+  _forward is rfft over the last axis, then fft in place over each leading
+  axis, last to first; _inverse is ifft over the first axis into one new
+  buffer (the coefficients are never written to), ifft in place over any
+  further leading axis, then irfft over the last axis.
 - Columns k_last = 0 and k_last = -n/2 contain both k and -k, so only they
   can break Hermitian symmetry; _inverse checks them and nothing else.
 - All L2 / Sobolev quantities carry the explicit (2pi)^d domain factor,
@@ -233,12 +239,16 @@ class Grid:
 
 
 def _forward(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real samples (trailing grid axes) -> half-layout coefficients."""
+    """Real samples (trailing grid axes) -> half-layout coefficients, equal
+    to rfftn's bit for bit (see the module docstring)."""
     values = np.asarray(values)
     if values.shape[-grid.d:] != grid.shape:
         raise GridMismatchError(
             f"sample shape {values.shape} does not end in {grid.shape}")
-    return np.fft.rfftn(values, axes=grid.axes, norm="forward")
+    out = np.fft.rfft(values, axis=-1, norm="forward")
+    for axis in grid.axes[-2::-1]:
+        np.fft.fft(out, axis=axis, norm="forward", out=out)
+    return out
 
 
 def _hermitian_residue(coeffs: np.ndarray, grid: Grid) -> float:
@@ -258,8 +268,9 @@ def _hermitian_residue(coeffs: np.ndarray, grid: Grid) -> float:
 def _inverse(coeffs: np.ndarray, grid: Grid, tol: float = 1e-12) -> np.ndarray:
     """Half-layout coefficients -> real samples; rejects non-Hermitian input.
 
-    irfftn would silently drop the anti-Hermitian part of the columns 0 and
-    n/2, so those columns are checked first, at O(n^(d-1)) cost.
+    The result equals irfftn's bit for bit (see the module docstring).  The
+    irfft pass would silently drop the anti-Hermitian part of the columns 0
+    and n/2, so those columns are checked first, at O(n^(d-1)) cost.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-grid.d:] != grid.spectral_shape:
@@ -267,7 +278,11 @@ def _inverse(coeffs: np.ndarray, grid: Grid, tol: float = 1e-12) -> np.ndarray:
             f"coefficient shape {coeffs.shape} does not end in "
             f"{grid.spectral_shape}")
     residue = _hermitian_residue(coeffs, grid)
-    out = np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
+    # the first pass writes a new buffer, so coeffs is never written to
+    work = np.fft.ifft(coeffs, axis=grid.axes[0], norm="forward")
+    for axis in grid.axes[1:-1]:
+        np.fft.ifft(work, axis=axis, norm="forward", out=work)
+    out = np.fft.irfft(work, n=grid.n, axis=-1, norm="forward")
     # the bound tol * (1 + scale) is at least tol, so the magnitude scan
     # is only needed when the residue exceeds tol
     if residue > tol:

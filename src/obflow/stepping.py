@@ -100,11 +100,12 @@ def _project(grid: Grid, u: np.ndarray) -> np.ndarray:
     return leray_project(VectorField(grid, u)).comps
 
 
-def _tendency(grid: Grid, params: ModelParams, u: np.ndarray, tau: np.ndarray,
-              t: float) -> Tuple[np.ndarray, np.ndarray]:
+def _stage(grid: Grid, params: ModelParams, u: np.ndarray, tau: np.ndarray,
+           t: float, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+    """dt times the explicit tendencies at (u, tau): one RK4 stage."""
     state = FlowState(VectorField(grid, u), TensorField(grid, tau), t)
     du, dtau = explicit_rhs(state, params)
-    return du.comps, dtau.comps
+    return dt * du.comps, dt * dtau.comps
 
 
 def step(state: FlowState, params: ModelParams, dt: float) -> FlowState:
@@ -122,28 +123,31 @@ def step(state: FlowState, params: ModelParams, dt: float) -> FlowState:
     t0 = state.t
 
     du, dtau = explicit_rhs(state, params)
-    ku1, kt1 = dt * du.comps, dt * dtau.comps
+    ku, kt = dt * du.comps, dt * dtau.comps
 
-    u_s = _project(grid, eu_h * (u0 + 0.5 * ku1))
-    tau_s = et_h * (tau0 + 0.5 * kt1)
-    du2, dt2 = _tendency(grid, params, u_s, tau_s, t0 + 0.5 * dt)
-    ku2, kt2 = dt * du2, dt * dt2
+    u_s = _project(grid, eu_h * (u0 + 0.5 * ku))
+    tau_s = et_h * (tau0 + 0.5 * kt)
+    # su, st sum eu_f k1 + 2 eu_h (k2 + k3) + k4 in this order as the
+    # stages end, so no more than two stage tendencies are alive at once
+    su, st = eu_f * ku, et_f * kt
+    ku, kt = _stage(grid, params, u_s, tau_s, t0 + 0.5 * dt, dt)
 
-    u_s = _project(grid, eu_h * u0 + 0.5 * ku2)
-    tau_s = et_h * tau0 + 0.5 * kt2
-    du3, dt3 = _tendency(grid, params, u_s, tau_s, t0 + 0.5 * dt)
-    ku3, kt3 = dt * du3, dt * dt3
+    u_s = _project(grid, eu_h * u0 + 0.5 * ku)
+    tau_s = et_h * tau0 + 0.5 * kt
+    ku3, kt3 = _stage(grid, params, u_s, tau_s, t0 + 0.5 * dt, dt)
 
     u_s = _project(grid, eu_f * u0 + eu_h * ku3)
     tau_s = et_f * tau0 + et_h * kt3
-    du4, dt4 = _tendency(grid, params, u_s, tau_s, t0 + dt)
-    ku4, kt4 = dt * du4, dt * dt4
+    su += 2.0 * eu_h * (ku + ku3)
+    st += 2.0 * et_h * (kt + kt3)
+    ku, kt = _stage(grid, params, u_s, tau_s, t0 + dt, dt)
 
-    u1 = eu_f * u0 + (eu_f * ku1 + 2.0 * eu_h * (ku2 + ku3) + ku4) / 6.0
-    tau1 = et_f * tau0 + (et_f * kt1 + 2.0 * et_h * (kt2 + kt3) + kt4) / 6.0
-    u1 = _project(grid, u1)
-    return FlowState(VectorField(grid, u1),
-                     TensorField(grid, tau1), t0 + dt)
+    su += ku
+    st += kt
+    su /= 6.0
+    st /= 6.0
+    return FlowState(VectorField(grid, _project(grid, eu_f * u0 + su)),
+                     TensorField(grid, et_f * tau0 + st), t0 + dt)
 
 
 @dataclass

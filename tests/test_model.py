@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from obflow.config import validate_config
+from obflow.experiments import run_single
 from obflow.model import (
     FlowState,
     ModelParams,
@@ -18,7 +20,9 @@ from obflow.model import (
     rhs,
     strain_rate,
 )
+from obflow.snapshots import read_snapshot
 from obflow.spectral import (
+    SYM_PAIRS,
     ConfigError,
     Grid,
     HermitianSymmetryError,
@@ -32,6 +36,7 @@ from obflow.spectral import (
     l2_norm,
     leray_project,
     sobolev_norm,
+    _forward,
     _inverse,
 )
 from obflow.stepping import step
@@ -222,6 +227,21 @@ class TestKernelHermitianCheck:
         with pytest.raises(HermitianSymmetryError):
             explicit_rhs(st, ModelParams(b=0.5))
 
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("column", ["zero", "nyquist"])
+    def test_each_streamed_stress_gradient_is_checked(self, d, n, column):
+        """With only u.grad tau on, tau is inverted one gradient component
+        at a time; a broken mode in any one stress component still stops
+        the kernel."""
+        g = Grid(d, n)
+        slot = (1,) * (d - 1) + (0 if column == "zero" else n // 2,)
+        params = ModelParams(toggles=only("advection_tau"))
+        for m in range(len(SYM_PAIRS[d])):
+            st = random_state(g, seed=d + m)
+            st.tau.comps[(m,) + slot] += 0.5
+            with pytest.raises(HermitianSymmetryError):
+                explicit_rhs(st, params)
+
 
 class TestAdvectionSkewSymmetry:
     """<u . grad f, f> = 0 for divergence-free u; the strict dealias band
@@ -339,23 +359,27 @@ def split_explicit_rhs(state, params):
 
 
 @pytest.fixture
-def fft_components(monkeypatch):
-    """Counts [inverse, forward] transformed components of numpy's
-    irfftn/rfftn; any complex fftn/ifftn call fails the test."""
+def fft_components(monkeypatch, request):
+    """Counts [inverse, forward] transformed components at the one real
+    pass of each transform, numpy's irfft resp. rfft, which runs once per
+    d-dimensional transform: a component is the size over the d trailing
+    grid axes, d being the test's parameter.  Any n-d complex fftn/ifftn
+    call fails the test."""
+    d = request.node.callspec.params["d"]
     counts = [0, 0]
 
     def counting(fn, slot):
-        def wrapper(a, s=None, axes=None, norm=None):
+        def wrapper(a, *args, **kwargs):
             a = np.asarray(a)
-            counts[slot] += a.size // math.prod(a.shape[ax] for ax in axes)
-            return fn(a, s=s, axes=axes, norm=norm)
+            counts[slot] += a.size // math.prod(a.shape[-d:])
+            return fn(a, *args, **kwargs)
         return wrapper
 
     def complex_transform(*args, **kwargs):
         raise AssertionError("complex fftn/ifftn called on real fields")
 
-    monkeypatch.setattr(np.fft, "irfftn", counting(np.fft.irfftn, 0))
-    monkeypatch.setattr(np.fft, "rfftn", counting(np.fft.rfftn, 1))
+    monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, 0))
+    monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, 1))
     monkeypatch.setattr(np.fft, "ifftn", complex_transform)
     monkeypatch.setattr(np.fft, "fftn", complex_transform)
     return counts
@@ -372,6 +396,18 @@ class TestFusedKernel:
             scale = np.max(np.abs(ref))
             assert scale > 0
             assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 64), (3, 8), (3, 32)])
+    def test_streamed_stress_advection_equals_the_full_stack(self, d, n):
+        """u.grad tau is built one stress component at a time; the full
+        m d-component gradient stack with the same einsum is the oracle."""
+        g = Grid(d, n)
+        st = random_state(g, seed=80 + d, scale=0.7)
+        _, dtau = explicit_rhs(st, ModelParams(toggles=only("advection_tau")))
+        adv = np.einsum("j...,mj...->m...", st.u.to_physical(),
+                        _gradient_physical(st.tau.comps, g))
+        np.testing.assert_array_equal(
+            dtau.comps, -(_forward(adv, g) * g.dealias_mask))
 
     @pytest.mark.parametrize("d, n, inverse, forward",
                              [(2, 16, 15, 5), (3, 8, 36, 9)])
@@ -512,6 +548,16 @@ class TestInitialData:
         out = step(st, ModelParams(eta=1.0, beta=0.5, b=0.5), 1e-3)
         assert np.all(np.isfinite(out.u.comps))
         assert np.all(np.isfinite(out.tau.comps))
+
+    def test_defaults_are_the_config_defaults(self, tmp_path):
+        """make_initial_data(grid) is the initial state of a run of {}
+        (cut to t_end = 0, which the initial state does not depend on)."""
+        cfg, _ = validate_config({"stepper": {"t_end": 0.0}})
+        run_single(cfg, tmp_path)
+        _, _, snap0 = read_snapshot(tmp_path / "snapshots" / "snap_00000000.obsf")
+        st = make_initial_data(cfg.grid)
+        np.testing.assert_array_equal(
+            snap0, np.concatenate([st.u.to_physical(), st.tau.to_physical()]))
 
     def test_3d_recipes(self):
         g = Grid(3, 8)

@@ -20,6 +20,8 @@ from obflow.spectral import (
     leray_project,
     sobolev_inner_product,
     sobolev_norm,
+    _forward,
+    _inverse,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -159,6 +161,46 @@ class TestTransforms:
         with pytest.raises(HermitianSymmetryError,
                            match=r"exceeds tolerance 1\.0e-12 \* \(1 \+ 2\.000e\+06\)"):
             SpectralField(g, coeffs).to_physical()
+
+
+class TestOneDimensionalPasses:
+    """_forward and _inverse run numpy's rfftn/irfftn passes one by one,
+    the later ones in place, so they must equal the n-d calls bit for bit
+    and leave their input as it was."""
+
+    @staticmethod
+    def check(samples, grid):
+        samples_before = samples.copy()
+        coeffs = _forward(samples, grid)
+        np.testing.assert_array_equal(samples, samples_before)
+        np.testing.assert_array_equal(
+            coeffs, np.fft.rfftn(samples, axes=grid.axes, norm="forward"))
+        coeffs_before = coeffs.copy()
+        np.testing.assert_array_equal(
+            _inverse(coeffs, grid),
+            np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward"))
+        np.testing.assert_array_equal(coeffs, coeffs_before)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("m", [1, 3, 18])
+    def test_stacks_equal_the_nd_transforms(self, d, n, m):
+        g = Grid(d, n)
+        rng = np.random.default_rng(100 * d + n + m)
+        self.check(rng.standard_normal((m,) + g.shape), g)
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_strided_input_equals_the_nd_transforms(self, d, n):
+        g = Grid(d, n)
+        rng = np.random.default_rng(d + n)
+        samples = rng.standard_normal((6,) + g.shape)[::2]
+        assert not samples.flags.c_contiguous
+        self.check(samples, g)
+        coeffs = _forward(rng.standard_normal((6,) + g.shape), g)[1::2]
+        assert not coeffs.flags.c_contiguous
+        np.testing.assert_array_equal(
+            _inverse(coeffs, g),
+            np.fft.irfftn(coeffs, s=g.shape, axes=g.axes, norm="forward"))
 
 
 class TestHalfLayoutSymmetryCheck:

@@ -10,7 +10,9 @@ from obflow.model import (
     FlowState,
     ModelParams,
     TermToggles,
+    dissipation_rates,
     energy_budget,
+    explicit_rhs,
     make_initial_data,
 )
 from obflow.spectral import (
@@ -138,6 +140,48 @@ class TestCfl:
                             dt_cap=1.0)
         expected = 0.5 * g.dx / 10.0
         assert cfl_dt(st, cfg) == pytest.approx(expected, rel=1e-12)
+
+
+def rk4_four_tendencies(state, params, dt):
+    """The IF-RK4 step with all four stage tendencies kept to the end: the
+    reference for the running sums of step."""
+    grid = state.grid
+    rate_u, rate_tau = dissipation_rates(grid, params)
+    eu_h, et_h = np.exp(-0.5 * dt * rate_u), np.exp(-0.5 * dt * rate_tau)
+    eu_f, et_f = np.exp(-dt * rate_u), np.exp(-dt * rate_tau)
+    u0, tau0, t0 = state.u.comps, state.tau.comps, state.t
+
+    def project(u):
+        return leray_project(VectorField(grid, u)).comps
+
+    def tendency(u, tau, t):
+        du, dtau = explicit_rhs(FlowState(VectorField(grid, u),
+                                          TensorField(grid, tau), t), params)
+        return dt * du.comps, dt * dtau.comps
+
+    ku1, kt1 = tendency(u0, tau0, t0)
+    ku2, kt2 = tendency(project(eu_h * (u0 + 0.5 * ku1)),
+                        et_h * (tau0 + 0.5 * kt1), t0 + 0.5 * dt)
+    ku3, kt3 = tendency(project(eu_h * u0 + 0.5 * ku2),
+                        et_h * tau0 + 0.5 * kt2, t0 + 0.5 * dt)
+    ku4, kt4 = tendency(project(eu_f * u0 + eu_h * ku3),
+                        et_f * tau0 + et_h * kt3, t0 + dt)
+    u1 = eu_f * u0 + (eu_f * ku1 + 2.0 * eu_h * (ku2 + ku3) + ku4) / 6.0
+    tau1 = et_f * tau0 + (et_f * kt1 + 2.0 * et_h * (kt2 + kt3) + kt4) / 6.0
+    return project(u1), tau1
+
+
+class TestStageSums:
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_step_equals_the_four_tendency_formula(self, d, n):
+        params = ModelParams(eta=0.8, beta=0.6, nu=0.05, alpha=0.7, a=0.3,
+                             b=0.4)
+        st = make_initial_data(Grid(d, n), recipe="random-band", epsilon=0.5,
+                               seed=12)
+        u1, tau1 = rk4_four_tendencies(st, params, 0.01)
+        out = step(st, params, 0.01)
+        np.testing.assert_array_equal(out.u.comps, u1)
+        np.testing.assert_array_equal(out.tau.comps, tau1)
 
 
 class TestTendencyHandOff:

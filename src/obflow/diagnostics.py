@@ -160,8 +160,8 @@ class DiagnosticsCollector:
         for i in range(self.grid.d):
             g = gradient(u.component(i))
             diss_u += sobolev_inner_product(g, g, s - params.beta)
-        visc_u = params.nu_eff * sobolev_inner_product(
-            fractional_laplacian(u, params.alpha), u, s) if params.nu_eff else 0.0
+        visc_u = params.nu * sobolev_inner_product(
+            fractional_laplacian(u, params.alpha), u, s) if params.nu else 0.0
         cross = sobolev_inner_product(u, divergence(tau), s - params.beta)
 
         integrand = params.eta_eff * diss_tau + 0.5 * kc * diss_u
@@ -188,7 +188,7 @@ class DiagnosticsCollector:
             identity_residual=budget["residual_rel"],
             min_eig_sigma=stress_min_eigenvalue(state),
             diss_tau_l2=budget["diss_tau_l2"],
-            visc_u_l2=params.nu_eff * budget["visc_u_l2"],
+            visc_u_l2=params.nu * budget["visc_u_l2"],
         )
         self.records.append(rec)
         ok, _ = lyapunov_equivalence_check(rec, kc)
@@ -235,7 +235,7 @@ def energy_identity_residual(records: Sequence[DiagnosticsRecord],
     dxdt = (x[2:] - x[:-2]) / (t[2:] - t[:-2])
     diss = np.array([
         params.eta_eff * r.diss_tau_l2 + r.visc_u_l2
-        + params.a_eff * r.tau_l2 ** 2 + r.q_work
+        + params.a * r.tau_l2 ** 2 + r.q_work
         for r in records[1:-1]])
     return t[1:-1], dxdt + diss
 
@@ -255,6 +255,9 @@ def max_relative_identity_residual(records: Sequence[DiagnosticsRecord],
     return float(np.max(np.abs(resid)) / scale)
 
 
+BOUND_FACTOR = 4.0  # the multiple of its initial value that counts as bounded
+
+
 @dataclass(frozen=True)
 class BootstrapReport:
     """Boundedness summary of one record stream."""
@@ -268,10 +271,9 @@ class BootstrapReport:
     bounded_norms: bool     # sup (||u||^2 + ||tau||^2) <= 4 * initial
 
 
-def bootstrap_monitor(records: Sequence[DiagnosticsRecord],
-                      margin: float = 4.0) -> BootstrapReport:
+def bootstrap_monitor(records: Sequence[DiagnosticsRecord]) -> BootstrapReport:
     """Report sup E, the smallest constant C with E(t) <= E(0) + C E(t)^(3/2),
-    and the factor-`margin` boundedness verdicts."""
+    and the factor-BOUND_FACTOR boundedness verdicts."""
     if not records:
         raise ValueError("empty record stream")
     e = np.array([r.E for r in records])
@@ -288,8 +290,9 @@ def bootstrap_monitor(records: Sequence[DiagnosticsRecord],
         c_star=c_star,
         norms0=float(norms[0]),
         sup_norms=float(norms.max()),
-        bounded_energy=bool(e.max() <= margin * e0) if not zero0 else bool(e.max() == 0),
-        bounded_norms=bool(norms.max() <= margin * norms[0]) if norms[0] > 0
+        bounded_energy=bool(e.max() <= BOUND_FACTOR * e0) if not zero0
+        else bool(e.max() == 0),
+        bounded_norms=bool(norms.max() <= BOUND_FACTOR * norms[0]) if norms[0] > 0
         else bool(norms.max() == 0),
     )
 

@@ -66,10 +66,8 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
     """
     grid = cfg.grid
     params = cfg.model
-    state = make_initial_data(
-        grid, recipe=cfg.initial_data.recipe, epsilon=cfg.initial_data.epsilon,
-        s=cfg.diagnostics.resolve_s(grid), seed=cfg.initial_data.seed,
-        mode=cfg.initial_data.mode, band=cfg.initial_data.band)
+    state = make_initial_data(grid, s=cfg.diagnostics.resolve_s(grid),
+                              **dataclasses.asdict(cfg.initial_data))
     collector = DiagnosticsCollector(params, cfg.diagnostics, grid)
 
     manifest: List[dict] = []
@@ -115,15 +113,7 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
         "record_count": len(records),
         "sup_u_hs": max(r.u_hs for r in records),
         "sup_tau_hs": max(r.tau_hs for r in records),
-        "bootstrap": {
-            "e0": report.e0,
-            "sup_e": report.sup_e,
-            "c_star": report.c_star,
-            "norms0": report.norms0,
-            "sup_norms": report.sup_norms,
-            "bounded_energy": report.bounded_energy,
-            "bounded_norms": report.bounded_norms,
-        },
+        "bootstrap": dataclasses.asdict(report),
         "lyapunov_violations": collector.lyapunov_violations,
         "min_eig_sigma_min": min(r.min_eig_sigma for r in records),
         "max_identity_residual": identity_max,
@@ -172,9 +162,9 @@ def linear_verify(cfg: RunConfig,
     Requires the single-mode recipe.  The excited mode pair (uhat, shat),
     with shat the projected stress divergence, is tracked at the record
     cadence and compared with the closed-form solution propagated from the
-    initial amplitudes.  The closed form uses the effective viscosity,
-    stress dissipation and damping (linear.mode_coefficients), so it
-    describes the toggled system; both coupling toggles must be on.  With
+    initial amplitudes.  The closed form uses nu, a and the effective
+    stress dissipation (linear.mode_coefficients), so it describes the
+    toggled system; both coupling toggles must be on.  With
     the nonlinear terms toggled off the deviation
     is pure integrator error and is gated at ORACLE_TOL; with full physics
     at small amplitude the deviation is quadratic in epsilon, which the
@@ -189,10 +179,8 @@ def linear_verify(cfg: RunConfig,
     mode = single_mode(grid, cfg.initial_data.mode)
     idx, conjugated = grid.mode_index(mode)
     k_mag = math.sqrt(sum(m * m for m in mode))
-    state = make_initial_data(
-        grid, recipe="single-mode", epsilon=cfg.initial_data.epsilon,
-        s=cfg.diagnostics.resolve_s(grid), seed=cfg.initial_data.seed,
-        mode=cfg.initial_data.mode)
+    state = make_initial_data(grid, s=cfg.diagnostics.resolve_s(grid),
+                              **dataclasses.asdict(cfg.initial_data))
 
     samples: List[Tuple[float, np.ndarray, np.ndarray]] = []
 

@@ -46,8 +46,8 @@ class ModeAnalysis:
 def mode_coefficients(params: ModelParams) -> dict:
     """Keyword arguments of the per-mode functions for the system params runs.
 
-    Dissipation and damping enter with their effective values, so a term
-    switched off counts as zero.  Without both coupling terms the mode pair
+    The stress dissipation enters with its effective value, zero when
+    eta_dissipation is off.  Without both coupling terms the mode pair
     is no damped wave, so a coupling toggle that is off raises ConfigError.
     """
     off = [name for name in ("stress_divergence", "strain_source")
@@ -55,8 +55,8 @@ def mode_coefficients(params: ModelParams) -> dict:
     if off:
         raise ConfigError([f"model.toggles.{name} must be on for the linear "
                            "mode solution" for name in off])
-    return {"eta": params.eta_eff, "beta": params.beta, "nu": params.nu_eff,
-            "alpha": params.alpha, "a": params.a_eff}
+    return {"eta": params.eta_eff, "beta": params.beta, "nu": params.nu,
+            "alpha": params.alpha, "a": params.a}
 
 
 def dispersion_roots(k: float, eta: float, beta: float, *, nu: float = 0.0,

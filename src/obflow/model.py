@@ -9,9 +9,10 @@ with Q(tau, G) = tau W - W tau - b (D tau + tau D), where D and W are the
 symmetric and antisymmetric parts of G = grad u and b is in [-1, 1].  The
 gradient convention is G[i, j] = du_i/dx_j.
 
-Every right-hand-side term has its own switch in TermToggles so the pieces
-can be tested in isolation; the momentum tendency is always returned inside
-the divergence-free subspace.
+Setting nu = 0 or a = 0 switches off the velocity dissipation or the
+damping; every other right-hand-side term has its own switch in TermToggles
+so the pieces can be tested in isolation.  The momentum tendency is always
+returned inside the divergence-free subspace.
 """
 
 from __future__ import annotations
@@ -45,16 +46,18 @@ RECIPES = ("single-mode", "random-band", "taylor-green")
 
 @dataclass(frozen=True)
 class TermToggles:
-    """Per-term switches for the right-hand side (all on by default)."""
+    """Per-term switches for the right-hand side (all on by default).
+
+    A term has a toggle only when no parameter value switches it off: nu = 0
+    and a = 0 switch off nu (-Lap)^alpha u and a tau, while eta must be > 0.
+    """
 
     advection_u: bool = True        # u . grad u
     advection_tau: bool = True      # u . grad tau
     q_term: bool = True             # Q(tau, grad u)
     stress_divergence: bool = True  # div tau forcing the momentum equation
     strain_source: bool = True      # D(u) forcing the stress equation
-    nu_dissipation: bool = True     # nu (-Lap)^alpha u
     eta_dissipation: bool = True    # eta (-Lap)^beta tau
-    damping: bool = True            # a tau
 
     @classmethod
     def linear_waves(cls) -> "TermToggles":
@@ -101,14 +104,6 @@ class ModelParams:
     @property
     def eta_eff(self) -> float:
         return self.eta if self.toggles.eta_dissipation else 0.0
-
-    @property
-    def nu_eff(self) -> float:
-        return self.nu if self.toggles.nu_dissipation else 0.0
-
-    @property
-    def a_eff(self) -> float:
-        return self.a if self.toggles.damping else 0.0
 
     def warnings(self) -> List[str]:
         """Soft parameter checks; offending configs still run."""
@@ -211,17 +206,17 @@ def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float) -> np.n
 
 
 def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Diagonal decay rates (velocity, stress) honouring the toggles.
+    """Diagonal decay rates (velocity, stress) honouring eta_dissipation.
 
     rate_u = nu |k|^(2 alpha), rate_tau = eta |k|^(2 beta) + a, with the
     k = 0 convention of the fractional Laplacian.
     """
-    rate_u = params.nu_eff * grid.fractional_multiplier(params.alpha) \
-        if params.nu_eff else np.zeros(grid.spectral_shape)
+    rate_u = params.nu * grid.fractional_multiplier(params.alpha) \
+        if params.nu else np.zeros(grid.spectral_shape)
     rate_tau = params.eta_eff * grid.fractional_multiplier(params.beta) \
         if params.eta_eff else np.zeros(grid.spectral_shape)
-    if params.a_eff:
-        rate_tau = rate_tau + params.a_eff
+    if params.a:
+        rate_tau = rate_tau + params.a
     return rate_u, rate_tau
 
 
@@ -336,7 +331,7 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
     diss_tau_l2 = l2_inner_product(fractional_laplacian(tau, params.beta), tau) \
         if params.eta_eff else 0.0
     visc_u_l2 = l2_inner_product(fractional_laplacian(u, params.alpha), u) \
-        if params.nu_eff else 0.0
+        if params.nu else 0.0
     tau_sq = l2_inner_product(tau, tau)
     q_work = l2_inner_product(tau.with_comps(
         _forward(q_tri, grid) * grid.dealias_mask), tau) \
@@ -349,9 +344,9 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
         "q_work": q_work,
     }
     residual = (u_work + tau_work + params.eta_eff * diss_tau_l2
-                + params.nu_eff * visc_u_l2 + params.a_eff * tau_sq + q_work)
+                + params.nu * visc_u_l2 + params.a * tau_sq + q_work)
     scale = max(abs(u_work), abs(tau_work), params.eta_eff * diss_tau_l2,
-                params.nu_eff * visc_u_l2, params.a_eff * tau_sq, abs(q_work))
+                params.nu * visc_u_l2, params.a * tau_sq, abs(q_work))
     terms["residual"] = residual
     terms["residual_rel"] = abs(residual) / scale if scale > 0 else 0.0
     return terms

@@ -47,6 +47,8 @@ TWO_PI = 2.0 * np.pi
 SYM_PAIRS = {2: ((0, 0), (0, 1), (1, 1)),
              3: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))}
 
+HERMITIAN_TOL = 1e-12  # _inverse rejects residues above it * (1 + max |out|)
+
 
 class HermitianSymmetryError(RuntimeError):
     """Spectral coefficients are not Hermitian-symmetric within tolerance."""
@@ -181,21 +183,14 @@ class Grid:
     def _weight_cache(self) -> dict:
         return {}
 
-    def sobolev_weight(self, sigma: float, homogeneous: bool) -> np.ndarray:
-        """(1 + |k|^2)^sigma, or |k|^(2 sigma) with the k = 0 entry zeroed,
-        times the column multiplicity of the half layout (2 for interior
-        last-axis columns, 1 for columns 0 and n/2)."""
-        key = (float(sigma), bool(homogeneous))
+    def sobolev_weight(self, sigma: float) -> np.ndarray:
+        """(1 + |k|^2)^sigma times the column multiplicity of the half
+        layout (2 for interior last-axis columns, 1 for columns 0 and n/2)."""
+        key = float(sigma)
         cached = self._weight_cache.get(key)
         if cached is not None:
             return cached
-        ksq = self.k_squared.astype(np.float64)
-        if homogeneous:
-            with np.errstate(divide="ignore"):
-                w = np.where(ksq > 0, ksq, 1.0) ** sigma
-            w[self.k_squared == 0] = 0.0
-        else:
-            w = (1.0 + ksq) ** sigma
+        w = (1.0 + self.k_squared.astype(np.float64)) ** sigma
         w[..., 1:-1] *= 2.0
         self._weight_cache[key] = w
         return w
@@ -265,7 +260,7 @@ def _hermitian_residue(coeffs: np.ndarray, grid: Grid) -> float:
     return float(np.max(np.abs(cols - mirror.conj()))) if cols.size else 0.0
 
 
-def _inverse(coeffs: np.ndarray, grid: Grid, tol: float = 1e-12) -> np.ndarray:
+def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Half-layout coefficients -> real samples; rejects non-Hermitian input.
 
     The result equals irfftn's bit for bit (see the module docstring).  The
@@ -283,14 +278,14 @@ def _inverse(coeffs: np.ndarray, grid: Grid, tol: float = 1e-12) -> np.ndarray:
     for axis in grid.axes[1:-1]:
         np.fft.ifft(work, axis=axis, norm="forward", out=work)
     out = np.fft.irfft(work, n=grid.n, axis=-1, norm="forward")
-    # the bound tol * (1 + scale) is at least tol, so the magnitude scan
-    # is only needed when the residue exceeds tol
-    if residue > tol:
+    # the bound HERMITIAN_TOL * (1 + scale) is at least HERMITIAN_TOL, so
+    # the magnitude scan is only needed when the residue exceeds it
+    if residue > HERMITIAN_TOL:
         scale = float(np.max(np.abs(out)))
-        if residue > tol * (1.0 + scale):
+        if residue > HERMITIAN_TOL * (1.0 + scale):
             raise HermitianSymmetryError(
                 f"imaginary residue {residue:.3e} exceeds tolerance "
-                f"{tol:.1e} * (1 + {scale:.3e})")
+                f"{HERMITIAN_TOL:.1e} * (1 + {scale:.3e})")
     return out
 
 
@@ -472,11 +467,10 @@ def _check_compatible(f: Field, g: Field) -> None:
             f"fields have different ranks: {type(f).__name__} vs {type(g).__name__}")
 
 
-def sobolev_inner_product(f: Field, g: Field, sigma: float,
-                          homogeneous: bool = False) -> float:
-    """(2pi)^d sum_k w(k)^sigma Re <fhat, conj(ghat)>, summed componentwise.
+def sobolev_inner_product(f: Field, g: Field, sigma: float) -> float:
+    """(2pi)^d sum_k (1 + |k|^2)^sigma Re <fhat, conj(ghat)>, summed
+    componentwise.
 
-    w(k) = 1 + |k|^2, or |k|^2 with the k = 0 term dropped when homogeneous.
     The sum runs over the whole lattice: each stored interior last-axis
     column counts for itself and its mirror (see Grid.sobolev_weight).
     Tensor components are weighted with their mirror multiplicity, so the
@@ -484,16 +478,16 @@ def sobolev_inner_product(f: Field, g: Field, sigma: float,
     sum in a fixed order, independent of any threading.
     """
     _check_compatible(f, g)
-    w = f.grid.sobolev_weight(sigma, homogeneous)
+    w = f.grid.sobolev_weight(sigma)
     total = 0.0
     for (fc, mult), (gc, _) in zip(f._pairs(), g._pairs()):
         total += mult * float(np.sum(w * (fc.real * gc.real + fc.imag * gc.imag)))
     return (TWO_PI ** f.grid.d) * total
 
 
-def sobolev_norm(f: Field, sigma: float, homogeneous: bool = False) -> float:
+def sobolev_norm(f: Field, sigma: float) -> float:
     """Sobolev norm induced by sobolev_inner_product (clipped at zero)."""
-    return float(np.sqrt(max(sobolev_inner_product(f, f, sigma, homogeneous), 0.0)))
+    return float(np.sqrt(max(sobolev_inner_product(f, f, sigma), 0.0)))
 
 
 def l2_inner_product(f: Field, g: Field) -> float:

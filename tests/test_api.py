@@ -20,6 +20,10 @@ REMOVED = [
     (obflow.linear, "CRITICAL_TOL"),
     (obflow.model, "advect"),
     (obflow.model, "q_bilinear"),
+    (obflow.model.ModelParams, "nu_eff"),
+    (obflow.model.ModelParams, "a_eff"),
+    (obflow.model.TermToggles, "nu_dissipation"),
+    (obflow.model.TermToggles, "damping"),
     (obflow.spectral, "forward_transform"),
     (obflow.spectral, "inverse_transform"),
     (obflow.spectral, "_data"),

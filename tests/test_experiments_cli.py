@@ -13,6 +13,7 @@ from obflow.experiments import (
     run_single,
     sweep_viscosity,
 )
+from obflow.linear import decay_envelope, dispersion_csv
 
 SMALL_RUN = {
     "grid": {"d": 2, "n": 16},
@@ -139,9 +140,10 @@ class TestLinearVerify:
 
     @pytest.mark.parametrize("model", [
         {"a": 0.5}, {"nu": 0.1}, {"toggles": {"eta_dissipation": False}},
-        {"nu": 0.1, "alpha": 0.5, "a": 0.5, "toggles": {"damping": False}}])
+        {"nu": 0.1, "alpha": 0.5, "a": 0.5,
+         "toggles": {"eta_dissipation": False}}])
     def test_oracle_covers_viscosity_damping_and_toggles(self, model):
-        """The closed form uses the effective nu, a and eta, so the linear
+        """The closed form uses nu, a and the effective eta, so the linear
         run agrees with it whichever dissipation terms are on."""
         raw = json.loads(json.dumps(LINEAR_RUN))
         raw["stepper"] = {"dt": 0.01, "t_end": 1.0}
@@ -265,6 +267,22 @@ class TestCli:
         assert f"config error: {message}" in captured.err
         assert "config ok" not in captured.out
 
+    @pytest.mark.parametrize("key", ["nu_dissipation", "damping"])
+    @pytest.mark.parametrize("command", ["check-config", "sweep-nu"])
+    def test_retired_dissipation_toggle_is_unknown(self, tmp_path, capsys,
+                                                   command, key):
+        """nu = 0 and a = 0 are the only off switches of their terms, so a
+        toggle for either is a config error, not a sweep of equal runs."""
+        path = self.write_config(tmp_path, SMALL_RUN)
+        args = [command, "--config", str(path),
+                "--override", f"model.toggles.{key}=false"]
+        if command == "sweep-nu":
+            args += ["--output", str(tmp_path / "sw"), "--nu", "1e-2",
+                     "--nu", "1e-3", "--nu", "1e-4"]
+        assert main(args) == 2
+        assert f"unknown key model.toggles.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -350,9 +368,9 @@ class TestCli:
     def test_dispersion_uses_effective_coefficients(self, tmp_path):
         path = self.write_config(tmp_path, SMALL_RUN)
         tables = {}
-        nu_off = ["model.nu=0.1", "model.toggles.nu_dissipation=false"]
+        eta_off = ["model.toggles.eta_dissipation=false"]
         for name, overrides in (("plain", []), ("viscous", ["model.nu=0.1"]),
-                                ("nu_off", nu_off)):
+                                ("eta_off", eta_off)):
             args = ["dispersion", "--config", str(path),
                     "--output", str(tmp_path / name)]
             for item in overrides:
@@ -360,7 +378,9 @@ class TestCli:
             assert main(args) == 0
             tables[name] = (tmp_path / name / "dispersion.csv").read_text()
         assert tables["viscous"] != tables["plain"]
-        assert tables["nu_off"] == tables["plain"]
+        # a toggled-off eta counts as zero; the config rule eta > 0 stays
+        assert tables["eta_off"] == dispersion_csv(decay_envelope(0.0, 0.5, 8))
+        assert tables["eta_off"] != tables["plain"]
         assert main(["dispersion", "--config", str(path), "--output",
                      str(tmp_path / "x"), "--override",
                      "model.toggles.strain_source=false"]) == 2

@@ -289,9 +289,8 @@ class TestTendencies:
         st = random_state(g, seed=4)
         off = TermToggles(advection_u=False, advection_tau=False, q_term=False,
                           stress_divergence=False, strain_source=False,
-                          nu_dissipation=False, eta_dissipation=False,
-                          damping=False)
-        params = ModelParams(eta=1.0, nu=0.5, a=0.3, toggles=off)
+                          eta_dissipation=False)
+        params = ModelParams(eta=1.0, nu=0.0, a=0.0, toggles=off)
         du, dtau = rhs(st, params)
         assert np.max(np.abs(du.comps)) == 0.0
         assert np.max(np.abs(dtau.comps)) == 0.0

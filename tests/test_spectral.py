@@ -516,23 +516,6 @@ class TestNormsAndInnerProducts:
             expected = math.sqrt(2.0 * TWO_PI ** 2 * 26.0 ** s)
             assert sobolev_norm(f, s) == pytest.approx(expected, rel=1e-12)
 
-    def test_single_mode_homogeneous_norm(self):
-        g = Grid(2, 32)
-        x = g.coordinates()
-        f = SpectralField.from_physical(
-            g, 2.0 * np.cos(3.0 * x[0] + 4.0 * x[1]))
-        expected = math.sqrt(2.0 * TWO_PI ** 2 * 125.0)
-        assert sobolev_norm(f, 1.5, homogeneous=True) == pytest.approx(
-            expected, rel=1e-12)
-
-    def test_homogeneous_norm_ignores_mean(self):
-        g = Grid(2, 16)
-        x = g.coordinates()
-        f = SpectralField.from_physical(g, 3.0 + np.cos(x[0]))
-        h = SpectralField.from_physical(g, np.cos(x[0]))
-        assert sobolev_norm(f, 1.0, homogeneous=True) == pytest.approx(
-            sobolev_norm(h, 1.0, homogeneous=True), rel=1e-13)
-
     def test_inner_product_symmetric_bilinear(self):
         g = Grid(2, 16)
         f, h = random_scalar(g, 1), random_scalar(g, 2)
@@ -569,16 +552,13 @@ class TestNormsAndInnerProducts:
                 assert abs(cross) <= bound * (1.0 + 1e-12)
 
 
-def full_spectrum_sum(f_phys, g_phys, sigma, homogeneous):
-    """(2pi)^d sum over the whole lattice of w(k) Re f(k) conj g(k), from
-    complex fftn of the samples."""
+def full_spectrum_sum(f_phys, g_phys, sigma):
+    """(2pi)^d sum over the whole lattice of (1 + |k|^2)^sigma
+    Re f(k) conj g(k), from complex fftn of the samples."""
     d, n = f_phys.ndim, f_phys.shape[0]
     k = np.fft.fftfreq(n, d=1.0 / n)
     ksq = sum(np.meshgrid(*[k * k] * d, indexing="ij"))
-    if homogeneous:
-        w = np.where(ksq > 0, np.where(ksq > 0, ksq, 1.0) ** sigma, 0.0)
-    else:
-        w = (1.0 + ksq) ** sigma
+    w = (1.0 + ksq) ** sigma
     fh = np.fft.fftn(f_phys, norm="forward")
     gh = np.fft.fftn(g_phys, norm="forward")
     return TWO_PI ** d * float(np.sum(w * (fh * gh.conj()).real))
@@ -586,7 +566,8 @@ def full_spectrum_sum(f_phys, g_phys, sigma, homogeneous):
 
 class TestHalfLayoutSums:
     @pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 8), (3, 16)])
-    @pytest.mark.parametrize("homogeneous", [False, True])
+    # a single value keeps the test ids (False-d-n) stable across versions
+    @pytest.mark.parametrize("homogeneous", [False])
     def test_sums_match_the_full_spectrum(self, d, n, homogeneous):
         """Column multiplicity 2 inside, 1 at columns 0 and n/2."""
         g = Grid(d, n)
@@ -602,10 +583,10 @@ class TestHalfLayoutSums:
         for sigma in (0.0, s, s - beta):
             for a, b in ((f, f), (f, h)):
                 pa, pb = a.to_physical(), b.to_physical()
-                ref = full_spectrum_sum(pa, pb, sigma, homogeneous)
-                got = sobolev_inner_product(a, b, sigma, homogeneous)
+                ref = full_spectrum_sum(pa, pb, sigma)
+                got = sobolev_inner_product(a, b, sigma)
                 assert got == pytest.approx(ref, rel=1e-13)
-        ref = math.sqrt(full_spectrum_sum(f_phys, f_phys, 0.0, False))
+        ref = math.sqrt(full_spectrum_sum(f_phys, f_phys, 0.0))
         assert l2_norm(f) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
@@ -614,7 +595,7 @@ class TestHalfLayoutSums:
         tau = random_symmetric_tensor(g, seed=d)
         phys = tau.to_physical()
         ref = sum((1.0 if i == j else 2.0)
-                  * full_spectrum_sum(phys[m], phys[m], 1.5, False)
+                  * full_spectrum_sum(phys[m], phys[m], 1.5)
                   for m, (i, j) in enumerate(tau.pairs))
         assert sobolev_inner_product(tau, tau, 1.5) == pytest.approx(
             ref, rel=1e-13)

@@ -66,8 +66,6 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
     """
     grid = cfg.grid
     params = cfg.model
-    state = make_initial_data(grid, s=cfg.diagnostics.resolve_s(grid),
-                              **dataclasses.asdict(cfg.initial_data))
     collector = DiagnosticsCollector(params, cfg.diagnostics, grid)
 
     manifest: List[dict] = []
@@ -86,7 +84,12 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
 
     blow_up = None
     try:
-        result = integrate(state, params, cfg.stepper, callbacks)
+        # the initial state is built in the call, so that no reference to
+        # it outlives the first step
+        result = integrate(make_initial_data(
+            grid, s=cfg.diagnostics.resolve_s(grid),
+            **dataclasses.asdict(cfg.initial_data)), params, cfg.stepper,
+            callbacks)
         final_state, steps = result.state, result.steps
     except BlowUpError as exc:
         final_state, steps = exc.state, exc.step

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .spectral import (
+    HERMITIAN_TOL,
     SYM_PAIRS,
     ConfigError,
     Grid,
@@ -32,7 +32,9 @@ from .spectral import (
     TensorField,
     VectorField,
     _forward,
+    _hermitian_residue,
     _inverse,
+    _unchecked_inverse,
     check_fields,
     divergence,
     fractional_laplacian,
@@ -161,13 +163,21 @@ def strain_rate(u: VectorField) -> TensorField:
 
 
 def _gradient_physical(field_comps: np.ndarray, grid: Grid) -> np.ndarray:
-    """Physical samples of all first derivatives; shape (m, d, *grid)."""
+    """Physical samples of all first derivatives; shape (m, d, *grid).
+
+    The d derivatives of one component are inverted at a time, straight
+    into the result, so no m d-component spectral stack exists.  They are
+    not checked for Hermitian symmetry: they keep that of their source,
+    which _explicit_terms checks.
+    """
     ik = grid.derivative_multipliers
-    m = field_comps.shape[0]
-    grads = np.empty((m, grid.d) + grid.spectral_shape, dtype=np.complex128)
-    for axis in range(grid.d):
-        np.multiply(field_comps, ik[axis], out=grads[:, axis])
-    return _inverse(grads, grid)
+    out = np.empty((field_comps.shape[0], grid.d) + grid.shape)
+    grads = np.empty((grid.d,) + grid.spectral_shape, dtype=np.complex128)
+    for c, comp in enumerate(field_comps):
+        for axis in range(grid.d):
+            np.multiply(comp, ik[axis], out=grads[axis])
+        _unchecked_inverse(grads, grid, out=out[c])
+    return out
 
 
 def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float) -> np.ndarray:
@@ -176,32 +186,51 @@ def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float) -> np.n
     Q_ij = (M_ij + M_ji) - b (N_ij + N_ji) with M = tau W and N = D tau, so
     the result is symmetric by construction.  Each entry of M and N is
     summed over k in ascending order, pair by pair from the tau triangle
-    and grad u, with no dense tensor; the k = j term of M is skipped, as
-    W_jj = 0, and D_ii is G_ii, which 0.5 (G_ii + G_ii) equals exactly.
-    The rounding is that of the dense products M + M^T.
+    and grad u, with no dense tensor, in place in the output row and three
+    work rows.  The k = j term of M is skipped, as W_jj = 0; W_kj below the
+    diagonal is read as -W_jk by subtraction, which IEEE negation keeps
+    exact; and D_ii is G_ii, which 0.5 (G_ii + G_ii) equals exactly.  The
+    rounding is that of the dense products M + M^T.
     """
     grid, d = tau.grid, tau.grid.d
     tri = _inverse(tau.comps, grid)
     t = [[tri[tau.pair_index(i, j)] for j in range(d)] for i in range(d)]
-    w = [[None] * d for _ in range(d)]  # None marks the zero diagonal
+    w = {}  # W_ij for i < j
     s = [[grad_u[i, i]] * d for i in range(d)]  # off-diagonals set below
     for i, j in tau.pairs:
         if i != j:
-            w[i][j] = 0.5 * (grad_u[i, j] - grad_u[j, i])
-            w[j][i] = -w[i][j]
+            w[i, j] = 0.5 * (grad_u[i, j] - grad_u[j, i])
             s[i][j] = s[j][i] = 0.5 * (grad_u[i, j] + grad_u[j, i])
-
-    def product(a, c, i, j):  # (a c)_ij, summed over k in ascending order
-        return reduce(np.add, [a[i][k] * c[k][j] for k in range(d)
-                               if c[k][j] is not None])
-
     out = np.empty((len(tau.pairs),) + grid.shape)
+    slip, other, term = (np.empty(grid.shape) for _ in range(3))
+
+    def tau_w(i, j):  # the terms of (tau W)_ij as (factor, factor, sign)
+        return [(t[i][k], w[k, j], 1) if k < j else (t[i][k], w[j, k], -1)
+                for k in range(d) if k != j]
+
+    def d_tau(i, j):  # the terms of (D tau)_ij
+        return [(s[i][k], t[k][j], 1) for k in range(d)]
+
+    def sum_into(acc, terms):  # in ascending k, as the dense product sums
+        np.multiply(terms[0][0], terms[0][1], out=acc)
+        if terms[0][2] < 0:
+            np.negative(acc, out=acc)
+        for x, y, sign in terms[1:]:
+            np.multiply(x, y, out=term)
+            (np.add if sign > 0 else np.subtract)(acc, term, out=acc)
+        return acc
+
     for m, (i, j) in enumerate(tau.pairs):
-        rot, slip = product(t, w, i, j), product(s, t, i, j)
-        rot += rot if i == j else product(t, w, j, i)
-        slip += slip if i == j else product(s, t, j, i)
+        rot = sum_into(out[m], tau_w(i, j))
+        sum_into(slip, d_tau(i, j))
+        if i == j:
+            rot += rot
+            slip += slip
+        else:
+            rot += sum_into(other, tau_w(j, i))
+            slip += sum_into(other, d_tau(j, i))
         slip *= b
-        np.subtract(rot, slip, out=out[m])
+        rot -= slip
     return out
 
 
@@ -226,32 +255,41 @@ def _explicit_terms(state: FlowState, params: ModelParams,
 
     The only place the nonlinear terms u.grad u, u.grad tau and Q are built.
 
-    u, grad u and tau are inverted one stack each, and grad tau one stress
+    Each phase drops what it no longer needs.  u is inverted whole and
+    grad u one velocity row at a time; the momentum tendency is then
+    transformed and projected.  Q is built from tau, inverted whole, and
+    grad u, which is then released.  grad tau is inverted one stress
     component at a time, each contracted with u into its row of u.grad tau
-    at once; u.grad tau and Q are summed on the grid and transformed once.
+    at once; u.grad tau and Q are summed on the grid and transformed once,
+    and the stress tendency is allocated last.
+
+    Only u and tau are checked for Hermitian symmetry, where they are
+    inverted whole; the derivative stacks keep it.  With Q off, tau is not
+    inverted whole, so its residue is read on entry.
     """
     grid = state.grid
     tg = params.toggles
     u, tau = state.u, state.tau
     mask = grid.dealias_mask
-
-    du = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
-    dtau = np.zeros_like(tau.comps)
+    if (tg.advection_tau and not tg.q_term
+            and _hermitian_residue(tau.comps, grid) > HERMITIAN_TOL):
+        _inverse(tau.comps, grid)  # the full check, which may raise
 
     need_u_phys = tg.advection_u or tg.advection_tau or tg.q_term
     u_phys = u.to_physical() if need_u_phys else None
     grad_u = _gradient_physical(u.comps, grid) \
         if (tg.advection_u or tg.q_term) else None
 
+    du = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
     if tg.stress_divergence:
         du += divergence(tau).comps
     if tg.advection_u:
-        nl = np.einsum("j...,ij...->i...", u_phys, grad_u)
-        du -= _forward(nl, grid) * mask
-    du_field = leray_project(VectorField(grid, du))
+        du -= _forward(np.einsum("j...,ij...->i...", u_phys, grad_u),
+                       grid) * mask
+    du = leray_project(VectorField(grid, du))
 
-    if tg.strain_source:
-        dtau += strain_rate(u).comps
+    q_tri = _q_triangle_physical(tau, grad_u, params.b) if tg.q_term else None
+    del grad_u
     nl = None
     if tg.advection_tau:
         # one stress component at a time: the m d-component gradient stack
@@ -261,14 +299,17 @@ def _explicit_terms(state: FlowState, params: ModelParams,
             np.einsum("j...,mj...->m...", u_phys,
                       _gradient_physical(tau.comps[m:m + 1], grid),
                       out=nl[m:m + 1])
-    q_tri = _q_triangle_physical(tau, grad_u, params.b) if tg.q_term else None
+    del u_phys
     if q_tri is not None:
         # in place into the advection samples, so q_tri itself survives
         nl = q_tri if nl is None else np.add(nl, q_tri, out=nl)
+
+    dtau = np.zeros_like(tau.comps)
+    if tg.strain_source:
+        dtau += strain_rate(u).comps
     if nl is not None:
         dtau -= _forward(nl, grid) * mask
-
-    return du_field, TensorField(grid, dtau), q_tri
+    return du, TensorField(grid, dtau), q_tri
 
 
 def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
@@ -276,10 +317,12 @@ def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, Te
 
     This is the stiff-free part handled explicitly by the integrating-factor
     steppers.  The momentum tendency is Leray-projected.  One call inverts
-    15 components and forward-transforms 5 in 2D (36 and 9 in 3D): u, grad
-    u and tau as one stack each, grad tau one stress component at a time;
-    u.grad tau and Q(tau, grad u) are summed on the grid before one
-    transform.
+    15 components and forward-transforms 5 in 2D (36 and 9 in 3D): u and
+    tau as one stack each, grad u one velocity row at a time and grad tau
+    one stress component at a time.  The momentum tendency is finished
+    first, then Q(tau, grad u), then u.grad tau; the two are summed on the
+    grid before one transform, and the stress tendency comes last.  Only u
+    and tau are scanned for Hermitian symmetry.
 
     A tendency that energy_budget handed off on this state with equal
     params is returned as is, without a transform; any hand-off is dropped

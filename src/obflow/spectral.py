@@ -19,6 +19,8 @@ Conventions used throughout the package:
   further leading axis, then irfft over the last axis.
 - Columns k_last = 0 and k_last = -n/2 contain both k and -k, so only they
   can break Hermitian symmetry; _inverse checks them and nothing else.
+  _unchecked_inverse runs the same passes without the check, for
+  derivative stacks, which keep the symmetry of their checked source.
 - All L2 / Sobolev quantities carry the explicit (2pi)^d domain factor,
   e.g. ||f||_L2^2 = (2pi)^d sum_k |fhat(k)|^2 over the whole lattice.  On
   the half layout each interior last-axis column stands for itself and its
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -273,11 +275,7 @@ def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
             f"coefficient shape {coeffs.shape} does not end in "
             f"{grid.spectral_shape}")
     residue = _hermitian_residue(coeffs, grid)
-    # the first pass writes a new buffer, so coeffs is never written to
-    work = np.fft.ifft(coeffs, axis=grid.axes[0], norm="forward")
-    for axis in grid.axes[1:-1]:
-        np.fft.ifft(work, axis=axis, norm="forward", out=work)
-    out = np.fft.irfft(work, n=grid.n, axis=-1, norm="forward")
+    out = _unchecked_inverse(coeffs, grid)
     # the bound HERMITIAN_TOL * (1 + scale) is at least HERMITIAN_TOL, so
     # the magnitude scan is only needed when the residue exceeds it
     if residue > HERMITIAN_TOL:
@@ -287,6 +285,20 @@ def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
                 f"imaginary residue {residue:.3e} exceeds tolerance "
                 f"{HERMITIAN_TOL:.1e} * (1 + {scale:.3e})")
     return out
+
+
+def _unchecked_inverse(coeffs: np.ndarray, grid: Grid,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The passes of _inverse without its Hermitian check, into out if given.
+
+    For derivative stacks: i k_j c is Hermitian wherever c is, so a stack
+    built from a source that _inverse checks needs no scan of its own.
+    """
+    # the first pass writes a new buffer, so coeffs is never written to
+    work = np.fft.ifft(coeffs, axis=grid.axes[0], norm="forward")
+    for axis in grid.axes[1:-1]:
+        np.fft.ifft(work, axis=axis, norm="forward", out=work)
+    return np.fft.irfft(work, n=grid.n, axis=-1, norm="forward", out=out)
 
 
 @dataclass

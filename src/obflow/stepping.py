@@ -124,12 +124,15 @@ def step(state: FlowState, params: ModelParams, dt: float) -> FlowState:
 
     du, dtau = explicit_rhs(state, params)
     ku, kt = dt * du.comps, dt * dtau.comps
+    del du, dtau
 
     u_s = _project(grid, eu_h * (u0 + 0.5 * ku))
     tau_s = et_h * (tau0 + 0.5 * kt)
     # su, st sum eu_f k1 + 2 eu_h (k2 + k3) + k4 in this order as the
-    # stages end, so no more than two stage tendencies are alive at once
+    # stages end, and each stage tendency is dropped once it is summed, so
+    # a stage evaluation sees at most k2 beside the sums and its input
     su, st = eu_f * ku, et_f * kt
+    del ku, kt
     ku, kt = _stage(grid, params, u_s, tau_s, t0 + 0.5 * dt, dt)
 
     u_s = _project(grid, eu_h * u0 + 0.5 * ku)
@@ -140,6 +143,7 @@ def step(state: FlowState, params: ModelParams, dt: float) -> FlowState:
     tau_s = et_f * tau0 + et_h * kt3
     su += 2.0 * eu_h * (ku + ku3)
     st += 2.0 * et_h * (kt + kt3)
+    del ku, kt, ku3, kt3
     ku, kt = _stage(grid, params, u_s, tau_s, t0 + dt, dt)
 
     su += ku
@@ -188,7 +192,7 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
         schedule = (dt, n_full, remainder)
 
     i = 0
-    current = state
+    current, state = state, None  # the first step consumes the initial state
     while True:
         if auto:
             dt_i = min(cfl_dt(current, config), target - current.t)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import obflow.model
+import obflow.spectral
 from obflow.config import validate_config
 from obflow.experiments import run_single
 from obflow.model import (
@@ -37,6 +39,7 @@ from obflow.spectral import (
     leray_project,
     sobolev_norm,
     _forward,
+    _hermitian_residue,
     _inverse,
 )
 from obflow.stepping import step
@@ -230,9 +233,9 @@ class TestKernelHermitianCheck:
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     @pytest.mark.parametrize("column", ["zero", "nyquist"])
     def test_each_streamed_stress_gradient_is_checked(self, d, n, column):
-        """With only u.grad tau on, tau is inverted one gradient component
-        at a time; a broken mode in any one stress component still stops
-        the kernel."""
+        """With only u.grad tau on, tau is not inverted whole, only one
+        gradient component at a time; its residue is read on entry, so a
+        broken mode in any one stress component still stops the kernel."""
         g = Grid(d, n)
         slot = (1,) * (d - 1) + (0 if column == "zero" else n // 2,)
         params = ModelParams(toggles=only("advection_tau"))
@@ -241,6 +244,23 @@ class TestKernelHermitianCheck:
             st.tau.comps[(m,) + slot] += 0.5
             with pytest.raises(HermitianSymmetryError):
                 explicit_rhs(st, params)
+
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("q_term", [True, False])
+    def test_two_scans_per_evaluation(self, monkeypatch, d, n, q_term):
+        """u and tau are scanned once each; the derivative stacks are not."""
+        scans = []
+
+        def counting(coeffs, grid):
+            scans.append(coeffs.shape)
+            return _hermitian_residue(coeffs, grid)
+
+        monkeypatch.setattr(obflow.spectral, "_hermitian_residue", counting)
+        monkeypatch.setattr(obflow.model, "_hermitian_residue", counting)
+        st = random_state(Grid(d, n), seed=d)
+        explicit_rhs(st, ModelParams(b=0.5, toggles=TermToggles(q_term=q_term)))
+        assert sorted(scans) == sorted([st.u.comps.shape, st.tau.comps.shape])
 
 
 class TestAdvectionSkewSymmetry:

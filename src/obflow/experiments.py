@@ -73,9 +73,12 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
         (cfg.diagnostics.cadence_steps, lambda s, i: collector.observe(s, i))]
     if outdir is not None:
         outdir = Path(outdir)
-        (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
 
         def save_snapshot(s: FlowState, i: int) -> None:
+            # made at the first write, so a run that fails before its first
+            # record leaves no empty directory behind
+            if not manifest:
+                (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
             name = f"snapshots/snap_{i:08d}.obsf"
             write_snapshot(outdir / name, grid.d, grid.n, _state_components(s))
             manifest.append({"step": i, "t": s.t, "file": name})

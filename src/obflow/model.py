@@ -31,7 +31,8 @@ from .spectral import (
     GridMismatchError,
     TensorField,
     VectorField,
-    _forward,
+    _box_supported,
+    _dealiased_forward,
     _hermitian_residue,
     _inverse,
     _unchecked_inverse,
@@ -162,13 +163,15 @@ def strain_rate(u: VectorField) -> TensorField:
     return TensorField(grid, comps)
 
 
-def _gradient_physical(field_comps: np.ndarray, grid: Grid) -> np.ndarray:
+def _gradient_physical(field_comps: np.ndarray, grid: Grid,
+                       boxed: bool) -> np.ndarray:
     """Physical samples of all first derivatives; shape (m, d, *grid).
 
     The d derivatives of one component are inverted at a time, straight
     into the result, so no m d-component spectral stack exists.  They are
-    not checked for Hermitian symmetry: they keep that of their source,
-    which _explicit_terms checks.
+    not checked for Hermitian symmetry or scanned for box support, as they
+    keep both from their source.  boxed is the source's _box_supported
+    verdict (_explicit_terms checks and scans it).
     """
     ik = grid.derivative_multipliers
     out = np.empty((field_comps.shape[0], grid.d) + grid.shape)
@@ -176,11 +179,12 @@ def _gradient_physical(field_comps: np.ndarray, grid: Grid) -> np.ndarray:
     for c, comp in enumerate(field_comps):
         for axis in range(grid.d):
             np.multiply(comp, ik[axis], out=grads[axis])
-        _unchecked_inverse(grads, grid, out=out[c])
+        _unchecked_inverse(grads, grid, boxed, out=out[c])
     return out
 
 
-def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float) -> np.ndarray:
+def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float,
+                         tau_boxed: bool) -> np.ndarray:
     """Physical samples of the upper triangle of Q(tau, grad u).
 
     Q_ij = (M_ij + M_ji) - b (N_ij + N_ji) with M = tau W and N = D tau, so
@@ -190,10 +194,11 @@ def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float) -> np.n
     work rows.  The k = j term of M is skipped, as W_jj = 0; W_kj below the
     diagonal is read as -W_jk by subtraction, which IEEE negation keeps
     exact; and D_ii is G_ii, which 0.5 (G_ii + G_ii) equals exactly.  The
-    rounding is that of the dense products M + M^T.
+    rounding is that of the dense products M + M^T.  tau_boxed is the
+    _box_supported verdict on tau.
     """
     grid, d = tau.grid, tau.grid.d
-    tri = _inverse(tau.comps, grid)
+    tri = _inverse(tau.comps, grid, tau_boxed)
     t = [[tri[tau.pair_index(i, j)] for j in range(d)] for i in range(d)]
     w = {}  # W_ij for i < j
     s = [[grad_u[i, i]] * d for i in range(d)]  # off-diagonals set below
@@ -265,30 +270,37 @@ def _explicit_terms(state: FlowState, params: ModelParams,
 
     Only u and tau are checked for Hermitian symmetry, where they are
     inverted whole; the derivative stacks keep it.  With Q off, tau is not
-    inverted whole, so its residue is read on entry.
+    inverted whole, so its residue is read on entry.  u and tau are each
+    scanned once for support in the 2/3 box (spectral._box_supported); a
+    supported source and its derivatives take the pruned inverse passes,
+    any other the full ones.  Both products are transformed by
+    _dealiased_forward, which passes only over the lines the 2/3 rule keeps.
     """
     grid = state.grid
     tg = params.toggles
     u, tau = state.u, state.tau
-    mask = grid.dealias_mask
     if (tg.advection_tau and not tg.q_term
             and _hermitian_residue(tau.comps, grid) > HERMITIAN_TOL):
         _inverse(tau.comps, grid)  # the full check, which may raise
 
     need_u_phys = tg.advection_u or tg.advection_tau or tg.q_term
-    u_phys = u.to_physical() if need_u_phys else None
-    grad_u = _gradient_physical(u.comps, grid) \
+    u_boxed = _box_supported(u.comps, grid) if need_u_phys else False
+    tau_boxed = _box_supported(tau.comps, grid) \
+        if (tg.advection_tau or tg.q_term) else False
+    u_phys = _inverse(u.comps, grid, u_boxed) if need_u_phys else None
+    grad_u = _gradient_physical(u.comps, grid, u_boxed) \
         if (tg.advection_u or tg.q_term) else None
 
     du = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
     if tg.stress_divergence:
         du += divergence(tau).comps
     if tg.advection_u:
-        du -= _forward(np.einsum("j...,ij...->i...", u_phys, grad_u),
-                       grid) * mask
+        du -= _dealiased_forward(
+            np.einsum("j...,ij...->i...", u_phys, grad_u), grid)
     du = leray_project(VectorField(grid, du))
 
-    q_tri = _q_triangle_physical(tau, grad_u, params.b) if tg.q_term else None
+    q_tri = _q_triangle_physical(tau, grad_u, params.b, tau_boxed) \
+        if tg.q_term else None
     del grad_u
     nl = None
     if tg.advection_tau:
@@ -297,7 +309,7 @@ def _explicit_terms(state: FlowState, params: ModelParams,
         nl = np.empty((len(tau.pairs),) + grid.shape)
         for m in range(len(tau.pairs)):
             np.einsum("j...,mj...->m...", u_phys,
-                      _gradient_physical(tau.comps[m:m + 1], grid),
+                      _gradient_physical(tau.comps[m:m + 1], grid, tau_boxed),
                       out=nl[m:m + 1])
     del u_phys
     if q_tri is not None:
@@ -308,7 +320,7 @@ def _explicit_terms(state: FlowState, params: ModelParams,
     if tg.strain_source:
         dtau += strain_rate(u).comps
     if nl is not None:
-        dtau -= _forward(nl, grid) * mask
+        dtau -= _dealiased_forward(nl, grid)
     return du, TensorField(grid, dtau), q_tri
 
 
@@ -322,7 +334,11 @@ def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, Te
     one stress component at a time.  The momentum tendency is finished
     first, then Q(tau, grad u), then u.grad tau; the two are summed on the
     grid before one transform, and the stress tendency comes last.  Only u
-    and tau are scanned for Hermitian symmetry.
+    and tau are scanned, for Hermitian symmetry and for support in the 2/3
+    box.  The counts are whole transforms; within one, the c2c passes skip
+    the lines that the 2/3 rule discards (forward) or that a box-supported
+    source leaves zero (inverse), so a state that is zero outside the box,
+    as band-limited data stay, transforms fewer lines per component.
 
     A tendency that energy_budget handed off on this state with equal
     params is returned as is, without a transform; any hand-off is dropped
@@ -377,8 +393,7 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
         if params.nu else 0.0
     tau_sq = l2_inner_product(tau, tau)
     q_work = l2_inner_product(tau.with_comps(
-        _forward(q_tri, grid) * grid.dealias_mask), tau) \
-        if q_tri is not None else 0.0
+        _dealiased_forward(q_tri, grid)), tau) if q_tri is not None else 0.0
     terms = {
         "u_work": u_work,
         "tau_work": tau_work,

@@ -17,6 +17,16 @@ Conventions used throughout the package:
   axis, last to first; _inverse is ifft over the first axis into one new
   buffer (the coefficients are never written to), ifft in place over any
   further leading axis, then irfft over the last axis.
+- The 2/3 rule is stated once, as Grid.dealias_cutoff kc = ceil(n/3);
+  Grid.dealias_mask, the kept index ranges and the line blocks below
+  derive from it.  Two transforms skip the c2c lines that are known to be
+  zero, with the values of the full passes: _dealiased_forward equals
+  _forward(x) * dealias_mask and passes only over the lines the mask
+  keeps; for a stack that is zero outside the box (_box_supported), the
+  inverse passes only over the lines that can be nonzero, into a zeroed
+  buffer.  The rfft and irfft passes still run over every row.  _inverse
+  scans its input for box support; the kernel scans u and tau once and
+  hands the verdict to their derivative stacks.
 - Columns k_last = 0 and k_last = -n/2 contain both k and -k, so only they
   can break Hermitian symmetry; _inverse checks them and nothing else.
   _unchecked_inverse runs the same passes without the check, for
@@ -30,12 +40,14 @@ Conventions used throughout the package:
   multipliers map real fields to real fields.
 - The Leray projector uses the integer lattice with Nyquist = -n/2 on every
   axis and leaves the k = 0 mode untouched.
-- Dealiasing zeroes every coefficient with any |k_i| >= n/3 (strict at the
-  boundary, so quadratic products are alias-free for every even n).
+- Dealiasing zeroes every coefficient with any |k_i| >= n/3, i.e. >= kc
+  (strict at the boundary, so quadratic products are alias-free for every
+  even n).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -152,12 +164,17 @@ class Grid:
 
     @cached_property
     def derivative_multipliers(self) -> Tuple[np.ndarray, ...]:
-        """i*k_j per axis with the Nyquist entry zeroed (odd multiplier)."""
+        """i*k_j per axis with the Nyquist entry zeroed (odd multiplier).
+
+        Each is a dense spectral_shape array, not a broadcast row: a
+        product with a coefficient array then runs without broadcasting.
+        """
         out = []
         for axis in range(self.d):
             k = self.wavenumbers[axis].copy()
             k[np.abs(k) == self.n // 2] = 0
-            out.append(1j * k.astype(np.float64))
+            out.append(np.broadcast_to(1j * k.astype(np.float64),
+                                       self.spectral_shape).copy())
         return tuple(out)
 
     @cached_property
@@ -173,13 +190,56 @@ class Grid:
         """|k|^2 as floats, 1 at k = 0: the divisor of leray_project."""
         return np.where(self.k_squared > 0, self.k_squared, 1).astype(np.float64)
 
+    @property
+    def dealias_cutoff(self) -> int:
+        """kc = ceil(n/3): the 2/3 rule keeps the modes with every |k_i| < kc."""
+        return -(-self.n // 3)
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Boolean keep-mask of the 2/3 rule: True where all |k_i| < n/3."""
+        """Boolean keep-mask of the 2/3 rule: True where all |k_i| < kc."""
         mask = np.ones(self.spectral_shape, dtype=bool)
         for k in self.wavenumbers:
-            mask = mask & (3 * np.abs(k) < self.n)
+            mask = mask & (np.abs(k) < self.dealias_cutoff)
         return mask
+
+    @cached_property
+    def kept_ranges(self) -> Tuple[Tuple[slice, slice], slice]:
+        """Index ranges of the 2/3 box: (leading, last).
+
+        A leading axis keeps the indices 0 .. kc-1 and n-kc+1 .. n-1
+        (wavenumbers -(kc-1) .. kc-1), the last axis the columns 0 .. kc-1.
+        """
+        kc = self.dealias_cutoff
+        return (slice(0, kc), slice(self.n - kc + 1, self.n)), slice(0, kc)
+
+    @cached_property
+    def box_lines(self) -> Tuple[Tuple[Tuple[slice, ...], ...], ...]:
+        """Per leading axis a, the index blocks of the c2c lines along a
+        that can be nonzero for a field supported in the 2/3 box.
+
+        Whichever way the transform runs, a pass over axis a comes after
+        the axes before a are physical and while the axes after it are
+        still spectral: its lines cover every index of the former and the
+        kept ranges of the latter.  Each block indexes an array whose
+        trailing d axes are the grid.
+        """
+        lead, last = self.kept_ranges
+        return tuple(
+            tuple((Ellipsis,) + (slice(None),) * (a + 1) + tail + (last,)
+                  for tail in itertools.product(lead, repeat=self.d - 2 - a))
+            for a in range(self.d - 1))
+
+    @cached_property
+    def outside_box(self) -> Tuple[Tuple[slice, ...], ...]:
+        """Index blocks that together cover every mode outside the 2/3 box:
+        the columns from kc on, then, per leading axis, its indices kc ..
+        n-kc within the kept columns."""
+        lead, last = self.kept_ranges
+        mid = slice(lead[0].stop, lead[1].start)
+        return ((Ellipsis, slice(last.stop, None)),) + tuple(
+            (Ellipsis, mid) + (slice(None),) * (self.d - 2 - a) + (last,)
+            for a in range(self.d - 1))
 
     @cached_property
     def _weight_cache(self) -> dict:
@@ -248,6 +308,33 @@ def _forward(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+def _dealiased_forward(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """_forward(values, grid) * grid.dealias_mask, with the same values, and
+    no pass over a line that the mask discards.
+
+    rfft runs over every row; each leading-axis fft pass then covers only
+    the kept block of the axes transformed before it (Grid.box_lines), and
+    everything outside the 2/3 box (Grid.outside_box) is set to 0.
+    """
+    out = np.fft.rfft(values, axis=-1, norm="forward")
+    for a in range(grid.d - 2, -1, -1):
+        for block in grid.box_lines[a]:
+            lines = out[block]
+            np.fft.fft(lines, axis=grid.axes[a], norm="forward", out=lines)
+    for block in grid.outside_box:
+        out[block] = 0
+    return out
+
+
+def _box_supported(coeffs: np.ndarray, grid: Grid) -> bool:
+    """True when every coefficient outside the 2/3 box is zero.
+
+    Such a stack, and every derivative i k_j c of it, can take the pruned
+    passes of _unchecked_inverse.
+    """
+    return not any(np.any(coeffs[block]) for block in grid.outside_box)
+
+
 def _hermitian_residue(coeffs: np.ndarray, grid: Grid) -> float:
     """max |c(k) - conj c(-k)| over the last-axis columns 0 and n/2.
 
@@ -262,12 +349,15 @@ def _hermitian_residue(coeffs: np.ndarray, grid: Grid) -> float:
     return float(np.max(np.abs(cols - mirror.conj()))) if cols.size else 0.0
 
 
-def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+def _inverse(coeffs: np.ndarray, grid: Grid,
+             boxed: Optional[bool] = None) -> np.ndarray:
     """Half-layout coefficients -> real samples; rejects non-Hermitian input.
 
     The result equals irfftn's bit for bit (see the module docstring).  The
     irfft pass would silently drop the anti-Hermitian part of the columns 0
     and n/2, so those columns are checked first, at O(n^(d-1)) cost.
+    boxed is the caller's _box_supported verdict on coeffs; without one,
+    coeffs is scanned here.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-grid.d:] != grid.spectral_shape:
@@ -275,7 +365,9 @@ def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
             f"coefficient shape {coeffs.shape} does not end in "
             f"{grid.spectral_shape}")
     residue = _hermitian_residue(coeffs, grid)
-    out = _unchecked_inverse(coeffs, grid)
+    if boxed is None:
+        boxed = _box_supported(coeffs, grid)
+    out = _unchecked_inverse(coeffs, grid, boxed)
     # the bound HERMITIAN_TOL * (1 + scale) is at least HERMITIAN_TOL, so
     # the magnitude scan is only needed when the residue exceeds it
     if residue > HERMITIAN_TOL:
@@ -287,17 +379,29 @@ def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _unchecked_inverse(coeffs: np.ndarray, grid: Grid,
+def _unchecked_inverse(coeffs: np.ndarray, grid: Grid, boxed: bool,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """The passes of _inverse without its Hermitian check, into out if given.
 
     For derivative stacks: i k_j c is Hermitian wherever c is, so a stack
     built from a source that _inverse checks needs no scan of its own.
+    boxed is the _box_supported verdict on coeffs; a derivative stack
+    takes the verdict of its source, as i k_j c is zero wherever c is.  For
+    a supported stack the c2c passes cover only the lines that can be
+    nonzero (Grid.box_lines), in a zeroed work buffer, which skips lines
+    that would transform zeros into zeros.
     """
     # the first pass writes a new buffer, so coeffs is never written to
-    work = np.fft.ifft(coeffs, axis=grid.axes[0], norm="forward")
-    for axis in grid.axes[1:-1]:
-        np.fft.ifft(work, axis=axis, norm="forward", out=work)
+    if boxed:
+        work = np.zeros(coeffs.shape, dtype=np.complex128)
+        for a, axis in enumerate(grid.axes[:-1]):
+            for block in grid.box_lines[a]:
+                np.fft.ifft((work if a else coeffs)[block], axis=axis,
+                            norm="forward", out=work[block])
+    else:
+        work = np.fft.ifft(coeffs, axis=grid.axes[0], norm="forward")
+        for axis in grid.axes[1:-1]:
+            np.fft.ifft(work, axis=axis, norm="forward", out=work)
     return np.fft.irfft(work, n=grid.n, axis=-1, norm="forward", out=out)
 
 

@@ -1,5 +1,6 @@
 """Experiment drivers and the command line front end."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -95,6 +96,18 @@ class TestRunSingle:
         assert summary["blow_up"]["field"] in (
             "u[0]", "u[1]", "tau[0,0]", "tau[0,1]", "tau[1,1]")
         assert (out / "diagnostics.csv").exists()
+
+    def test_failed_initial_data_leaves_no_snapshot_directory(self, tmp_path):
+        """The snapshot directory is made at the first snapshot write, so a
+        config whose initial data cannot be built leaves none behind."""
+        cfg = cfg_of(SMALL_RUN)
+        # a band past n/2 that bypassed validate_config
+        cfg = dataclasses.replace(cfg, initial_data=dataclasses.replace(
+            cfg.initial_data, band=(1, 12)))
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="band"):
+            run_single(cfg, out)
+        assert not (out / "snapshots").exists()
 
     def test_snapshot_series_round_trip(self, tmp_path):
         out = tmp_path / "run"

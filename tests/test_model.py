@@ -210,9 +210,9 @@ class TestPairwiseQ:
     def test_equals_dense_assembly_exactly(self, d, n, b, project):
         g = Grid(d, n)
         st = random_state(g, seed=d + 30, scale=3.0, project=project)
-        grad_u = _gradient_physical(st.u.comps, g)
-        np.testing.assert_array_equal(_q_triangle_physical(st.tau, grad_u, b),
-                                      dense_q_triangle(st.tau, grad_u, b))
+        grad_u = _gradient_physical(st.u.comps, g, False)
+        got = _q_triangle_physical(st.tau, grad_u, b, False)
+        np.testing.assert_array_equal(got, dense_q_triangle(st.tau, grad_u, b))
 
 
 class TestKernelHermitianCheck:
@@ -424,7 +424,7 @@ class TestFusedKernel:
         st = random_state(g, seed=80 + d, scale=0.7)
         _, dtau = explicit_rhs(st, ModelParams(toggles=only("advection_tau")))
         adv = np.einsum("j...,mj...->m...", st.u.to_physical(),
-                        _gradient_physical(st.tau.comps, g))
+                        _gradient_physical(st.tau.comps, g, False))
         np.testing.assert_array_equal(
             dtau.comps, -(_forward(adv, g) * g.dealias_mask))
 
@@ -505,6 +505,54 @@ class TestEnergyBudget:
         budget = energy_budget(st, params)
         assert budget["diss_tau_l2"] > 0.0
         assert budget["visc_u_l2"] > 0.0
+
+
+def assert_bits_equal(got, ref):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(ref).view(np.uint64))
+
+
+class TestBoxSupportedKernel:
+    """The kernel scans u and tau for support in the 2/3 box and picks the
+    pruned or the full inverse passes by that verdict; either way it gives
+    the tendencies of the full passes, bit for bit."""
+
+    PARAMS = ModelParams(eta=1.0, beta=0.75, nu=0.05, b=0.5, a=0.1)
+
+    @staticmethod
+    def full_pass_terms(monkeypatch, state, params):
+        with monkeypatch.context() as patch:
+            patch.setattr(obflow.model, "_box_supported", lambda c, g: False)
+            return explicit_rhs(state.copy(), params), \
+                energy_budget(state.copy(), params)
+
+    @pytest.mark.parametrize("d, n, mode, boxed", [
+        (2, 16, (0, 7), False), (2, 16, (2, 3), True),
+        (3, 12, (0, 5, 1), False), (3, 12, (1, 2, 3), True)])
+    def test_single_mode_equals_the_full_passes(self, monkeypatch, d, n,
+                                                mode, boxed):
+        g = Grid(d, n)
+        st = make_initial_data(g, recipe="single-mode", epsilon=0.5,
+                               mode=mode)
+        assert obflow.spectral._box_supported(st.u.comps, g) is boxed
+        (ref_u, ref_tau), ref_budget = self.full_pass_terms(
+            monkeypatch, st, self.PARAMS)
+        du, dtau = explicit_rhs(st.copy(), self.PARAMS)
+        assert np.any(dtau.comps != 0)
+        assert_bits_equal(du.comps, ref_u.comps)
+        assert_bits_equal(dtau.comps, ref_tau.comps)
+        assert energy_budget(st.copy(), self.PARAMS) == ref_budget
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 48), (3, 12)])
+    def test_random_state_equals_the_full_passes(self, monkeypatch, d, n):
+        g = Grid(d, n)
+        st = random_state(g, seed=40 + d, scale=0.5)
+        (ref_u, ref_tau), ref_budget = self.full_pass_terms(
+            monkeypatch, st, self.PARAMS)
+        du, dtau = explicit_rhs(st.copy(), self.PARAMS)
+        assert_bits_equal(du.comps, ref_u.comps)
+        assert_bits_equal(dtau.comps, ref_tau.comps)
+        assert energy_budget(st.copy(), self.PARAMS) == ref_budget
 
 
 class TestInitialData:

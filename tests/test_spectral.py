@@ -20,8 +20,11 @@ from obflow.spectral import (
     leray_project,
     sobolev_inner_product,
     sobolev_norm,
+    _box_supported,
+    _dealiased_forward,
     _forward,
     _inverse,
+    _unchecked_inverse,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -201,6 +204,99 @@ class TestOneDimensionalPasses:
         np.testing.assert_array_equal(
             _inverse(coeffs, g),
             np.fft.irfftn(coeffs, s=g.shape, axes=g.axes, norm="forward"))
+
+
+def box_supported_stack(grid, m, seed):
+    """m Hermitian coefficient arrays, zero outside the 2/3 box."""
+    rng = np.random.default_rng(seed)
+    return _forward(rng.standard_normal((m,) + grid.shape), grid) \
+        * grid.dealias_mask
+
+
+class TestPrunedPasses:
+    """Passes that skip the lines outside the 2/3 box give the values of
+    the full passes: n = 12 and 48 are divisible by 3, where |k| = n/3 is
+    outside the box."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 32, 48])
+    def test_cutoff_and_kept_ranges(self, n):
+        g = Grid(2, n)
+        kc = g.dealias_cutoff
+        assert kc == math.ceil(n / 3)
+        lead, last = g.kept_ranges
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        kept = np.r_[lead[0], lead[1]]
+        np.testing.assert_array_equal(kept, np.flatnonzero(3 * np.abs(k) < n))
+        assert (last.start, last.stop) == (0, kc)
+        np.testing.assert_array_equal(
+            g.dealias_mask, (3 * np.abs(g.wavenumbers[0]) < n)
+            & (3 * np.abs(g.wavenumbers[1]) < n))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [8, 12, 32, 48])
+    def test_pruned_inverse_equals_the_full_passes(self, d, n):
+        g = Grid(d, n)
+        coeffs = box_supported_stack(g, 3 if d == 2 else 2, seed=7 * d + n)
+        before = coeffs.copy()
+        assert _box_supported(coeffs, g)
+        full = _unchecked_inverse(coeffs, g, boxed=False)
+        np.testing.assert_array_equal(
+            full, np.fft.irfftn(coeffs, s=g.shape, axes=g.axes, norm="forward"))
+        np.testing.assert_array_equal(_unchecked_inverse(coeffs, g, True), full)
+        out = np.empty_like(full)
+        _unchecked_inverse(coeffs, g, True, out=out)
+        np.testing.assert_array_equal(out, full)
+        np.testing.assert_array_equal(_inverse(coeffs, g), full)
+        np.testing.assert_array_equal(coeffs, before)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [8, 12, 32, 48])
+    def test_dealiased_forward_equals_the_masked_forward(self, d, n):
+        g = Grid(d, n)
+        rng = np.random.default_rng(3 * d + n)
+        samples = rng.standard_normal((2,) + g.shape)
+        before = samples.copy()
+        got = _dealiased_forward(samples, g)
+        np.testing.assert_array_equal(got, _forward(samples, g) * g.dealias_mask)
+        assert _box_supported(got, g)
+        np.testing.assert_array_equal(samples, before)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [12, 32])
+    def test_one_coefficient_outside_the_box_takes_the_full_passes(self, d, n):
+        """Each block of Grid.outside_box is scanned: one coefficient in it
+        makes the stack unsupported, and _inverse then gives the full
+        passes' values.  The pruned passes would miss it unless it lies on
+        the first axis, whose pass runs over every index."""
+        g = Grid(d, n)
+        kc = g.dealias_cutoff
+        # an interior column has no mirror in the half layout, so a single
+        # coefficient there keeps the stack Hermitian
+        slots = [(0,) * (d - 1) + (kc,)]
+        for axis in range(d - 1):
+            for k in (kc, n - kc):  # wavenumbers kc and -kc
+                slot = [0] * (d - 1) + [1]
+                slot[axis] = k
+                slots.append(tuple(slot))
+        for slot in slots:
+            coeffs = box_supported_stack(g, 1, seed=n + d)
+            coeffs[(0,) + slot] = 1.0 + 0.5j
+            assert not _box_supported(coeffs, g), slot
+            full = np.fft.irfftn(coeffs, s=g.shape, axes=g.axes,
+                                 norm="forward")
+            np.testing.assert_array_equal(_inverse(coeffs, g), full)
+            missed = not np.array_equal(_unchecked_inverse(coeffs, g, True),
+                                        full)
+            assert missed == (slot[0] == 0), slot
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_the_box_edge_is_inside(self, d):
+        """Wavenumbers +-(kc - 1) on every axis are kept."""
+        g = Grid(d, 12)
+        kc = g.dealias_cutoff
+        coeffs = np.zeros((1,) + g.spectral_shape, dtype=complex)
+        coeffs[(0,) + (g.n - kc + 1,) * (d - 1) + (kc - 1,)] = 1.0
+        assert _box_supported(coeffs, g)
 
 
 class TestHalfLayoutSymmetryCheck:

@@ -266,7 +266,9 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
     fixed dt required so snapshot times match), computes the sup-in-time L2
     distance of each member to the baseline from the snapshot files, and
     fits the log-log slope of distance against nu.  Members may run in a
-    process pool; results do not depend on the worker count.
+    process pool; results do not depend on the worker count.  When a run
+    blows up, blew_up is set and the slope is NaN, and so is the distance
+    of each member whose snapshot series is not as long as the baseline's.
     """
     nus = sorted((float(v) for v in nus), reverse=True)
     if len(nus) < 3:
@@ -323,8 +325,10 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
     distances = []
     for nu in nus:
         series = load_snapshot_series(_member_dir(outdir, nu))
-        _, _, sup = trajectory_distance(baseline, series)
-        distances.append(sup)
+        # a member that blew up at another step than the baseline has no
+        # distance to it
+        distances.append(trajectory_distance(baseline, series)[2]
+                         if len(series) == len(baseline) else float("nan"))
     if not blew_up and min(distances) > 0.0:
         slope, intercept = np.polyfit(np.log(np.array(nus)),
                                       np.log(np.array(distances)), 1)

@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .spectral import (
-    HERMITIAN_TOL,
     SYM_PAIRS,
     ConfigError,
     Grid,
@@ -32,11 +31,11 @@ from .spectral import (
     TensorField,
     VectorField,
     _box_supported,
-    _dealiased_forward,
-    _hermitian_residue,
-    _inverse,
+    _check_hermitian,
+    _forward,
     _unchecked_inverse,
     check_fields,
+    dealias,
     divergence,
     fractional_laplacian,
     l2_inner_product,
@@ -183,9 +182,10 @@ def _gradient_physical(field_comps: np.ndarray, grid: Grid,
     return out
 
 
-def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float,
-                         tau_boxed: bool) -> np.ndarray:
-    """Physical samples of the upper triangle of Q(tau, grad u).
+def _q_triangle_physical(tri: np.ndarray, grad_u: np.ndarray,
+                         b: float) -> np.ndarray:
+    """Physical samples of the upper triangle of Q(tau, grad u), from those
+    of tau's upper triangle (tri) and of grad u.
 
     Q_ij = (M_ij + M_ji) - b (N_ij + N_ji) with M = tau W and N = D tau, so
     the result is symmetric by construction.  Each entry of M and N is
@@ -194,20 +194,20 @@ def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float,
     work rows.  The k = j term of M is skipped, as W_jj = 0; W_kj below the
     diagonal is read as -W_jk by subtraction, which IEEE negation keeps
     exact; and D_ii is G_ii, which 0.5 (G_ii + G_ii) equals exactly.  The
-    rounding is that of the dense products M + M^T.  tau_boxed is the
-    _box_supported verdict on tau.
+    rounding is that of the dense products M + M^T.
     """
-    grid, d = tau.grid, tau.grid.d
-    tri = _inverse(tau.comps, grid, tau_boxed)
-    t = [[tri[tau.pair_index(i, j)] for j in range(d)] for i in range(d)]
+    d, shape = grad_u.shape[0], grad_u.shape[2:]
+    pairs = SYM_PAIRS[d]
+    t = [[None] * d for _ in range(d)]
     w = {}  # W_ij for i < j
     s = [[grad_u[i, i]] * d for i in range(d)]  # off-diagonals set below
-    for i, j in tau.pairs:
+    for m, (i, j) in enumerate(pairs):
+        t[i][j] = t[j][i] = tri[m]
         if i != j:
             w[i, j] = 0.5 * (grad_u[i, j] - grad_u[j, i])
             s[i][j] = s[j][i] = 0.5 * (grad_u[i, j] + grad_u[j, i])
-    out = np.empty((len(tau.pairs),) + grid.shape)
-    slip, other, term = (np.empty(grid.shape) for _ in range(3))
+    out = np.empty((len(pairs),) + shape)
+    slip, other, term = (np.empty(shape) for _ in range(3))
 
     def tau_w(i, j):  # the terms of (tau W)_ij as (factor, factor, sign)
         return [(t[i][k], w[k, j], 1) if k < j else (t[i][k], w[j, k], -1)
@@ -225,7 +225,7 @@ def _q_triangle_physical(tau: TensorField, grad_u: np.ndarray, b: float,
             (np.add if sign > 0 else np.subtract)(acc, term, out=acc)
         return acc
 
-    for m, (i, j) in enumerate(tau.pairs):
+    for m, (i, j) in enumerate(pairs):
         rot = sum_into(out[m], tau_w(i, j))
         sum_into(slip, d_tau(i, j))
         if i == j:
@@ -245,13 +245,8 @@ def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.n
     rate_u = nu |k|^(2 alpha), rate_tau = eta |k|^(2 beta) + a, with the
     k = 0 convention of the fractional Laplacian.
     """
-    rate_u = params.nu * grid.fractional_multiplier(params.alpha) \
-        if params.nu else np.zeros(grid.spectral_shape)
-    rate_tau = params.eta_eff * grid.fractional_multiplier(params.beta) \
-        if params.eta_eff else np.zeros(grid.spectral_shape)
-    if params.a:
-        rate_tau = rate_tau + params.a
-    return rate_u, rate_tau
+    return (params.nu * grid.fractional_multiplier(params.alpha),
+            params.eta_eff * grid.fractional_multiplier(params.beta) + params.a)
 
 
 def _explicit_terms(state: FlowState, params: ModelParams,
@@ -268,26 +263,27 @@ def _explicit_terms(state: FlowState, params: ModelParams,
     at once; u.grad tau and Q are summed on the grid and transformed once,
     and the stress tendency is allocated last.
 
-    Only u and tau are checked for Hermitian symmetry, where they are
-    inverted whole; the derivative stacks keep it.  With Q off, tau is not
-    inverted whole, so its residue is read on entry.  u and tau are each
-    scanned once for support in the 2/3 box (spectral._box_supported); a
-    supported source and its derivatives take the pruned inverse passes,
-    any other the full ones.  Both products are transformed by
-    _dealiased_forward, which passes only over the lines the 2/3 rule keeps.
+    The sources that are inverted, u and (for u.grad tau or Q) tau, are
+    each checked for Hermitian symmetry and scanned for support in the 2/3
+    box once, on entry; every inverse after that is unchecked, as the
+    derivative stacks keep both from their source.  A supported source and
+    its derivatives take the pruned inverse passes, any other the full
+    ones.  Both products take the dealiased forward transform, which passes
+    only over the lines the 2/3 rule keeps.
     """
     grid = state.grid
     tg = params.toggles
     u, tau = state.u, state.tau
-    if (tg.advection_tau and not tg.q_term
-            and _hermitian_residue(tau.comps, grid) > HERMITIAN_TOL):
-        _inverse(tau.comps, grid)  # the full check, which may raise
-
-    need_u_phys = tg.advection_u or tg.advection_tau or tg.q_term
-    u_boxed = _box_supported(u.comps, grid) if need_u_phys else False
-    tau_boxed = _box_supported(tau.comps, grid) \
-        if (tg.advection_tau or tg.q_term) else False
-    u_phys = _inverse(u.comps, grid, u_boxed) if need_u_phys else None
+    need_tau_phys = tg.advection_tau or tg.q_term
+    need_u_phys = tg.advection_u or need_tau_phys
+    if need_u_phys:
+        _check_hermitian(u.comps, grid)
+    if need_tau_phys:
+        _check_hermitian(tau.comps, grid)
+    u_boxed = need_u_phys and _box_supported(u.comps, grid)
+    tau_boxed = need_tau_phys and _box_supported(tau.comps, grid)
+    u_phys = _unchecked_inverse(u.comps, grid, u_boxed) \
+        if need_u_phys else None
     grad_u = _gradient_physical(u.comps, grid, u_boxed) \
         if (tg.advection_u or tg.q_term) else None
 
@@ -295,11 +291,12 @@ def _explicit_terms(state: FlowState, params: ModelParams,
     if tg.stress_divergence:
         du += divergence(tau).comps
     if tg.advection_u:
-        du -= _dealiased_forward(
-            np.einsum("j...,ij...->i...", u_phys, grad_u), grid)
+        du -= _forward(np.einsum("j...,ij...->i...", u_phys, grad_u), grid,
+                       dealiased=True)
     du = leray_project(VectorField(grid, du))
 
-    q_tri = _q_triangle_physical(tau, grad_u, params.b, tau_boxed) \
+    q_tri = _q_triangle_physical(
+        _unchecked_inverse(tau.comps, grid, tau_boxed), grad_u, params.b) \
         if tg.q_term else None
     del grad_u
     nl = None
@@ -320,7 +317,7 @@ def _explicit_terms(state: FlowState, params: ModelParams,
     if tg.strain_source:
         dtau += strain_rate(u).comps
     if nl is not None:
-        dtau -= _dealiased_forward(nl, grid)
+        dtau -= _forward(nl, grid, dealiased=True)
     return du, TensorField(grid, dtau), q_tri
 
 
@@ -392,8 +389,8 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
     visc_u_l2 = l2_inner_product(fractional_laplacian(u, params.alpha), u) \
         if params.nu else 0.0
     tau_sq = l2_inner_product(tau, tau)
-    q_work = l2_inner_product(tau.with_comps(
-        _dealiased_forward(q_tri, grid)), tau) if q_tri is not None else 0.0
+    q_work = l2_inner_product(tau.with_comps(_forward(
+        q_tri, grid, dealiased=True)), tau) if q_tri is not None else 0.0
     terms = {
         "u_work": u_work,
         "tau_work": tau_work,
@@ -546,10 +543,12 @@ def make_initial_data(grid: Grid, recipe: str = InitialDataConfig.recipe,
             u_phys[0] = np.sin(x[0]) * np.cos(x[1]) * np.cos(x[2])
             u_phys[1] = -np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2])
             shear = np.sin(x[0]) * np.sin(x[1]) * np.cos(x[2])
-        u = VectorField.from_physical(grid, u_phys)
+        # the modes have |k_i| <= 1 < kc; dealias zeroes the round-off
+        # outside the 2/3 box, so the state takes the pruned passes
+        u = dealias(VectorField.from_physical(grid, u_phys))
         tau_phys = np.zeros((len(tau.pairs),) + grid.shape)
         tau_phys[tau.pair_index(0, 1)] = shear
-        tau = TensorField.from_physical(grid, tau_phys)
+        tau = dealias(TensorField.from_physical(grid, tau_phys))
 
     u = leray_project(u)
     size = sobolev_norm(u, s) + sobolev_norm(tau, s)

@@ -19,18 +19,18 @@ Conventions used throughout the package:
   further leading axis, then irfft over the last axis.
 - The 2/3 rule is stated once, as Grid.dealias_cutoff kc = ceil(n/3);
   Grid.dealias_mask, the kept index ranges and the line blocks below
-  derive from it.  Two transforms skip the c2c lines that are known to be
-  zero, with the values of the full passes: _dealiased_forward equals
-  _forward(x) * dealias_mask and passes only over the lines the mask
-  keeps; for a stack that is zero outside the box (_box_supported), the
-  inverse passes only over the lines that can be nonzero, into a zeroed
-  buffer.  The rfft and irfft passes still run over every row.  _inverse
-  scans its input for box support; the kernel scans u and tau once and
-  hands the verdict to their derivative stacks.
+  derive from it.  One loop, _c2c_passes, runs the c2c passes of every
+  transform over a per-axis table of line blocks: one whole-array block,
+  or Grid.box_lines, which skips the lines known to be zero, with the
+  values of the full passes, for _forward(x, dealiased=True) (equal to
+  _forward(x) * dealias_mask) and for the inverse of a stack that is zero
+  outside the box (_box_supported).  rfft and irfft run over every row.
+  The kernel scans u and tau once and hands the verdict to their
+  derivative stacks.
 - Columns k_last = 0 and k_last = -n/2 contain both k and -k, so only they
-  can break Hermitian symmetry; _inverse checks them and nothing else.
-  _unchecked_inverse runs the same passes without the check, for
-  derivative stacks, which keep the symmetry of their checked source.
+  can break Hermitian symmetry; _check_hermitian checks them and nothing
+  else.  _unchecked_inverse runs the passes of _inverse without it, for
+  stacks derived from a checked source, which keep its symmetry.
 - All L2 / Sobolev quantities carry the explicit (2pi)^d domain factor,
   e.g. ||f||_L2^2 = (2pi)^d sum_k |fhat(k)|^2 over the whole lattice.  On
   the half layout each interior last-axis column stands for itself and its
@@ -61,7 +61,7 @@ TWO_PI = 2.0 * np.pi
 SYM_PAIRS = {2: ((0, 0), (0, 1), (1, 1)),
              3: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))}
 
-HERMITIAN_TOL = 1e-12  # _inverse rejects residues above it * (1 + max |out|)
+HERMITIAN_TOL = 1e-12  # _check_hermitian's bound is it * (1 + max |samples|)
 
 
 class HermitianSymmetryError(RuntimeError):
@@ -295,34 +295,34 @@ class Grid:
         return tuple(ki % self.n for ki in k), conjugated
 
 
-def _forward(values: np.ndarray, grid: Grid) -> np.ndarray:
+def _c2c_passes(fft, src: np.ndarray, dst: np.ndarray, grid: Grid,
+                pruned: bool, order: Sequence[int]) -> None:
+    """The fft or ifft passes over the leading grid axes a in order, each
+    over the line blocks of Grid.box_lines[a] if pruned, else over the
+    whole array; the first reads src, and each writes dst."""
+    lines = grid.box_lines if pruned else ((Ellipsis,),) * (grid.d - 1)
+    for a in order:
+        for block in lines[a]:
+            fft(src[block], axis=grid.axes[a], norm="forward", out=dst[block])
+        src = dst
+
+
+def _forward(values: np.ndarray, grid: Grid,
+             dealiased: bool = False) -> np.ndarray:
     """Real samples (trailing grid axes) -> half-layout coefficients, equal
-    to rfftn's bit for bit (see the module docstring)."""
+    to rfftn's bit for bit (see the module docstring).  dealiased gives
+    them times grid.dealias_mask, with no fft pass over a line that the
+    mask discards (Grid.box_lines) and 0 set outside the 2/3 box."""
     values = np.asarray(values)
     if values.shape[-grid.d:] != grid.shape:
         raise GridMismatchError(
             f"sample shape {values.shape} does not end in {grid.shape}")
     out = np.fft.rfft(values, axis=-1, norm="forward")
-    for axis in grid.axes[-2::-1]:
-        np.fft.fft(out, axis=axis, norm="forward", out=out)
-    return out
-
-
-def _dealiased_forward(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """_forward(values, grid) * grid.dealias_mask, with the same values, and
-    no pass over a line that the mask discards.
-
-    rfft runs over every row; each leading-axis fft pass then covers only
-    the kept block of the axes transformed before it (Grid.box_lines), and
-    everything outside the 2/3 box (Grid.outside_box) is set to 0.
-    """
-    out = np.fft.rfft(values, axis=-1, norm="forward")
-    for a in range(grid.d - 2, -1, -1):
-        for block in grid.box_lines[a]:
-            lines = out[block]
-            np.fft.fft(lines, axis=grid.axes[a], norm="forward", out=lines)
-    for block in grid.outside_box:
-        out[block] = 0
+    _c2c_passes(np.fft.fft, out, out, grid, dealiased,
+                range(grid.d - 2, -1, -1))
+    if dealiased:
+        for block in grid.outside_box:
+            out[block] = 0
     return out
 
 
@@ -349,34 +349,34 @@ def _hermitian_residue(coeffs: np.ndarray, grid: Grid) -> float:
     return float(np.max(np.abs(cols - mirror.conj()))) if cols.size else 0.0
 
 
-def _inverse(coeffs: np.ndarray, grid: Grid,
-             boxed: Optional[bool] = None) -> np.ndarray:
-    """Half-layout coefficients -> real samples; rejects non-Hermitian input.
+def _check_hermitian(coeffs: np.ndarray, grid: Grid) -> None:
+    """Raise HermitianSymmetryError if the residue of coeffs exceeds
+    HERMITIAN_TOL * (1 + max |samples|), samples being their inverse.
 
-    The result equals irfftn's bit for bit (see the module docstring).  The
-    irfft pass would silently drop the anti-Hermitian part of the columns 0
-    and n/2, so those columns are checked first, at O(n^(d-1)) cost.
-    boxed is the caller's _box_supported verdict on coeffs; without one,
-    coeffs is scanned here.
+    The irfft pass would silently drop the anti-Hermitian part of the
+    columns 0 and n/2, so those columns are scanned, at O(n^(d-1)) cost.
+    The bound is at least HERMITIAN_TOL, so the samples are only inverted
+    when the residue exceeds it.
     """
+    residue = _hermitian_residue(coeffs, grid)
+    if residue > HERMITIAN_TOL:
+        scale = float(np.max(np.abs(_unchecked_inverse(coeffs, grid, False))))
+        if residue > HERMITIAN_TOL * (1.0 + scale):
+            raise HermitianSymmetryError(
+                f"imaginary residue {residue:.3e} exceeds tolerance "
+                f"{HERMITIAN_TOL:.1e} * (1 + {scale:.3e})")
+
+
+def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half-layout coefficients -> real samples, equal to irfftn's bit for
+    bit (see the module docstring); rejects non-Hermitian input."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-grid.d:] != grid.spectral_shape:
         raise GridMismatchError(
             f"coefficient shape {coeffs.shape} does not end in "
             f"{grid.spectral_shape}")
-    residue = _hermitian_residue(coeffs, grid)
-    if boxed is None:
-        boxed = _box_supported(coeffs, grid)
-    out = _unchecked_inverse(coeffs, grid, boxed)
-    # the bound HERMITIAN_TOL * (1 + scale) is at least HERMITIAN_TOL, so
-    # the magnitude scan is only needed when the residue exceeds it
-    if residue > HERMITIAN_TOL:
-        scale = float(np.max(np.abs(out)))
-        if residue > HERMITIAN_TOL * (1.0 + scale):
-            raise HermitianSymmetryError(
-                f"imaginary residue {residue:.3e} exceeds tolerance "
-                f"{HERMITIAN_TOL:.1e} * (1 + {scale:.3e})")
-    return out
+    _check_hermitian(coeffs, grid)
+    return _unchecked_inverse(coeffs, grid, _box_supported(coeffs, grid))
 
 
 def _unchecked_inverse(coeffs: np.ndarray, grid: Grid, boxed: bool,
@@ -384,24 +384,16 @@ def _unchecked_inverse(coeffs: np.ndarray, grid: Grid, boxed: bool,
     """The passes of _inverse without its Hermitian check, into out if given.
 
     For derivative stacks: i k_j c is Hermitian wherever c is, so a stack
-    built from a source that _inverse checks needs no scan of its own.
-    boxed is the _box_supported verdict on coeffs; a derivative stack
+    built from a source that _check_hermitian passed needs no scan of its
+    own.  boxed is the _box_supported verdict on coeffs; a derivative stack
     takes the verdict of its source, as i k_j c is zero wherever c is.  For
-    a supported stack the c2c passes cover only the lines that can be
+    a supported stack the ifft passes cover only the lines that can be
     nonzero (Grid.box_lines), in a zeroed work buffer, which skips lines
     that would transform zeros into zeros.
     """
-    # the first pass writes a new buffer, so coeffs is never written to
-    if boxed:
-        work = np.zeros(coeffs.shape, dtype=np.complex128)
-        for a, axis in enumerate(grid.axes[:-1]):
-            for block in grid.box_lines[a]:
-                np.fft.ifft((work if a else coeffs)[block], axis=axis,
-                            norm="forward", out=work[block])
-    else:
-        work = np.fft.ifft(coeffs, axis=grid.axes[0], norm="forward")
-        for axis in grid.axes[1:-1]:
-            np.fft.ifft(work, axis=axis, norm="forward", out=work)
+    # the first pass writes the work buffer, so coeffs is never written to
+    work = (np.zeros if boxed else np.empty)(coeffs.shape, dtype=np.complex128)
+    _c2c_passes(np.fft.ifft, coeffs, work, grid, boxed, range(grid.d - 1))
     return np.fft.irfft(work, n=grid.n, axis=-1, norm="forward", out=out)
 
 

@@ -28,6 +28,7 @@ REMOVED = [
     (obflow.spectral, "inverse_transform"),
     (obflow.spectral, "_data"),
     (obflow.spectral, "_rewrap"),
+    (obflow.spectral, "_dealiased_forward"),
     (obflow.spectral.SpectralField, "coeffs"),
     (obflow.spectral.SpectralField, "with_coeffs"),
     (obflow.stepping, "SCHEMES"),

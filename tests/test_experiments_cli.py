@@ -346,6 +346,38 @@ class TestCli:
                      "--slope-band", "5.0", "6.0"])
         assert code == 4
 
+    def test_sweep_member_blow_up_exit_code(self, tmp_path, capsys):
+        """Runs that blow up at different steps leave snapshot series of
+        different lengths: the sweep still writes both files, with NaN
+        for the slope and for each distance that has no pairing."""
+        raw = {"grid": {"d": 2, "n": 16},
+               "model": {"eta": 0.01, "beta": 0.5, "b": 1.0},
+               "stepper": {"dt": 0.2, "t_end": 4.0},
+               "initial_data": {"recipe": "random-band", "epsilon": 200.0,
+                                "band": [1, 8]},
+               "output": {"snapshot_cadence_steps": 1}}
+        path = self.write_config(tmp_path, raw)
+        out = tmp_path / "sw"
+        assert main(["sweep-nu", "--config", str(path), "--output", str(out),
+                     "--nu", "1e-1", "--nu", "1e-2", "--nu", "1e-3"]) == 3
+        assert "a sweep member blew up" in capsys.readouterr().err
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["blew_up"] is True
+        assert np.isnan(summary["slope"])
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+
+        def snapshots(nu):
+            member = json.loads(
+                (out / summary["member_dirs"][repr(nu)] / "summary.json")
+                .read_text())
+            return len(member["snapshots"])
+
+        paired = [snapshots(nu) == snapshots(0.0) for nu in summary["nus"]]
+        assert True in paired and False in paired
+        for ok, dist in zip(paired, summary["distances"]):
+            assert np.isnan(dist) != ok
+
     def test_sweep_too_few_nus_is_config_error(self, tmp_path):
         path = self.write_config(tmp_path, SMALL_RUN)
         assert main(["sweep-nu", "--config", str(path),

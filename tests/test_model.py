@@ -211,7 +211,7 @@ class TestPairwiseQ:
         g = Grid(d, n)
         st = random_state(g, seed=d + 30, scale=3.0, project=project)
         grad_u = _gradient_physical(st.u.comps, g, False)
-        got = _q_triangle_physical(st.tau, grad_u, b, False)
+        got = _q_triangle_physical(_inverse(st.tau.comps, g), grad_u, b)
         np.testing.assert_array_equal(got, dense_q_triangle(st.tau, grad_u, b))
 
 
@@ -247,9 +247,17 @@ class TestKernelHermitianCheck:
 
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
-    @pytest.mark.parametrize("q_term", [True, False])
-    def test_two_scans_per_evaluation(self, monkeypatch, d, n, q_term):
-        """u and tau are scanned once each; the derivative stacks are not."""
+    # the ids True and False say whether q_term is on
+    @pytest.mark.parametrize("toggles, scanned", [
+        pytest.param(TermToggles(), ("u", "tau"), id="True"),
+        pytest.param(TermToggles(q_term=False), ("u", "tau"), id="False"),
+        pytest.param(only("advection_u"), ("u",), id="advection_u"),
+        pytest.param(TermToggles.linear_waves(), (), id="linear")])
+    def test_two_scans_per_evaluation(self, monkeypatch, d, n, toggles,
+                                      scanned):
+        """Each inverted source, u and (for u.grad tau or Q) tau, is
+        scanned once; the derivative stacks are not, and the linear terms
+        invert nothing."""
         scans = []
 
         def counting(coeffs, grid):
@@ -257,10 +265,10 @@ class TestKernelHermitianCheck:
             return _hermitian_residue(coeffs, grid)
 
         monkeypatch.setattr(obflow.spectral, "_hermitian_residue", counting)
-        monkeypatch.setattr(obflow.model, "_hermitian_residue", counting)
         st = random_state(Grid(d, n), seed=d)
-        explicit_rhs(st, ModelParams(b=0.5, toggles=TermToggles(q_term=q_term)))
-        assert sorted(scans) == sorted([st.u.comps.shape, st.tau.comps.shape])
+        explicit_rhs(st, ModelParams(b=0.5, toggles=toggles))
+        assert sorted(scans) == sorted(
+            getattr(st, name).comps.shape for name in scanned)
 
 
 class TestAdvectionSkewSymmetry:

@@ -28,15 +28,17 @@ from .spectral import (
     ConfigError,
     Grid,
     GridMismatchError,
+    SupportTable,
     TensorField,
     VectorField,
     _box_supported,
     _check_hermitian,
     _forward,
+    _leray,
+    _tensor_divergence,
     _unchecked_inverse,
     check_fields,
     dealias,
-    divergence,
     fractional_laplacian,
     l2_inner_product,
     leray_project,
@@ -44,6 +46,10 @@ from .spectral import (
 )
 
 RECIPES = ("single-mode", "random-band", "taylor-green")
+
+# Bound of alpha and beta: |k|^(2 gamma) <= (3 (n/2)^2)^16 is finite for
+# every n < 2^31.
+MAX_EXPONENT = 16.0
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,10 @@ class ModelParams:
     toggles: TermToggles = field(default_factory=TermToggles)
 
     def __post_init__(self):
-        exponent = (lambda v: v >= 0,
-                    "must be >= 0 (dissipation exponents are nonnegative)")
+        exponent = (lambda v: 0 <= v <= MAX_EXPONENT,
+                    f"must lie in [0, {MAX_EXPONENT:g}] (dissipation "
+                    "exponents are nonnegative, and |k|^(2 gamma) must "
+                    "stay finite)")
         check_fields(self, (
             ("eta", lambda v: v > 0, "must be positive"),
             ("beta",) + exponent,
@@ -153,32 +161,37 @@ class FlowState:
 
 def strain_rate(u: VectorField) -> TensorField:
     """Symmetric gradient D(u)_ij = (du_i/dx_j + du_j/dx_i) / 2."""
-    grid = u.grid
-    ik = grid.derivative_multipliers
-    pairs = SYM_PAIRS[grid.d]
-    comps = np.empty((len(pairs),) + grid.spectral_shape, dtype=np.complex128)
+    return TensorField(u.grid, _strain(u.comps, u.grid.support_table(False)))
+
+
+def _strain(u: np.ndarray, table: SupportTable) -> np.ndarray:
+    """strain_rate of compact velocity coefficients, in compact layout."""
+    ik = table.derivative_multipliers
+    pairs = SYM_PAIRS[table.grid.d]
+    comps = np.empty((len(pairs),) + table.shape, dtype=np.complex128)
     for m, (i, j) in enumerate(pairs):
-        comps[m] = 0.5 * (ik[j] * u.comps[i] + ik[i] * u.comps[j])
-    return TensorField(grid, comps)
+        comps[m] = 0.5 * (ik[j] * u[i] + ik[i] * u[j])
+    return comps
 
 
-def _gradient_physical(field_comps: np.ndarray, grid: Grid,
-                       boxed: bool) -> np.ndarray:
-    """Physical samples of all first derivatives; shape (m, d, *grid).
+def _gradient_physical(field_comps: np.ndarray,
+                       table: SupportTable) -> np.ndarray:
+    """Physical samples of all first derivatives of compact coefficients;
+    shape (m, d, *grid).
 
     The d derivatives of one component are inverted at a time, straight
     into the result, so no m d-component spectral stack exists.  They are
-    not checked for Hermitian symmetry or scanned for box support, as they
-    keep both from their source.  boxed is the source's _box_supported
-    verdict (_explicit_terms checks and scans it).
+    not checked for Hermitian symmetry, as they keep it from their source
+    (_explicit_terms checks it).
     """
-    ik = grid.derivative_multipliers
+    grid = table.grid
+    ik = table.derivative_multipliers
     out = np.empty((field_comps.shape[0], grid.d) + grid.shape)
-    grads = np.empty((grid.d,) + grid.spectral_shape, dtype=np.complex128)
+    grads = np.empty((grid.d,) + table.shape, dtype=np.complex128)
     for c, comp in enumerate(field_comps):
         for axis in range(grid.d):
             np.multiply(comp, ik[axis], out=grads[axis])
-        _unchecked_inverse(grads, grid, boxed, out=out[c])
+        _unchecked_inverse(grads, table, out=out[c])
     return out
 
 
@@ -245,13 +258,41 @@ def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.n
     rate_u = nu |k|^(2 alpha), rate_tau = eta |k|^(2 beta) + a, with the
     k = 0 convention of the fractional Laplacian.
     """
-    return (params.nu * grid.fractional_multiplier(params.alpha),
-            params.eta_eff * grid.fractional_multiplier(params.beta) + params.a)
+    return _dissipation_rates(grid.support_table(False), params)
 
 
-def _explicit_terms(state: FlowState, params: ModelParams,
-                    ) -> Tuple[VectorField, TensorField, Optional[np.ndarray]]:
-    """Kernel of explicit_rhs, plus the physical Q triangle (None if Q is off).
+def _dissipation_rates(table: SupportTable, params: ModelParams,
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """dissipation_rates in table's compact layout."""
+    return (params.nu * table.fractional_multiplier(params.alpha),
+            params.eta_eff * table.fractional_multiplier(params.beta)
+            + params.a)
+
+
+def _state_table(state: FlowState) -> SupportTable:
+    """The box table if u and tau are zero outside the 2/3 box, else the
+    whole table: one scan of each."""
+    grid = state.grid
+    return grid.support_table(_box_supported(state.u.comps, grid)
+                              and _box_supported(state.tau.comps, grid))
+
+
+def _take_handoff(state: FlowState, params: ModelParams,
+                  ) -> Optional[Tuple[VectorField, TensorField]]:
+    """The tendency energy_budget handed off on state for params, if any;
+    any hand-off is dropped (see FlowState)."""
+    handoff, state._handoff = state._handoff, None
+    if handoff is not None and handoff[0] == params:
+        return handoff[1], handoff[2]
+    return None
+
+
+def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
+                    params: ModelParams,
+                    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Kernel of explicit_rhs on the compact coefficients u and tau of
+    table: the compact tendencies, plus the physical Q triangle (None if Q
+    is off).
 
     The only place the nonlinear terms u.grad u, u.grad tau and Q are built.
 
@@ -264,61 +305,74 @@ def _explicit_terms(state: FlowState, params: ModelParams,
     and the stress tendency is allocated last.
 
     The sources that are inverted, u and (for u.grad tau or Q) tau, are
-    each checked for Hermitian symmetry and scanned for support in the 2/3
-    box once, on entry; every inverse after that is unchecked, as the
-    derivative stacks keep both from their source.  A supported source and
-    its derivatives take the pruned inverse passes, any other the full
-    ones.  Both products take the dealiased forward transform, which passes
-    only over the lines the 2/3 rule keeps.
+    each checked for Hermitian symmetry once, on entry; every inverse after
+    that is unchecked, as the derivative stacks keep the symmetry of their
+    source.  Every spectral product, the projection and the inverse passes
+    run over the table's coefficients and lines only.  Both products take
+    the dealiased forward transform, which passes only over the lines the
+    2/3 rule keeps and gathers the 2/3 box.
     """
-    grid = state.grid
+    grid = table.grid
     tg = params.toggles
-    u, tau = state.u, state.tau
     need_tau_phys = tg.advection_tau or tg.q_term
     need_u_phys = tg.advection_u or need_tau_phys
     if need_u_phys:
-        _check_hermitian(u.comps, grid)
+        _check_hermitian(u, table)
     if need_tau_phys:
-        _check_hermitian(tau.comps, grid)
-    u_boxed = need_u_phys and _box_supported(u.comps, grid)
-    tau_boxed = need_tau_phys and _box_supported(tau.comps, grid)
-    u_phys = _unchecked_inverse(u.comps, grid, u_boxed) \
-        if need_u_phys else None
-    grad_u = _gradient_physical(u.comps, grid, u_boxed) \
+        _check_hermitian(tau, table)
+
+    def dealiased(samples):  # the product's coefficients on the table
+        coeffs = _forward(samples, grid, dealiased=True)
+        return coeffs if table.boxed else \
+            grid.support_table(True).scatter(coeffs)
+
+    u_phys = _unchecked_inverse(u, table) if need_u_phys else None
+    grad_u = _gradient_physical(u, table) \
         if (tg.advection_u or tg.q_term) else None
 
-    du = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
+    du = np.zeros((grid.d,) + table.shape, dtype=np.complex128)
     if tg.stress_divergence:
-        du += divergence(tau).comps
+        du += _tensor_divergence(tau, table)
     if tg.advection_u:
-        du -= _forward(np.einsum("j...,ij...->i...", u_phys, grad_u), grid,
-                       dealiased=True)
-    du = leray_project(VectorField(grid, du))
+        du -= dealiased(np.einsum("j...,ij...->i...", u_phys, grad_u))
+    du = _leray(du, table)
 
     q_tri = _q_triangle_physical(
-        _unchecked_inverse(tau.comps, grid, tau_boxed), grad_u, params.b) \
+        _unchecked_inverse(tau, table), grad_u, params.b) \
         if tg.q_term else None
     del grad_u
     nl = None
     if tg.advection_tau:
         # one stress component at a time: the m d-component gradient stack
         # would be the largest array of the step
-        nl = np.empty((len(tau.pairs),) + grid.shape)
-        for m in range(len(tau.pairs)):
+        nl = np.empty((len(SYM_PAIRS[grid.d]),) + grid.shape)
+        for m in range(len(nl)):
             np.einsum("j...,mj...->m...", u_phys,
-                      _gradient_physical(tau.comps[m:m + 1], grid, tau_boxed),
+                      _gradient_physical(tau[m:m + 1], table),
                       out=nl[m:m + 1])
     del u_phys
     if q_tri is not None:
         # in place into the advection samples, so q_tri itself survives
         nl = q_tri if nl is None else np.add(nl, q_tri, out=nl)
 
-    dtau = np.zeros_like(tau.comps)
+    dtau = np.zeros_like(tau)
     if tg.strain_source:
-        dtau += strain_rate(u).comps
+        dtau += _strain(u, table)
     if nl is not None:
-        dtau -= _forward(nl, grid, dealiased=True)
-    return du, TensorField(grid, dtau), q_tri
+        dtau -= dealiased(nl)
+    return du, dtau, q_tri
+
+
+def _half_layout_terms(state: FlowState, params: ModelParams,
+                       ) -> Tuple[VectorField, TensorField, Optional[np.ndarray]]:
+    """_explicit_terms of a state, with the tendencies in the half layout:
+    gathered into the state's table (_state_table) and scattered back."""
+    table = _state_table(state)
+    du, dtau, q_tri = _explicit_terms(table.gather(state.u.comps),
+                                      table.gather(state.tau.comps),
+                                      table, params)
+    return (VectorField(state.grid, table.scatter(du)),
+            TensorField(state.grid, table.scatter(dtau)), q_tri)
 
 
 def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
@@ -330,21 +384,21 @@ def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, Te
     tau as one stack each, grad u one velocity row at a time and grad tau
     one stress component at a time.  The momentum tendency is finished
     first, then Q(tau, grad u), then u.grad tau; the two are summed on the
-    grid before one transform, and the stress tendency comes last.  Only u
-    and tau are scanned, for Hermitian symmetry and for support in the 2/3
-    box.  The counts are whole transforms; within one, the c2c passes skip
-    the lines that the 2/3 rule discards (forward) or that a box-supported
-    source leaves zero (inverse), so a state that is zero outside the box,
-    as band-limited data stay, transforms fewer lines per component.
+    grid before one transform, and the stress tendency comes last.  u and
+    tau are scanned once for support in the 2/3 box, and checked for
+    Hermitian symmetry.  A state that is zero outside the box, as
+    band-limited data stay, is evaluated on the box table: its spectral
+    products run over the box only and its transforms pass over fewer
+    lines per component.  The counts are whole transforms.
 
     A tendency that energy_budget handed off on this state with equal
     params is returned as is, without a transform; any hand-off is dropped
     by the call (see FlowState).
     """
-    handoff, state._handoff = state._handoff, None
-    if handoff is not None and handoff[0] == params:
-        return handoff[1], handoff[2]
-    du, dtau, _ = _explicit_terms(state, params)
+    handoff = _take_handoff(state, params)
+    if handoff is not None:
+        return handoff
+    du, dtau, _ = _half_layout_terms(state, params)
     return du, dtau
 
 
@@ -379,7 +433,7 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
     """
     grid = state.grid
     u, tau = state.u, state.tau
-    du, dtau, q_tri = _explicit_terms(state, params)
+    du, dtau, q_tri = _half_layout_terms(state, params)
     state._handoff = (params, du, dtau)
     du, dtau = _with_dissipation(state, params, du, dtau)
     u_work = l2_inner_product(u, du)
@@ -389,8 +443,9 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
     visc_u_l2 = l2_inner_product(fractional_laplacian(u, params.alpha), u) \
         if params.nu else 0.0
     tau_sq = l2_inner_product(tau, tau)
-    q_work = l2_inner_product(tau.with_comps(_forward(
-        q_tri, grid, dealiased=True)), tau) if q_tri is not None else 0.0
+    q_work = l2_inner_product(tau.with_comps(grid.support_table(True).scatter(
+        _forward(q_tri, grid, dealiased=True))), tau) \
+        if q_tri is not None else 0.0
     terms = {
         "u_work": u_work,
         "tau_work": tau_work,
@@ -544,7 +599,7 @@ def make_initial_data(grid: Grid, recipe: str = InitialDataConfig.recipe,
             u_phys[1] = -np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2])
             shear = np.sin(x[0]) * np.sin(x[1]) * np.cos(x[2])
         # the modes have |k_i| <= 1 < kc; dealias zeroes the round-off
-        # outside the 2/3 box, so the state takes the pruned passes
+        # outside the 2/3 box, so the state steps on the box table
         u = dealias(VectorField.from_physical(grid, u_phys))
         tau_phys = np.zeros((len(tau.pairs),) + grid.shape)
         tau_phys[tau.pair_index(0, 1)] = shear

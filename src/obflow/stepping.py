@@ -17,11 +17,23 @@ from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import FlowState, ModelParams, dissipation_rates, explicit_rhs
-from .spectral import (
-    Grid,
+# explicit_rhs and leray_project are not called here since step runs on
+# compact coefficients; they stay importable from this module, where the
+# tracer of perfbench/spans.py looks them up
+from .model import (  # noqa: F401
+    FlowState,
+    ModelParams,
+    _dissipation_rates,
+    _explicit_terms,
+    _state_table,
+    _take_handoff,
+    explicit_rhs,
+)
+from .spectral import (  # noqa: F401
+    SupportTable,
     TensorField,
     VectorField,
+    _leray,
     check_fields,
     leray_project,
 )
@@ -88,29 +100,31 @@ def cfl_dt(state: FlowState, config: StepperConfig) -> float:
     return dt
 
 
-def _decay_factors(grid: Grid, params: ModelParams,
+def _decay_factors(table: SupportTable, params: ModelParams,
                    dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(Eu_half, Et_half, Eu_full, Et_full) integrating factors."""
-    rate_u, rate_tau = dissipation_rates(grid, params)
+    """(Eu_half, Et_half, Eu_full, Et_full) integrating factors on table."""
+    rate_u, rate_tau = _dissipation_rates(table, params)
     return (np.exp(-0.5 * dt * rate_u), np.exp(-0.5 * dt * rate_tau),
             np.exp(-dt * rate_u), np.exp(-dt * rate_tau))
 
 
-def _project(grid: Grid, u: np.ndarray) -> np.ndarray:
-    return leray_project(VectorField(grid, u)).comps
-
-
-def _stage(grid: Grid, params: ModelParams, u: np.ndarray, tau: np.ndarray,
-           t: float, dt: float) -> Tuple[np.ndarray, np.ndarray]:
-    """dt times the explicit tendencies at (u, tau): one RK4 stage."""
-    state = FlowState(VectorField(grid, u), TensorField(grid, tau), t)
-    du, dtau = explicit_rhs(state, params)
-    return dt * du.comps, dt * dtau.comps
+def _stage(table: SupportTable, params: ModelParams, u: np.ndarray,
+           tau: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+    """dt times the explicit tendencies at compact (u, tau): one RK4 stage."""
+    du, dtau, _ = _explicit_terms(u, tau, table, params)
+    return dt * du, dt * dtau
 
 
 def step(state: FlowState, params: ModelParams, dt: float) -> FlowState:
     """Advance one RK4 step in the variables z = exp(L (t - t0)) y; u is
     re-projected after every stage.
+
+    The state is scanned once for its support table (model._state_table):
+    the stage algebra, the projections and the four kernel evaluations run
+    on its compact coefficients, which are scattered back to the half
+    layout at the end.  A state that is zero outside the 2/3 box stays so,
+    as the linear terms act mode by mode and the nonlinear ones are
+    dealiased, so the box table holds the whole step.
 
     Stage 1 evaluates the state object itself, so it consumes a tendency
     that energy_budget handed off on it (see FlowState).
@@ -118,40 +132,45 @@ def step(state: FlowState, params: ModelParams, dt: float) -> FlowState:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    eu_h, et_h, eu_f, et_f = _decay_factors(grid, params, dt)
-    u0, tau0 = state.u.comps, state.tau.comps
+    table = _state_table(state)
+    eu_h, et_h, eu_f, et_f = _decay_factors(table, params, dt)
+    u0, tau0 = table.gather(state.u.comps), table.gather(state.tau.comps)
     t0 = state.t
 
-    du, dtau = explicit_rhs(state, params)
-    ku, kt = dt * du.comps, dt * dtau.comps
-    del du, dtau
+    handoff = _take_handoff(state, params)
+    if handoff is None:
+        ku, kt = _stage(table, params, u0, tau0, dt)
+    else:
+        ku, kt = (dt * table.gather(f.comps) for f in handoff)
+    del handoff
 
-    u_s = _project(grid, eu_h * (u0 + 0.5 * ku))
+    u_s = _leray(eu_h * (u0 + 0.5 * ku), table)
     tau_s = et_h * (tau0 + 0.5 * kt)
     # su, st sum eu_f k1 + 2 eu_h (k2 + k3) + k4 in this order as the
     # stages end, and each stage tendency is dropped once it is summed, so
     # a stage evaluation sees at most k2 beside the sums and its input
     su, st = eu_f * ku, et_f * kt
     del ku, kt
-    ku, kt = _stage(grid, params, u_s, tau_s, t0 + 0.5 * dt, dt)
+    ku, kt = _stage(table, params, u_s, tau_s, dt)
 
-    u_s = _project(grid, eu_h * u0 + 0.5 * ku)
+    u_s = _leray(eu_h * u0 + 0.5 * ku, table)
     tau_s = et_h * tau0 + 0.5 * kt
-    ku3, kt3 = _stage(grid, params, u_s, tau_s, t0 + 0.5 * dt, dt)
+    ku3, kt3 = _stage(table, params, u_s, tau_s, dt)
 
-    u_s = _project(grid, eu_f * u0 + eu_h * ku3)
+    u_s = _leray(eu_f * u0 + eu_h * ku3, table)
     tau_s = et_f * tau0 + et_h * kt3
     su += 2.0 * eu_h * (ku + ku3)
     st += 2.0 * et_h * (kt + kt3)
     del ku, kt, ku3, kt3
-    ku, kt = _stage(grid, params, u_s, tau_s, t0 + dt, dt)
+    ku, kt = _stage(table, params, u_s, tau_s, dt)
 
     su += ku
     st += kt
     su /= 6.0
     st /= 6.0
-    return FlowState(VectorField(grid, _project(grid, eu_f * u0 + su)),
-                     TensorField(grid, et_f * tau0 + st), t0 + dt)
+    return FlowState(
+        VectorField(grid, table.scatter(_leray(eu_f * u0 + su, table))),
+        TensorField(grid, table.scatter(et_f * tau0 + st)), t0 + dt)
 
 
 @dataclass

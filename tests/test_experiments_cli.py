@@ -263,6 +263,14 @@ class TestCli:
         assert "model.eta must be finite" in captured.err
         assert "config ok" not in captured.out
 
+    def test_check_config_rejects_a_huge_exponent(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, SMALL_RUN)
+        assert main(["check-config", "--config", str(path),
+                     "--override", "model.alpha=200"]) == 2
+        captured = capsys.readouterr()
+        assert "model.alpha must lie in [0, 16]" in captured.err
+        assert "config ok" not in captured.out
+
     @pytest.mark.parametrize("raw, message", [
         ([1, 2], "config root must be an object, got list"),
         ({"model": 3}, "model must be an object, got 3"),

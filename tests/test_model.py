@@ -13,6 +13,7 @@ from obflow.model import (
     FlowState,
     ModelParams,
     TermToggles,
+    _explicit_terms,
     _gradient_physical,
     _q_triangle_physical,
     dissipation_rates,
@@ -210,7 +211,7 @@ class TestPairwiseQ:
     def test_equals_dense_assembly_exactly(self, d, n, b, project):
         g = Grid(d, n)
         st = random_state(g, seed=d + 30, scale=3.0, project=project)
-        grad_u = _gradient_physical(st.u.comps, g, False)
+        grad_u = _gradient_physical(st.u.comps, g.support_table(False))
         got = _q_triangle_physical(_inverse(st.tau.comps, g), grad_u, b)
         np.testing.assert_array_equal(got, dense_q_triangle(st.tau, grad_u, b))
 
@@ -256,19 +257,22 @@ class TestKernelHermitianCheck:
     def test_two_scans_per_evaluation(self, monkeypatch, d, n, toggles,
                                       scanned):
         """Each inverted source, u and (for u.grad tau or Q) tau, is
-        scanned once; the derivative stacks are not, and the linear terms
-        invert nothing."""
+        scanned once, in the compact layout of the box table, as the state
+        is zero outside the 2/3 box; the derivative stacks are not scanned,
+        and the linear terms invert nothing."""
         scans = []
 
-        def counting(coeffs, grid):
+        def counting(coeffs, table):
             scans.append(coeffs.shape)
-            return _hermitian_residue(coeffs, grid)
+            return _hermitian_residue(coeffs, table)
 
         monkeypatch.setattr(obflow.spectral, "_hermitian_residue", counting)
-        st = random_state(Grid(d, n), seed=d)
+        g = Grid(d, n)
+        st = random_state(g, seed=d)
         explicit_rhs(st, ModelParams(b=0.5, toggles=toggles))
         assert sorted(scans) == sorted(
-            getattr(st, name).comps.shape for name in scanned)
+            getattr(st, name).comps.shape[:1] + g.support_table(True).shape
+            for name in scanned)
 
 
 class TestAdvectionSkewSymmetry:
@@ -432,7 +436,8 @@ class TestFusedKernel:
         st = random_state(g, seed=80 + d, scale=0.7)
         _, dtau = explicit_rhs(st, ModelParams(toggles=only("advection_tau")))
         adv = np.einsum("j...,mj...->m...", st.u.to_physical(),
-                        _gradient_physical(st.tau.comps, g, False))
+                        _gradient_physical(st.tau.comps,
+                                           g.support_table(False)))
         np.testing.assert_array_equal(
             dtau.comps, -(_forward(adv, g) * g.dealias_mask))
 
@@ -521,18 +526,29 @@ def assert_bits_equal(got, ref):
 
 
 class TestBoxSupportedKernel:
-    """The kernel scans u and tau for support in the 2/3 box and picks the
-    pruned or the full inverse passes by that verdict; either way it gives
-    the tendencies of the full passes, bit for bit."""
+    """explicit_rhs, energy_budget and step scan u and tau for support in
+    the 2/3 box and run on the box table's compact coefficients, or on the
+    whole table; either way they give the values of the whole table, bit
+    for bit, signs of zeros included."""
 
     PARAMS = ModelParams(eta=1.0, beta=0.75, nu=0.05, b=0.5, a=0.1)
 
     @staticmethod
-    def full_pass_terms(monkeypatch, state, params):
+    def terms(state, params):
+        du, dtau = explicit_rhs(state.copy(), params)
+        out = step(state.copy(), params, 1e-2)
+        return ((du.comps, dtau.comps, out.u.comps, out.tau.comps),
+                energy_budget(state.copy(), params))
+
+    def assert_equals_the_whole_table(self, monkeypatch, state):
         with monkeypatch.context() as patch:
             patch.setattr(obflow.model, "_box_supported", lambda c, g: False)
-            return explicit_rhs(state.copy(), params), \
-                energy_budget(state.copy(), params)
+            ref, ref_budget = self.terms(state, self.PARAMS)
+        got, budget = self.terms(state, self.PARAMS)
+        assert np.any(got[1] != 0)
+        for g, r in zip(got, ref):
+            assert_bits_equal(g, r)
+        assert budget == ref_budget
 
     @pytest.mark.parametrize("d, n, mode, boxed", [
         (2, 16, (0, 7), False), (2, 16, (2, 3), True),
@@ -542,25 +558,43 @@ class TestBoxSupportedKernel:
         g = Grid(d, n)
         st = make_initial_data(g, recipe="single-mode", epsilon=0.5,
                                mode=mode)
-        assert obflow.spectral._box_supported(st.u.comps, g) is boxed
-        (ref_u, ref_tau), ref_budget = self.full_pass_terms(
-            monkeypatch, st, self.PARAMS)
-        du, dtau = explicit_rhs(st.copy(), self.PARAMS)
-        assert np.any(dtau.comps != 0)
-        assert_bits_equal(du.comps, ref_u.comps)
-        assert_bits_equal(dtau.comps, ref_tau.comps)
-        assert energy_budget(st.copy(), self.PARAMS) == ref_budget
+        assert obflow.model._state_table(st) is g.support_table(boxed)
+        self.assert_equals_the_whole_table(monkeypatch, st)
 
     @pytest.mark.parametrize("d, n", [(2, 16), (2, 48), (3, 12)])
     def test_random_state_equals_the_full_passes(self, monkeypatch, d, n):
         g = Grid(d, n)
         st = random_state(g, seed=40 + d, scale=0.5)
-        (ref_u, ref_tau), ref_budget = self.full_pass_terms(
-            monkeypatch, st, self.PARAMS)
-        du, dtau = explicit_rhs(st.copy(), self.PARAMS)
-        assert_bits_equal(du.comps, ref_u.comps)
-        assert_bits_equal(dtau.comps, ref_tau.comps)
-        assert energy_budget(st.copy(), self.PARAMS) == ref_budget
+        assert obflow.model._state_table(st).boxed
+        self.assert_equals_the_whole_table(monkeypatch, st)
+
+    @pytest.mark.parametrize("d, n, band", [(2, 24, (1, 12)), (3, 12, (1, 6))])
+    def test_band_past_the_cutoff_takes_the_whole_table(self, monkeypatch, d,
+                                                       n, band):
+        """Data outside the box: the scan picks the whole table, and one
+        coefficient outside the box in tau alone is enough."""
+        g = Grid(d, n)
+        st = make_initial_data(g, epsilon=0.5, seed=3, band=band)
+        assert not obflow.model._state_table(st).boxed
+        self.assert_equals_the_whole_table(monkeypatch, st)
+        st = random_state(g, seed=5, scale=0.5)
+        st.tau.comps[(0,) * d + (g.dealias_cutoff,)] = 1e-3
+        assert not obflow.model._state_table(st).boxed
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 12)])
+    def test_kernel_tables_agree(self, d, n):
+        """_explicit_terms on the box table's compact coefficients, scattered,
+        equals _explicit_terms on the whole table, and its Q triangle too."""
+        g = Grid(d, n)
+        st = random_state(g, seed=50 + d, scale=0.5)
+        box, whole = g.support_table(True), g.support_table(False)
+        du, dtau, q_tri = _explicit_terms(box.gather(st.u.comps),
+                                          box.gather(st.tau.comps), box,
+                                          self.PARAMS)
+        ref = _explicit_terms(st.u.comps, st.tau.comps, whole, self.PARAMS)
+        assert du.shape == (d,) + box.shape
+        for got, r in zip((box.scatter(du), box.scatter(dtau), q_tri), ref):
+            assert_bits_equal(got, r)
 
 
 class TestInitialData:
@@ -643,6 +677,19 @@ class TestInitialData:
 
 
 class TestParams:
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_exponent_bound(self, name):
+        """|k|^(2 gamma) overflows for a large exponent, which would make
+        the dissipation rates NaN; the bound is a named ConfigError."""
+        ModelParams(**{name: 16.0})
+        with pytest.raises(ConfigError, match=f"^{name} must lie in "
+                                              r"\[0, 16\]"):
+            ModelParams(nu=0.0, **{name: 200.0})
+        rate_u, rate_tau = dissipation_rates(Grid(3, 64),
+                                             ModelParams(nu=1.0, alpha=16.0,
+                                                         beta=16.0))
+        assert np.all(np.isfinite(rate_u)) and np.all(np.isfinite(rate_tau))
+
     def test_hard_validation(self):
         with pytest.raises(ValueError):
             ModelParams(eta=0.0)

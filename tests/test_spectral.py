@@ -22,6 +22,7 @@ from obflow.spectral import (
     sobolev_norm,
     _box_supported,
     _forward,
+    _hermitian_residue,
     _inverse,
     _unchecked_inverse,
 )
@@ -238,12 +239,14 @@ class TestPrunedPasses:
         coeffs = box_supported_stack(g, 3 if d == 2 else 2, seed=7 * d + n)
         before = coeffs.copy()
         assert _box_supported(coeffs, g)
-        full = _unchecked_inverse(coeffs, g, boxed=False)
+        full = _unchecked_inverse(coeffs, g.support_table(False))
         np.testing.assert_array_equal(
             full, np.fft.irfftn(coeffs, s=g.shape, axes=g.axes, norm="forward"))
-        np.testing.assert_array_equal(_unchecked_inverse(coeffs, g, True), full)
+        box = g.support_table(True)
+        compact = box.gather(coeffs)
+        np.testing.assert_array_equal(_unchecked_inverse(compact, box), full)
         out = np.empty_like(full)
-        _unchecked_inverse(coeffs, g, True, out=out)
+        _unchecked_inverse(compact, box, out=out)
         np.testing.assert_array_equal(out, full)
         np.testing.assert_array_equal(_inverse(coeffs, g), full)
         np.testing.assert_array_equal(coeffs, before)
@@ -256,6 +259,8 @@ class TestPrunedPasses:
         samples = rng.standard_normal((2,) + g.shape)
         before = samples.copy()
         got = _forward(samples, g, dealiased=True)
+        assert got.shape == (2,) + g.support_table(True).shape
+        got = g.support_table(True).scatter(got)
         np.testing.assert_array_equal(got, _forward(samples, g) * g.dealias_mask)
         assert _box_supported(got, g)
         np.testing.assert_array_equal(samples, before)
@@ -265,8 +270,7 @@ class TestPrunedPasses:
     def test_one_coefficient_outside_the_box_takes_the_full_passes(self, d, n):
         """Each block of Grid.outside_box is scanned: one coefficient in it
         makes the stack unsupported, and _inverse then gives the full
-        passes' values.  The pruned passes would miss it unless it lies on
-        the first axis, whose pass runs over every index."""
+        passes' values.  The box table would drop it."""
         g = Grid(d, n)
         kc = g.dealias_cutoff
         # an interior column has no mirror in the half layout, so a single
@@ -284,9 +288,9 @@ class TestPrunedPasses:
             full = np.fft.irfftn(coeffs, s=g.shape, axes=g.axes,
                                  norm="forward")
             np.testing.assert_array_equal(_inverse(coeffs, g), full)
-            missed = not np.array_equal(_unchecked_inverse(coeffs, g, True),
-                                        full)
-            assert missed == (slot[0] == 0), slot
+            box = g.support_table(True)
+            assert not np.array_equal(
+                _unchecked_inverse(box.gather(coeffs), box), full), slot
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_the_box_edge_is_inside(self, d):
@@ -296,6 +300,73 @@ class TestPrunedPasses:
         coeffs = np.zeros((1,) + g.spectral_shape, dtype=complex)
         coeffs[(0,) + (g.n - kc + 1,) * (d - 1) + (kc - 1,)] = 1.0
         assert _box_supported(coeffs, g)
+
+
+class TestSupportTable:
+    """The box table's compact layout holds the 2/3 box in 2^(d-1)
+    contiguous blocks; the whole table's is the half layout itself."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [8, 12, 32])
+    def test_gather_and_scatter_round_trip(self, d, n):
+        g = Grid(d, n)
+        box = g.support_table(True)
+        kc = g.dealias_cutoff
+        assert box.shape == (2 * kc - 1,) * (d - 1) + (kc,)
+        rng = np.random.default_rng(n + d)
+        compact = rng.standard_normal((2,) + box.shape) \
+            + 1j * rng.standard_normal((2,) + box.shape)
+        half = box.scatter(compact)
+        assert half.shape == (2,) + g.spectral_shape
+        assert _box_supported(half, g)
+        np.testing.assert_array_equal(box.gather(half), compact)
+        # every compact coefficient lands on a slot of the box, once
+        assert np.count_nonzero(half) == compact.size
+        full = _forward(rng.standard_normal((2,) + g.shape), g)
+        np.testing.assert_array_equal(box.scatter(box.gather(full)),
+                                      full * g.dealias_mask)
+        whole = g.support_table(False)
+        assert whole.shape == g.spectral_shape
+        assert whole.gather(full) is full and whole.scatter(full) is full
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_compact_wavenumbers_are_the_gathered_ones(self, d):
+        """A leading compact index i holds the wavenumber i for i < kc and
+        i - (2kc - 1) above; the tables are gathered from the grid's."""
+        g = Grid(d, 16)
+        box = g.support_table(True)
+        kc = g.dealias_cutoff
+        lead = np.r_[0:kc, -(kc - 1):0]
+        for axis, (k, ik) in enumerate(zip(box.leray_wavenumbers,
+                                           box.derivative_multipliers)):
+            shape = [1] * d
+            shape[axis] = -1
+            want = (lead if axis < d - 1 else np.arange(kc)).reshape(shape)
+            np.testing.assert_array_equal(k, np.broadcast_to(want, box.shape))
+            np.testing.assert_array_equal(ik, 1j * k)
+        np.testing.assert_array_equal(
+            box.k_squared_divisor, box.gather(g.k_squared_divisor))
+        np.testing.assert_array_equal(box.fractional_multiplier(0.75),
+                                      box.gather(g.fractional_multiplier(0.75)))
+        np.testing.assert_array_equal(box.reversal,
+                                      -np.arange(2 * kc - 1) % (2 * kc - 1))
+
+    @pytest.mark.parametrize("d, n", [(2, 12), (2, 32), (3, 8), (3, 12)])
+    def test_compact_residue_equals_the_scattered_one(self, d, n):
+        """The box table reads column 0 only, as column n/2 lies outside
+        the box; its residue is that of the scattered half layout."""
+        g = Grid(d, n)
+        box, whole = g.support_table(True), g.support_table(False)
+        rng = np.random.default_rng(d * n)
+        broken = rng.standard_normal((3,) + box.shape) \
+            + 1j * rng.standard_normal((3,) + box.shape)
+        hermitian = _forward(rng.standard_normal((3,) + g.shape), g,
+                             dealiased=True)
+        for compact in (broken, hermitian):
+            residue = _hermitian_residue(compact, box)
+            assert residue == _hermitian_residue(box.scatter(compact), whole)
+        assert _hermitian_residue(broken, box) > 0.1
+        assert _hermitian_residue(hermitian, box) < 1e-15
 
 
 class TestHalfLayoutSymmetryCheck:

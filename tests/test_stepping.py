@@ -14,6 +14,7 @@ from obflow.model import (
     FlowState,
     ModelParams,
     TermToggles,
+    _state_table,
     dissipation_rates,
     energy_budget,
     explicit_rhs,
@@ -192,16 +193,21 @@ class TestWorkingSet:
     """What one step and one run keep alive."""
 
     # Peak of one step above its entry, in complex components of the half
-    # layout, at b = 0.5 with every term on.  This change measures 37.3
-    # (2D n=32) and 63.8 (3D n=16; 63.1 at 3D n=32); the bounds leave about
-    # 10% for temporaries that another numpy may add.  The previous step,
-    # which kept stage tendencies past their last use and built the grad u
-    # stack whole, measures 57.5 and 101.
-    @pytest.mark.parametrize("d, n, bound", [(2, 32, 41.0), (3, 16, 70.0)])
-    def test_step_peak_in_components(self, d, n, bound):
+    # layout, at b = 0.5 with every term on.  A step on the box table
+    # measures 27.0 (2D n=32) and 42.4 (3D n=16; 42.5 at 3D n=32), one on
+    # the whole table, from a band past kc, 35.6 (2D n=32).  A step on the
+    # half layout throughout measured 35.8 and 61.5, and before that, with
+    # stage tendencies kept past their last use and the grad u stack built
+    # whole, 57.5 and 101.
+    @pytest.mark.parametrize("d, n, bound, band", [
+        pytest.param(2, 32, 41.0, (1, 4), id="2-32-41.0"),
+        pytest.param(3, 16, 70.0, (1, 4), id="3-16-70.0"),
+        pytest.param(2, 32, 41.0, (1, 12), id="whole-2-32-41.0")])
+    def test_step_peak_in_components(self, d, n, bound, band):
         grid = Grid(d, n)
         params = ModelParams(eta=1.0, beta=0.5, b=0.5)
-        st = make_initial_data(grid, epsilon=1.0, seed=5)
+        st = make_initial_data(grid, epsilon=1.0, seed=5, band=band)
+        assert _state_table(st).boxed == (band[1] < grid.dealias_cutoff)
         st = step(st, params, 1e-3)  # fills the grid's cached multipliers
         tracemalloc.start()
         try:
@@ -236,7 +242,7 @@ class TestWorkingSet:
 
 
 class TestBoxSupport:
-    """The pruned transforms rest on this: a state that is zero outside the
+    """The box table rests on this: a state that is zero outside the
     2/3 box stays so, exactly, as the linear terms act mode by mode and
     the nonlinear ones are dealiased."""
 

@@ -211,17 +211,10 @@ def lyapunov_equivalence_check(rec: DiagnosticsRecord,
     return slack >= -1e-12 * (rhs + lhs), slack
 
 
-def energy_identity_residual(records: Sequence[DiagnosticsRecord],
-                             params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Centered-difference residual of the L2 energy identity per interior record.
-
-    residual(t_i) = d/dt [ (||u||^2 + ||tau||^2) / 2 ]
-                    + eta ||L^beta tau||^2 + nu ||L^alpha u||^2
-                    + a ||tau||^2 + <Q, tau>,
-
-    evaluated from the record stream alone.  Requires at least three
-    uniformly spaced records; the truncation error is O(dt_record^2).
-    """
+def _identity_balance(records: Sequence[DiagnosticsRecord],
+                      params: ModelParams,
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, dx/dt, residual) of energy_identity_residual's records."""
     if len(records) < 3:
         raise ValueError("need at least three records for centered differences")
     t = np.array([r.t for r in records])
@@ -237,19 +230,30 @@ def energy_identity_residual(records: Sequence[DiagnosticsRecord],
         params.eta_eff * r.diss_tau_l2 + r.visc_u_l2
         + params.a * r.tau_l2 ** 2 + r.q_work
         for r in records[1:-1]])
-    return t[1:-1], dxdt + diss
+    return t[1:-1], dxdt, dxdt + diss
+
+
+def energy_identity_residual(records: Sequence[DiagnosticsRecord],
+                             params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
+    """Centered-difference residual of the L2 energy identity per interior record.
+
+    residual(t_i) = d/dt [ (||u||^2 + ||tau||^2) / 2 ]
+                    + eta ||L^beta tau||^2 + nu ||L^alpha u||^2
+                    + a ||tau||^2 + <Q, tau>,
+
+    evaluated from the record stream alone.  Requires at least three
+    uniformly spaced records; the truncation error is O(dt_record^2).
+    """
+    t, _, resid = _identity_balance(records, params)
+    return t, resid
 
 
 def max_relative_identity_residual(records: Sequence[DiagnosticsRecord],
                                    params: ModelParams) -> float:
-    """Max |residual| over interior records, relative to the balance scale."""
-    _, resid = energy_identity_residual(records, params)
-    t = np.array([r.t for r in records])
-    x = 0.5 * (np.array([r.u_l2 for r in records]) ** 2
-               + np.array([r.tau_l2 for r in records]) ** 2)
-    dxdt = (x[2:] - x[:-2]) / (t[2:] - t[:-2])
-    diss = resid - dxdt
-    scale = float(max(np.max(np.abs(dxdt)), np.max(np.abs(diss))))
+    """Max |residual| over interior records, relative to the balance scale:
+    the larger of max |dx/dt| and max |residual - dx/dt|."""
+    _, dxdt, resid = _identity_balance(records, params)
+    scale = float(max(np.max(np.abs(dxdt)), np.max(np.abs(resid - dxdt))))
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(resid)) / scale)

@@ -269,7 +269,15 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
     process pool; results do not depend on the worker count.  When a run
     blows up, blew_up is set and the slope is NaN, and so is the distance
     of each member whose snapshot series is not as long as the baseline's.
+    A slope band that is not finite with lo <= hi, or fewer than one
+    thread, is a ConfigError raised before any member runs.
     """
+    lo, hi = slope_band
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ConfigError([f"slope_band must hold two finite bounds with "
+                           f"lo <= hi, got [{lo!r}, {hi!r}]"])
+    if threads < 1:
+        raise ConfigError([f"threads must be >= 1, got {threads!r}"])
     nus = sorted((float(v) for v in nus), reverse=True)
     if len(nus) < 3:
         raise ConfigError(["sweep needs at least three viscosity values"])
@@ -311,7 +319,8 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
 
     summaries: Dict[float, dict] = {}
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # no more workers than runs: a forked pool starts them all at once
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             futures = [(nu, pool.submit(_sweep_member, cd, str(md)))
                        for nu, cd, md in jobs]
             for nu, fut in futures:
@@ -334,7 +343,7 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
                                       np.log(np.array(distances)), 1)
     else:
         slope, intercept = float("nan"), float("nan")
-    checks = {"slope_in_band": bool(slope_band[0] <= slope <= slope_band[1])}
+    checks = {"slope_in_band": bool(lo <= slope <= hi)}
     result = SweepResult(
         nus=tuple(nus), distances=tuple(distances),
         slope=float(slope), intercept=float(intercept),

@@ -134,17 +134,19 @@ class FlowState:
     """Velocity (divergence-free) and symmetric stress at one time.
 
     energy_budget leaves the explicit tendency it computed on the state, as
-    a one-slot hand-off keyed by the model parameters; the next
-    explicit_rhs call on the same state with equal parameters returns it
-    instead of recomputing it, and every explicit_rhs call drops it.  So a
-    state's arrays must not be mutated in place once its tendency was taken;
-    build a new state (or a copy, which carries no hand-off) instead.
+    a one-slot hand-off keyed by the model parameters: the support table
+    and the tendencies in its compact layout.  The next step from the same
+    state with equal parameters takes it instead of its first kernel
+    evaluation, and every step drops it.  So a state's arrays must not be
+    mutated in place once its tendency was taken; build a new state (or a
+    copy, which carries no hand-off) instead.
     """
 
     u: VectorField
     tau: TensorField
     t: float = 0.0
-    _handoff: Optional[Tuple[ModelParams, VectorField, TensorField]] = field(
+    _handoff: Optional[Tuple[ModelParams, SupportTable, np.ndarray,
+                             np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -277,16 +279,6 @@ def _state_table(state: FlowState) -> SupportTable:
                               and _box_supported(state.tau.comps, grid))
 
 
-def _take_handoff(state: FlowState, params: ModelParams,
-                  ) -> Optional[Tuple[VectorField, TensorField]]:
-    """The tendency energy_budget handed off on state for params, if any;
-    any hand-off is dropped (see FlowState)."""
-    handoff, state._handoff = state._handoff, None
-    if handoff is not None and handoff[0] == params:
-        return handoff[1], handoff[2]
-    return None
-
-
 def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                     params: ModelParams,
                     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -363,18 +355,6 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
     return du, dtau, q_tri
 
 
-def _half_layout_terms(state: FlowState, params: ModelParams,
-                       ) -> Tuple[VectorField, TensorField, Optional[np.ndarray]]:
-    """_explicit_terms of a state, with the tendencies in the half layout:
-    gathered into the state's table (_state_table) and scattered back."""
-    table = _state_table(state)
-    du, dtau, q_tri = _explicit_terms(table.gather(state.u.comps),
-                                      table.gather(state.tau.comps),
-                                      table, params)
-    return (VectorField(state.grid, table.scatter(du)),
-            TensorField(state.grid, table.scatter(dtau)), q_tri)
-
-
 def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
     """Tendencies without the diagonal dissipation/damping terms.
 
@@ -390,16 +370,12 @@ def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, Te
     band-limited data stay, is evaluated on the box table: its spectral
     products run over the box only and its transforms pass over fewer
     lines per component.  The counts are whole transforms.
-
-    A tendency that energy_budget handed off on this state with equal
-    params is returned as is, without a transform; any hand-off is dropped
-    by the call (see FlowState).
     """
-    handoff = _take_handoff(state, params)
-    if handoff is not None:
-        return handoff
-    du, dtau, _ = _half_layout_terms(state, params)
-    return du, dtau
+    table = _state_table(state)
+    du, dtau, _ = _explicit_terms(table.gather(state.u.comps),
+                                  table.gather(state.tau.comps), table, params)
+    return (VectorField(state.grid, table.scatter(du)),
+            TensorField(state.grid, table.scatter(dtau)))
 
 
 def _with_dissipation(state: FlowState, params: ModelParams, du: VectorField,
@@ -428,14 +404,19 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
     The tendencies and <Q, tau> come from one evaluation of the explicit
     terms (15 inverse and 5 forward components in 2D, 36 and 9 in 3D) plus
     one forward transform of the physical Q triangle (3 or 6 components).
-    The explicit tendency is then handed off on the state, so the next step
-    from this state skips its first evaluation (see FlowState).
+    The explicit tendency is then handed off on the state, in its table's
+    compact layout, so the next step from this state skips its scan and
+    its first evaluation (see FlowState).
     """
     grid = state.grid
     u, tau = state.u, state.tau
-    du, dtau, q_tri = _half_layout_terms(state, params)
-    state._handoff = (params, du, dtau)
-    du, dtau = _with_dissipation(state, params, du, dtau)
+    table = _state_table(state)
+    du, dtau, q_tri = _explicit_terms(table.gather(u.comps),
+                                      table.gather(tau.comps), table, params)
+    state._handoff = (params, table, du, dtau)
+    du, dtau = _with_dissipation(state, params,
+                                 VectorField(grid, table.scatter(du)),
+                                 TensorField(grid, table.scatter(dtau)))
     u_work = l2_inner_product(u, du)
     tau_work = l2_inner_product(tau, dtau)
     diss_tau_l2 = l2_inner_product(fractional_laplacian(tau, params.beta), tau) \

@@ -18,27 +18,30 @@ Conventions used throughout the package:
   buffer (the coefficients are never written to), ifft in place over any
   further leading axis, then irfft over the last axis.
 - The 2/3 rule is stated once, as Grid.dealias_cutoff kc = ceil(n/3);
-  Grid.dealias_mask, the kept index ranges and the line blocks below
-  derive from it.  A SupportTable says where coefficients can be nonzero:
-  the box table (Grid.support_table(True)) holds the 2/3 box, the whole
-  table (Grid.support_table(False)) the half layout.  Each has a compact
-  layout, the slice map between it and the half layout (gather, scatter:
-  2^(d-1) contiguous block copies for the box, the identity for the
-  whole), and gathered copies of the derivative multipliers, the Leray
-  wavenumbers and divisor, and the fractional multipliers.  The box
-  layout, (2kc-1,)*(d-1) + (kc,), is 28% of the half layout at 3D n=32
-  and 45% in 2D.  A state that is zero outside the box (_box_supported)
-  stays so, so model and stepping scan it once and run the kernel's
-  spectral products, the projections and the stage algebra on its box
+  Grid.dealias_mask and the box table derive from it.  A SupportTable says
+  where coefficients can be nonzero: the box table (Grid.support_table(True))
+  holds the 2/3 box, the whole table (Grid.support_table(False)) the half
+  layout.  One constructor builds both from the index ranges they keep:
+  the compact layout, the slice map between it and the half layout
+  (gather, scatter: 2^(d-1) contiguous block copies for the box, the
+  identity for the whole), the c2c line blocks, the blocks outside it,
+  and gathered copies of the derivative multipliers, the Leray wavenumbers
+  and divisor, and the fractional multipliers.  The box layout,
+  (2kc-1,)*(d-1) + (kc,), is 28% of the half layout at 3D n=32 and 45% in
+  2D.  A state that is zero outside the box (_box_supported) stays so;
+  model._state_table, the one place that chooses a table, scans it once
+  per step, explicit_rhs or energy_budget call, and the kernel's spectral
+  products, the projections and the stage algebra run on its compact
   coefficients.  One loop, _c2c_passes, runs the c2c passes of every
-  transform over the table's line blocks: one whole-array block, or
-  Grid.box_lines, which skips the lines known to be zero, with the values
-  of the full passes.  _forward(x, dealiased=True) passes over the lines
-  the 2/3 rule keeps and gathers the box (the values of _forward(x) *
-  dealias_mask); the box inverse scatters its coefficients into a zeroed
-  work buffer and passes over the lines that can be nonzero.  rfft and
-  irfft run over every row.  Diagnostic sums stay on the half layout,
-  since np.sum's pairwise order depends on the length of the array.
+  transform over the table's line blocks, which on the box skip the lines
+  known to be zero, with the values of the full passes.
+  _forward(x, dealiased=True) passes over the lines the 2/3 rule keeps and
+  gathers the box (the values of _forward(x) * dealias_mask); the box
+  inverse scatters its coefficients into a zeroed work buffer and passes
+  over the lines that can be nonzero.  _inverse, behind every to_physical,
+  runs on the whole table.  rfft and irfft run over every row.  Diagnostic
+  sums stay on the half layout, since np.sum's pairwise order depends on
+  the length of the array.
 - Columns k_last = 0 and k_last = -n/2 contain both k and -k, so only they
   can break Hermitian symmetry; _check_hermitian checks them and nothing
   else, and on the box table column 0 only, as column n/2 lies outside the
@@ -217,44 +220,6 @@ class Grid:
         return mask
 
     @cached_property
-    def kept_ranges(self) -> Tuple[Tuple[slice, slice], slice]:
-        """Index ranges of the 2/3 box: (leading, last).
-
-        A leading axis keeps the indices 0 .. kc-1 and n-kc+1 .. n-1
-        (wavenumbers -(kc-1) .. kc-1), the last axis the columns 0 .. kc-1.
-        """
-        kc = self.dealias_cutoff
-        return (slice(0, kc), slice(self.n - kc + 1, self.n)), slice(0, kc)
-
-    @cached_property
-    def box_lines(self) -> Tuple[Tuple[Tuple[slice, ...], ...], ...]:
-        """Per leading axis a, the index blocks of the c2c lines along a
-        that can be nonzero for a field supported in the 2/3 box.
-
-        Whichever way the transform runs, a pass over axis a comes after
-        the axes before a are physical and while the axes after it are
-        still spectral: its lines cover every index of the former and the
-        kept ranges of the latter.  Each block indexes an array whose
-        trailing d axes are the grid.
-        """
-        lead, last = self.kept_ranges
-        return tuple(
-            tuple((Ellipsis,) + (slice(None),) * (a + 1) + tail + (last,)
-                  for tail in itertools.product(lead, repeat=self.d - 2 - a))
-            for a in range(self.d - 1))
-
-    @cached_property
-    def outside_box(self) -> Tuple[Tuple[slice, ...], ...]:
-        """Index blocks that together cover every mode outside the 2/3 box:
-        the columns from kc on, then, per leading axis, its indices kc ..
-        n-kc within the kept columns."""
-        lead, last = self.kept_ranges
-        mid = slice(lead[0].stop, lead[1].start)
-        return ((Ellipsis, slice(last.stop, None)),) + tuple(
-            (Ellipsis, mid) + (slice(None),) * (self.d - 2 - a) + (last,)
-            for a in range(self.d - 1))
-
-    @cached_property
     def _weight_cache(self) -> dict:
         return {}
 
@@ -323,41 +288,51 @@ class SupportTable:
     """Where the coefficients of a step can be nonzero, and the multipliers
     gathered there (see the module docstring).
 
-    The box table covers the 2/3 box.  Its compact layout has the shape
-    (2kc-1,)*(d-1) + (kc,): a leading axis holds the wavenumbers 0 .. kc-1,
-    -(kc-1) .. -1, the last axis 0 .. kc-1, and each of the 2^(d-1) blocks
-    is a contiguous copy of a block of the half layout.  The whole table
-    covers the half layout, which is its own compact layout, so its gather
-    and scatter are the identity.  The Leray wavenumbers are dense
+    Both tables are built from one description: the half-layout index
+    ranges that a leading axis and the last axis keep.  The box table keeps
+    0 .. kc-1 and n-kc+1 .. n-1 (wavenumbers -(kc-1) .. kc-1) on a leading
+    axis and 0 .. kc-1 on the last, so its compact layout has the shape
+    (2kc-1,)*(d-1) + (kc,), each of its 2^(d-1) blocks a contiguous copy
+    of a block of the half layout.  The whole table keeps 0 .. n-1 and
+    0 .. n/2: its compact layout is the half layout, and its gather and
+    scatter are the identity.  From the ranges come the blocks, the c2c
+    line blocks of _c2c_passes, the blocks outside the table that
+    _box_supported scans, and the mirrored columns, 0 and n/2, of which
+    the box holds column 0 only.  The Leray wavenumbers are dense
     complex128 arrays: numpy would cast the integer rows to complex128 in
     every product, with the same values.
     """
 
     def __init__(self, grid: Grid, boxed: bool):
-        self.grid = grid
-        self.boxed = boxed
-        if boxed:
-            lead, last = grid.kept_ranges
-            kc = grid.dealias_cutoff
-            size = 2 * kc - 1
-            self.shape = (size,) * (grid.d - 1) + (kc,)
-            compact = (slice(0, kc), slice(kc, size))
-            # (compact block, half-layout block) pairs
-            self.blocks = tuple(
-                ((Ellipsis,) + c + (slice(None),), (Ellipsis,) + h + (last,))
-                for c, h in zip(itertools.product(compact, repeat=grid.d - 1),
-                                itertools.product(lead, repeat=grid.d - 1)))
-            self.lines = grid.box_lines
-            # column n/2 lies outside the box, so only column 0 holds
-            # coefficients whose mirror is stored too
-            self.mirrored_columns = slice(0, 1)
-        else:
-            size = grid.n
-            self.shape = grid.spectral_shape
-            self.lines = ((Ellipsis,),) * (grid.d - 1)
-            self.mirrored_columns = slice(None, None, grid.n // 2)
+        n, kc = grid.n, grid.dealias_cutoff
+        self.grid, self.boxed = grid, boxed
+        lead, last = (((slice(0, kc), slice(n - kc + 1, n)), slice(0, kc))
+                      if boxed else ((slice(0, n),), slice(0, n // 2 + 1)))
+        sizes = [r.stop - r.start for r in lead]
+        ends = list(itertools.accumulate(sizes))
+        compact = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        self.shape = (ends[-1],) * (grid.d - 1) + (last.stop,)
+        # (compact block, half-layout block) pairs
+        self.blocks = tuple(
+            ((Ellipsis,) + c + (slice(None),), (Ellipsis,) + h + (last,))
+            for c, h in zip(itertools.product(compact, repeat=grid.d - 1),
+                            itertools.product(lead, repeat=grid.d - 1)))
+        # per leading axis a, the half-layout lines along a that can be
+        # nonzero: a pass over a runs once the axes before a are physical
+        # and while the axes after it are still spectral
+        self.lines = tuple(
+            tuple((Ellipsis,) + (slice(None),) * (a + 1) + tail + (last,)
+                  for tail in itertools.product(lead, repeat=grid.d - 2 - a))
+            for a in range(grid.d - 1))
+        # blocks that cover every mode outside: the columns past the last
+        # range, then per leading axis the indices between its ranges
+        gap = slice(lead[0].stop, lead[-1].start)
+        self.outside = ((Ellipsis, slice(last.stop, None)),) + tuple(
+            (Ellipsis, gap) + (slice(None),) * (grid.d - 2 - a) + (last,)
+            for a in range(grid.d - 1))
+        self.mirrored_columns = slice(None, None, n // 2)
         # index -k of each leading index k
-        self.reversal = -np.arange(size) % size
+        self.reversal = -np.arange(ends[-1]) % ends[-1]
         self.derivative_multipliers = tuple(
             self.gather(ik) for ik in grid.derivative_multipliers)
         self.leray_wavenumbers = tuple(
@@ -429,7 +404,8 @@ def _forward(values: np.ndarray, grid: Grid,
 def _box_supported(coeffs: np.ndarray, grid: Grid) -> bool:
     """True when every half-layout coefficient outside the 2/3 box is zero,
     so that the box table holds them all."""
-    return not any(np.any(coeffs[block]) for block in grid.outside_box)
+    return not any(np.any(coeffs[block])
+                   for block in grid.support_table(True).outside)
 
 
 def _hermitian_residue(coeffs: np.ndarray, table: SupportTable) -> float:
@@ -468,16 +444,16 @@ def _check_hermitian(coeffs: np.ndarray, table: SupportTable) -> None:
 
 def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Half-layout coefficients -> real samples, equal to irfftn's bit for
-    bit (see the module docstring); rejects non-Hermitian input.  A stack
-    that is zero outside the 2/3 box is inverted from the box table."""
+    bit (see the module docstring); rejects non-Hermitian input.  It runs
+    on the whole table: only model._state_table chooses a table."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-grid.d:] != grid.spectral_shape:
         raise GridMismatchError(
             f"coefficient shape {coeffs.shape} does not end in "
             f"{grid.spectral_shape}")
-    _check_hermitian(coeffs, grid.support_table(False))
-    table = grid.support_table(_box_supported(coeffs, grid))
-    return _unchecked_inverse(table.gather(coeffs), table)
+    table = grid.support_table(False)
+    _check_hermitian(coeffs, table)
+    return _unchecked_inverse(coeffs, table)
 
 
 def _unchecked_inverse(coeffs: np.ndarray, table: SupportTable,
@@ -489,8 +465,8 @@ def _unchecked_inverse(coeffs: np.ndarray, table: SupportTable,
     built from a source that _check_hermitian passed needs no scan of its
     own.  The box table scatters coeffs into a zeroed work buffer and runs
     the ifft passes in place over the lines that can be nonzero
-    (Grid.box_lines); the whole table runs them over every line, the first
-    into a new buffer, so coeffs is never written to.
+    (SupportTable.lines); the whole table runs them over every line, the
+    first into a new buffer, so coeffs is never written to.
     """
     if table.boxed:
         src = work = table.scatter(coeffs)

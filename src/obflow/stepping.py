@@ -26,7 +26,6 @@ from .model import (  # noqa: F401
     _dissipation_rates,
     _explicit_terms,
     _state_table,
-    _take_handoff,
     explicit_rhs,
 )
 from .spectral import (  # noqa: F401
@@ -119,29 +118,33 @@ def step(state: FlowState, params: ModelParams, dt: float) -> FlowState:
     """Advance one RK4 step in the variables z = exp(L (t - t0)) y; u is
     re-projected after every stage.
 
-    The state is scanned once for its support table (model._state_table):
-    the stage algebra, the projections and the four kernel evaluations run
-    on its compact coefficients, which are scattered back to the half
-    layout at the end.  A state that is zero outside the 2/3 box stays so,
-    as the linear terms act mode by mode and the nonlinear ones are
-    dealiased, so the box table holds the whole step.
+    The state is scanned once for its support table (model._state_table),
+    unless a hand-off brings it (below): the stage algebra, the projections
+    and the four kernel evaluations run on its compact coefficients, which
+    are scattered back to the half layout at the end.  A state that is
+    zero outside the 2/3 box stays so, as the linear terms act mode by mode
+    and the nonlinear ones are dealiased, so the box table holds the whole
+    step.
 
-    Stage 1 evaluates the state object itself, so it consumes a tendency
-    that energy_budget handed off on it (see FlowState).
+    A tendency that energy_budget handed off on the state with equal
+    params serves as stage 1, and its table as the step's, with no scan;
+    any hand-off is dropped (see FlowState).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    table = _state_table(state)
+    handoff, state._handoff = state._handoff, None
+    if handoff is not None and handoff[0] != params:
+        handoff = None
+    table = _state_table(state) if handoff is None else handoff[1]
     eu_h, et_h, eu_f, et_f = _decay_factors(table, params, dt)
     u0, tau0 = table.gather(state.u.comps), table.gather(state.tau.comps)
     t0 = state.t
 
-    handoff = _take_handoff(state, params)
     if handoff is None:
         ku, kt = _stage(table, params, u0, tau0, dt)
     else:
-        ku, kt = (dt * table.gather(f.comps) for f in handoff)
+        ku, kt = dt * handoff[2], dt * handoff[3]
     del handoff
 
     u_s = _leray(eu_h * (u0 + 0.5 * ku), table)

@@ -15,11 +15,15 @@ import obflow.stepping
 # fused kernel behind explicit_rhs builds every nonlinear term), the
 # transform wrappers (SpectralField.from_physical / to_physical), the
 # scalar-only names of the field data, the scheme switch (IF-RK4 is the
-# only scheme) and the run-level record cadence (diagnostics owns it).
+# only scheme), the run-level record cadence (diagnostics owns it), the
+# Grid's descriptions of the 2/3 box (spectral.SupportTable builds them)
+# and the hand-off helpers (step alone takes energy_budget's hand-off).
 REMOVED = [
     (obflow.linear, "CRITICAL_TOL"),
     (obflow.model, "advect"),
     (obflow.model, "q_bilinear"),
+    (obflow.model, "_take_handoff"),
+    (obflow.model, "_half_layout_terms"),
     (obflow.model.ModelParams, "nu_eff"),
     (obflow.model.ModelParams, "a_eff"),
     (obflow.model.TermToggles, "nu_dissipation"),
@@ -29,6 +33,9 @@ REMOVED = [
     (obflow.spectral, "_data"),
     (obflow.spectral, "_rewrap"),
     (obflow.spectral, "_dealiased_forward"),
+    (obflow.spectral.Grid, "kept_ranges"),
+    (obflow.spectral.Grid, "box_lines"),
+    (obflow.spectral.Grid, "outside_box"),
     (obflow.spectral.SpectralField, "coeffs"),
     (obflow.spectral.SpectralField, "with_coeffs"),
     (obflow.stepping, "SCHEMES"),

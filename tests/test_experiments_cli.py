@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import obflow.experiments
 from obflow.cli import main
 from obflow.config import ConfigError, validate_config
 from obflow.experiments import (
@@ -198,6 +200,47 @@ class TestSweep:
         raw["stepper"]["dt"] = "auto"
         with pytest.raises(ConfigError):
             sweep_viscosity(cfg_of(raw), [1e-2, 1e-3, 1e-4], tmp_path)
+
+    @pytest.mark.parametrize("band, threads, message", [
+        pytest.param((1.1, 0.9), 1, "slope_band", id="reversed-band"),
+        pytest.param((float("nan"), 2.0), 1, "slope_band", id="nan-band"),
+        pytest.param((0.9, float("inf")), 1, "slope_band", id="inf-band"),
+        pytest.param((0.9, 1.1), 0, "threads", id="no-threads")])
+    def test_bad_slope_band_or_threads_is_rejected(self, tmp_path, band,
+                                                   threads, message):
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match=message):
+            sweep_viscosity(self.base(), [1e-2, 1e-3, 1e-4], out,
+                            threads=threads, slope_band=band)
+        assert not out.exists()
+
+    def test_pool_has_no_more_workers_than_members(self, tmp_path,
+                                                   monkeypatch):
+        """A process pool forks all its workers at once, so a thread count
+        above the number of runs is cut to it (here the baseline and three
+        members); the pool is replaced by one that runs in this process."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(obflow.experiments, "ProcessPoolExecutor",
+                            InProcessPool)
+        sweep_viscosity(self.base(0.2), [1e-2, 1e-3, 1e-4], tmp_path / "s",
+                        threads=64)
+        assert sizes == [4]
 
     @pytest.mark.parametrize("nus", [[1e-2, 1e-3, 1.0001e-3, 1e-4],
                                      [1e-2, 1e-3, 1e-3, 1e-4]])
@@ -398,6 +441,28 @@ class TestCli:
                      "--output", str(tmp_path / "x"),
                      "--nu", "1e-2", "--nu", "1e-3", "--nu", "1.0001e-3",
                      "--nu", "1e-4"]) == 2
+        assert not (tmp_path / "x" / "nu_0").exists()
+
+    @pytest.mark.parametrize("band", [["1.1", "0.9"], ["nan", "2"]],
+                             ids=["reversed", "nan"])
+    def test_sweep_bad_slope_band_is_config_error(self, tmp_path, capsys,
+                                                  band):
+        path = self.write_config(tmp_path, SMALL_RUN)
+        assert main(["sweep-nu", "--config", str(path),
+                     "--output", str(tmp_path / "x"),
+                     "--nu", "1e-1", "--nu", "1e-2", "--nu", "1e-3",
+                     "--slope-band", *band]) == 2
+        assert "slope_band must hold two finite bounds" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x" / "nu_0").exists()
+
+    def test_sweep_zero_threads_is_config_error(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, SMALL_RUN)
+        assert main(["sweep-nu", "--config", str(path),
+                     "--output", str(tmp_path / "x"),
+                     "--nu", "1e-1", "--nu", "1e-2", "--nu", "1e-3",
+                     "--threads", "0"]) == 2
+        assert "threads must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "x" / "nu_0").exists()
 
     @pytest.mark.parametrize("override, message", [

@@ -452,23 +452,44 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("d, n, inverse, forward",
                              [(2, 16, 15, 5), (3, 8, 36, 9)])
-    def test_budget_hands_its_tendency_to_explicit_rhs(
+    def test_step_after_budget_takes_its_tendency(
+            self, fft_components, monkeypatch, d, n, inverse, forward):
+        """The step takes the table and the first stage from the budget's
+        hand-off: three kernel evaluations, and no scan of the state."""
+        st = random_state(Grid(d, n), seed=96, scale=0.5)
+        params = ModelParams(eta=1.0, beta=0.5, b=-0.4)
+        fresh = step(st.copy(), params, 1e-3)
+        energy_budget(st, params)
+
+        def no_scan(coeffs, grid):
+            raise AssertionError("the step scanned a state with a hand-off")
+
+        monkeypatch.setattr(obflow.model, "_box_supported", no_scan)
+        fft_components[:] = [0, 0]
+        out = step(st, params, 1e-3)
+        assert fft_components == [3 * inverse, 3 * forward]
+        assert_bits_equal(out.u.comps, fresh.u.comps)
+        assert_bits_equal(out.tau.comps, fresh.tau.comps)
+
+    @pytest.mark.parametrize("d, n, inverse, forward",
+                             [(2, 16, 15, 5), (3, 8, 36, 9)])
+    def test_explicit_rhs_after_budget_recomputes(
             self, fft_components, d, n, inverse, forward):
+        """explicit_rhs does not read the hand-off, and leaves it for the
+        next step."""
         st = random_state(Grid(d, n), seed=96, scale=0.5)
         params = ModelParams(eta=1.0, beta=0.5, b=-0.4)
         fresh = explicit_rhs(st.copy(), params)
         fft_components[:] = [0, 0]
         energy_budget(st, params)
         # one kernel pass plus the forward transform of the Q triangle
-        budget = [inverse, forward + len(st.tau.pairs)]
-        assert fft_components == budget
+        assert fft_components == [inverse, forward + len(st.tau.pairs)]
+        fft_components[:] = [0, 0]
         du, dtau = explicit_rhs(st, params)
-        assert fft_components == budget
-        np.testing.assert_array_equal(du.comps, fresh[0].comps)
-        np.testing.assert_array_equal(dtau.comps, fresh[1].comps)
-        # the hand-off is dropped once taken
-        explicit_rhs(st, params)
-        assert fft_components == [budget[0] + inverse, budget[1] + forward]
+        assert fft_components == [inverse, forward]
+        assert_bits_equal(du.comps, fresh[0].comps)
+        assert_bits_equal(dtau.comps, fresh[1].comps)
+        assert st._handoff is not None
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_step_makes_no_complex_transforms(self, fft_components, d, n):

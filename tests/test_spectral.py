@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import obflow.spectral
 from obflow.spectral import (
     Grid,
     HermitianSymmetryError,
@@ -220,14 +221,18 @@ class TestPrunedPasses:
 
     @pytest.mark.parametrize("n", [8, 12, 16, 32, 48])
     def test_cutoff_and_kept_ranges(self, n):
+        """The box table gathers the wavenumbers that the 2/3 rule keeps,
+        in compact order: 0 .. kc-1, -(kc-1) .. -1 on the leading axis,
+        0 .. kc-1 on the last."""
         g = Grid(2, n)
         kc = g.dealias_cutoff
         assert kc == math.ceil(n / 3)
-        lead, last = g.kept_ranges
+        lead, last = (g.support_table(True).gather(
+            np.broadcast_to(k, g.spectral_shape)) for k in g.wavenumbers)
         k = np.fft.fftfreq(n, d=1.0 / n)
-        kept = np.r_[lead[0], lead[1]]
-        np.testing.assert_array_equal(kept, np.flatnonzero(3 * np.abs(k) < n))
-        assert (last.start, last.stop) == (0, kc)
+        np.testing.assert_array_equal(lead[:, 0], k[3 * np.abs(k) < n])
+        np.testing.assert_array_equal(lead[:, 0], np.r_[0:kc, -(kc - 1):0])
+        np.testing.assert_array_equal(last[0], np.arange(kc))
         np.testing.assert_array_equal(
             g.dealias_mask, (3 * np.abs(g.wavenumbers[0]) < n)
             & (3 * np.abs(g.wavenumbers[1]) < n))
@@ -268,9 +273,9 @@ class TestPrunedPasses:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [12, 32])
     def test_one_coefficient_outside_the_box_takes_the_full_passes(self, d, n):
-        """Each block of Grid.outside_box is scanned: one coefficient in it
-        makes the stack unsupported, and _inverse then gives the full
-        passes' values.  The box table would drop it."""
+        """Each block outside the box table is scanned: one coefficient
+        in it makes the stack unsupported.  _inverse gives the full passes'
+        values; the box table would drop it."""
         g = Grid(d, n)
         kc = g.dealias_cutoff
         # an interior column has no mirror in the half layout, so a single
@@ -300,6 +305,28 @@ class TestPrunedPasses:
         coeffs = np.zeros((1,) + g.spectral_shape, dtype=complex)
         coeffs[(0,) + (g.n - kc + 1,) * (d - 1) + (kc - 1,)] = 1.0
         assert _box_supported(coeffs, g)
+
+
+class TestToPhysical:
+    """to_physical chooses no table: it runs the whole table's passes on
+    any stack, with the values of irfftn."""
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (2, 48), (3, 12)])
+    def test_runs_on_the_whole_table(self, monkeypatch, d, n):
+        def no_scan(coeffs, grid):
+            raise AssertionError("to_physical scanned for the 2/3 box")
+
+        monkeypatch.setattr(obflow.spectral, "_box_supported", no_scan)
+        g = Grid(d, n)
+        rng = np.random.default_rng(d + n)
+        boxed = box_supported_stack(g, d, seed=n)
+        whole = _forward(rng.standard_normal((d,) + g.shape), g)
+        for coeffs in (boxed, whole):
+            got = VectorField(g, coeffs).to_physical()
+            want = np.fft.irfftn(coeffs, s=g.shape, axes=g.axes,
+                                 norm="forward")
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
 
 
 class TestSupportTable:

@@ -24,19 +24,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import FlowState, ModelParams, default_sobolev_index, energy_budget
+# energy_budget stays importable here for the tracer of perfbench/spans.py
+from .model import (FlowState, ModelParams, _record_pass,  # noqa: F401
+                    default_sobolev_index, energy_budget)
 from .snapshots import atomic_write_text
-from .spectral import (
-    SYM_PAIRS,
-    Grid,
-    TWO_PI,
-    check_fields,
-    divergence,
-    fractional_laplacian,
-    gradient,
-    sobolev_inner_product,
-    sobolev_norm,
-)
+from .spectral import SYM_PAIRS, TWO_PI, Grid, check_fields
 
 
 @dataclass(frozen=True)
@@ -122,17 +114,16 @@ def _min_eig_sym3(a11, a12, a13, a22, a23, a33) -> np.ndarray:
 
 def stress_min_eigenvalue(state: FlowState) -> float:
     """min over the grid of the smallest eigenvalue of tau(x) + identity."""
-    grid = state.grid
-    tri = state.tau.to_physical()
-    idx = {pair: m for m, pair in enumerate(SYM_PAIRS[grid.d])}
-    if grid.d == 2:
-        eig = _min_eig_sym2(tri[idx[(0, 0)]] + 1.0, tri[idx[(0, 1)]],
-                            tri[idx[(1, 1)]] + 1.0)
-    else:
-        eig = _min_eig_sym3(tri[idx[(0, 0)]] + 1.0, tri[idx[(0, 1)]],
-                            tri[idx[(0, 2)]], tri[idx[(1, 1)]] + 1.0,
-                            tri[idx[(1, 2)]], tri[idx[(2, 2)]] + 1.0)
-    return float(np.min(eig))
+    return _min_eigenvalue(state.tau.to_physical())
+
+
+def _min_eigenvalue(tri: np.ndarray) -> float:
+    """stress_min_eigenvalue from the samples of tau's upper triangle, in
+    SYM_PAIRS order, which is the argument order of _min_eig_sym2/3."""
+    sigma = [c + 1.0 if i == j else c
+             for c, (i, j) in zip(tri, SYM_PAIRS[tri.ndim - 1])]
+    return float(np.min((_min_eig_sym2 if tri.ndim == 3 else _min_eig_sym3)(
+        *sigma)))
 
 
 class DiagnosticsCollector:
@@ -149,46 +140,27 @@ class DiagnosticsCollector:
         self._prev: Optional[Tuple[float, float]] = None  # (t, integrand)
 
     def observe(self, state: FlowState, step: int = 0) -> DiagnosticsRecord:
-        params, s, kc = self.params, self.s, self.diag.k_cross
-        u, tau = state.u, state.tau
-
-        u_hs = sobolev_norm(u, s)
-        tau_hs = sobolev_norm(tau, s)
-        diss_tau = sobolev_inner_product(fractional_laplacian(tau, params.beta),
-                                         tau, s)
-        diss_u = 0.0
-        for i in range(self.grid.d):
-            g = gradient(u.component(i))
-            diss_u += sobolev_inner_product(g, g, s - params.beta)
-        visc_u = params.nu * sobolev_inner_product(
-            fractional_laplacian(u, params.alpha), u, s) if params.nu else 0.0
-        cross = sobolev_inner_product(u, divergence(tau), s - params.beta)
-
-        integrand = params.eta_eff * diss_tau + 0.5 * kc * diss_u
+        """Append the record of state, from one model._record_pass."""
+        params, kc = self.params, self.diag.k_cross
+        budget, columns, tau_phys = _record_pass(state, params, self.s)
+        integrand = (params.eta_eff * columns["diss_tau"]
+                     + 0.5 * kc * columns["diss_u"])
         if self._prev is not None:
             t_prev, g_prev = self._prev
             self._dissipation_accum += 0.5 * (g_prev + integrand) * (state.t - t_prev)
         self._prev = (state.t, integrand)
 
-        budget = energy_budget(state, params)
-        norms_sq = u_hs ** 2 + tau_hs ** 2
+        norms_sq = columns["u_hs"] ** 2 + columns["tau_hs"] ** 2
         rec = DiagnosticsRecord(
             t=state.t,
-            u_hs=u_hs,
-            tau_hs=tau_hs,
-            u_l2=sobolev_norm(u, 0.0),
-            tau_l2=sobolev_norm(tau, 0.0),
-            diss_tau=diss_tau,
-            diss_u=diss_u,
-            visc_u=visc_u,
-            cross=cross,
             E=norms_sq + 2.0 * self._dissipation_accum,
-            L=norms_sq + 2.0 * kc * cross,
+            L=norms_sq + 2.0 * kc * columns["cross"],
             q_work=budget["q_work"],
             identity_residual=budget["residual_rel"],
-            min_eig_sigma=stress_min_eigenvalue(state),
+            min_eig_sigma=_min_eigenvalue(tau_phys),
             diss_tau_l2=budget["diss_tau_l2"],
             visc_u_l2=params.nu * budget["visc_u_l2"],
+            **columns,
         )
         self.records.append(rec)
         ok, _ = lyapunov_equivalence_check(rec, kc)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .spectral import (
     SYM_PAIRS,
+    TWO_PI,
     ConfigError,
     Grid,
     GridMismatchError,
@@ -39,8 +40,6 @@ from .spectral import (
     _unchecked_inverse,
     check_fields,
     dealias,
-    fractional_laplacian,
-    l2_inner_product,
     leray_project,
     sobolev_norm,
 )
@@ -133,13 +132,13 @@ class ModelParams:
 class FlowState:
     """Velocity (divergence-free) and symmetric stress at one time.
 
-    energy_budget leaves the explicit tendency it computed on the state, as
-    a one-slot hand-off keyed by the model parameters: the support table
-    and the tendencies in its compact layout.  The next step from the same
-    state with equal parameters takes it instead of its first kernel
-    evaluation, and every step drops it.  So a state's arrays must not be
-    mutated in place once its tendency was taken; build a new state (or a
-    copy, which carries no hand-off) instead.
+    A record (_record_pass, behind energy_budget) leaves its explicit
+    tendency on the state, as a one-slot hand-off keyed by the model
+    parameters: the support table and the tendencies in its compact
+    layout.  The next step from the same state with equal parameters takes
+    it instead of its first kernel evaluation, and every step drops it.
+    So a state's arrays must not be mutated in place once its tendency was
+    taken; build a new state (or a copy, which carries no hand-off) instead.
     """
 
     u: VectorField
@@ -280,13 +279,12 @@ def _state_table(state: FlowState) -> SupportTable:
 
 
 def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
-                    params: ModelParams,
+                    params: ModelParams, tau_phys: Optional[np.ndarray] = None,
                     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Kernel of explicit_rhs on the compact coefficients u and tau of
     table: the compact tendencies, plus the physical Q triangle (None if Q
-    is off).
-
-    The only place the nonlinear terms u.grad u, u.grad tau and Q are built.
+    is off).  The only place the nonlinear terms u.grad u, u.grad tau and
+    Q are built.
 
     Each phase drops what it no longer needs.  u is inverted whole and
     grad u one velocity row at a time; the momentum tendency is then
@@ -297,10 +295,11 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
     and the stress tendency is allocated last.
 
     The sources that are inverted, u and (for u.grad tau or Q) tau, are
-    each checked for Hermitian symmetry once, on entry; every inverse after
-    that is unchecked, as the derivative stacks keep the symmetry of their
-    source.  Every spectral product, the projection and the inverse passes
-    run over the table's coefficients and lines only.  Both products take
+    each checked for Hermitian symmetry once, on entry, unless tau_phys
+    brings tau's samples, checked and inverted by a record's pass; every
+    inverse after that is unchecked, as the derivative stacks keep the
+    symmetry of their source.  Every spectral product, the projection and
+    the inverse passes run over the table's coefficients and lines only.  Both products take
     the dealiased forward transform, which passes only over the lines the
     2/3 rule keeps and gathers the 2/3 box.
     """
@@ -310,7 +309,7 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
     need_u_phys = tg.advection_u or need_tau_phys
     if need_u_phys:
         _check_hermitian(u, table)
-    if need_tau_phys:
+    if need_tau_phys and tau_phys is None:
         _check_hermitian(tau, table)
 
     def dealiased(samples):  # the product's coefficients on the table
@@ -330,8 +329,8 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
     du = _leray(du, table)
 
     q_tri = _q_triangle_physical(
-        _unchecked_inverse(tau, table), grad_u, params.b) \
-        if tg.q_term else None
+        _unchecked_inverse(tau, table) if tau_phys is None else tau_phys,
+        grad_u, params.b) if tg.q_term else None
     del grad_u
     nl = None
     if tg.advection_tau:
@@ -360,16 +359,11 @@ def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, Te
 
     This is the stiff-free part handled explicitly by the integrating-factor
     steppers.  The momentum tendency is Leray-projected.  One call inverts
-    15 components and forward-transforms 5 in 2D (36 and 9 in 3D): u and
-    tau as one stack each, grad u one velocity row at a time and grad tau
-    one stress component at a time.  The momentum tendency is finished
-    first, then Q(tau, grad u), then u.grad tau; the two are summed on the
-    grid before one transform, and the stress tendency comes last.  u and
-    tau are scanned once for support in the 2/3 box, and checked for
-    Hermitian symmetry.  A state that is zero outside the box, as
-    band-limited data stay, is evaluated on the box table: its spectral
-    products run over the box only and its transforms pass over fewer
-    lines per component.  The counts are whole transforms.
+    15 components and forward-transforms 5 in 2D (36 and 9 in 3D).  u and
+    tau are scanned once for support in the 2/3 box: a state that is zero
+    outside it, as band-limited data stay, is evaluated on the box table,
+    whose products run over the box only and whose transforms pass over
+    fewer lines per component.
     """
     table = _state_table(state)
     du, dtau, _ = _explicit_terms(table.gather(state.u.comps),
@@ -378,16 +372,84 @@ def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, Te
             TensorField(state.grid, table.scatter(dtau)))
 
 
-def _with_dissipation(state: FlowState, params: ModelParams, du: VectorField,
-                      dtau: TensorField) -> Tuple[VectorField, TensorField]:
+def rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
+    """Full tendencies (du/dt, dtau/dt) of the toggled system."""
+    du, dtau = explicit_rhs(state, params)
     rate_u, rate_tau = dissipation_rates(state.grid, params)
     return (du.with_comps(du.comps - rate_u * state.u.comps),
             dtau.with_comps(dtau.comps - rate_tau * state.tau.comps))
 
 
-def rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
-    """Full tendencies (du/dt, dtau/dt) of the toggled system."""
-    return _with_dissipation(state, params, *explicit_rhs(state, params))
+def _spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_c mult_c a_c conj(b_c) over the leading axis of compact stacks;
+    mult_c is 2 for the off-diagonal pairs of a stress triangle, else 1."""
+    x = a.real * b.real + a.imag * b.imag
+    pairs = SYM_PAIRS[a.ndim - 1]
+    if len(a) == len(pairs):
+        x[[m for m, (i, j) in enumerate(pairs) if i != j]] *= 2.0
+    return x.sum(axis=0)
+
+
+def _record_pass(state: FlowState, params: ModelParams,
+                 s: Optional[float] = None) -> Tuple[dict, dict, np.ndarray]:
+    """(energy_budget's terms, the record's norm columns, tau's samples)
+    from one pass over the compact coefficients of the state's table; the
+    kernel's tendency is handed off on the state (see FlowState).
+
+    tau is checked and inverted once, for the kernel's Q and the caller.
+    Every term is one np.sum of a weight cached on the table times the
+    power spectrum of u or tau or a cross spectrum (u with du or div tau,
+    tau with dtau or, over the box, the dealiased F(Q)).  The columns are
+    u_l2, tau_l2 and, for a Sobolev index s, u_hs, tau_hs, diss_tau,
+    diss_u, visc_u and cross of DiagnosticsRecord.
+    """
+    grid = state.grid
+    table = _state_table(state)
+    u, tau = table.gather(state.u.comps), table.gather(state.tau.comps)
+    _check_hermitian(tau, table)
+    tau_phys = _unchecked_inverse(tau, table)
+    du, dtau, q_tri = _explicit_terms(u, tau, table, params, tau_phys)
+    state._handoff = (params, table, du, dtau)
+    rate_u, rate_tau = _dissipation_rates(table, params)
+    p_u, p_tau = _spectrum(u, u), _spectrum(tau, tau)
+    beta, alpha = map(table.fractional_multiplier, (params.beta, params.alpha))
+
+    def total(weight, spectrum):
+        return TWO_PI ** grid.d * float(np.sum(weight * spectrum))
+
+    w0 = table.sobolev_weight(0.0)
+    terms = {
+        "u_work": total(w0, _spectrum(u, du) - rate_u * p_u),
+        "tau_work": total(w0, _spectrum(tau, dtau) - rate_tau * p_tau),
+        "diss_tau_l2": total(w0 * beta, p_tau) if params.eta_eff else 0.0,
+        "visc_u_l2": total(w0 * alpha, p_u) if params.nu else 0.0,
+        "q_work": 0.0,
+    }
+    if q_tri is not None:
+        box = grid.support_table(True)
+        terms["q_work"] = total(box.sobolev_weight(0.0), _spectrum(
+            _forward(q_tri, grid, dealiased=True),
+            tau if table.boxed else box.gather(tau)))
+    tau_sq = total(w0, p_tau)
+    parts = (terms["u_work"], terms["tau_work"],
+             params.eta_eff * terms["diss_tau_l2"],
+             params.nu * terms["visc_u_l2"], params.a * tau_sq,
+             terms["q_work"])
+    residual, scale = sum(parts), max(abs(p) for p in parts)
+    terms["residual"] = residual
+    terms["residual_rel"] = abs(residual) / scale if scale > 0 else 0.0
+
+    # power spectra are sums of squares: their weighted sums are >= 0
+    columns = {"u_l2": math.sqrt(total(w0, p_u)), "tau_l2": math.sqrt(tau_sq)}
+    if s is not None:
+        ws, wsb = table.sobolev_weight(s), table.sobolev_weight(s - params.beta)
+        columns.update(
+            u_hs=math.sqrt(total(ws, p_u)), tau_hs=math.sqrt(total(ws, p_tau)),
+            diss_tau=total(ws * beta, p_tau),
+            diss_u=total(wsb * table.gradient_weight, p_u),
+            visc_u=params.nu * total(ws * alpha, p_u) if params.nu else 0.0,
+            cross=total(wsb, _spectrum(u, _tensor_divergence(tau, table))))
+    return terms, columns, tau_phys
 
 
 def energy_budget(state: FlowState, params: ModelParams) -> dict:
@@ -401,46 +463,11 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
     which holds whenever the two coupling terms are toggled together (their
     works cancel exactly) and advection is either off or dealiased.
 
-    The tendencies and <Q, tau> come from one evaluation of the explicit
-    terms (15 inverse and 5 forward components in 2D, 36 and 9 in 3D) plus
-    one forward transform of the physical Q triangle (3 or 6 components).
-    The explicit tendency is then handed off on the state, in its table's
-    compact layout, so the next step from this state skips its scan and
-    its first evaluation (see FlowState).
+    It runs a record's pass (_record_pass): 15 inverse and 8 forward
+    components in 2D (36 and 15 in 3D), and a hand-off of the explicit
+    tendency, so the next step from this state skips its first evaluation.
     """
-    grid = state.grid
-    u, tau = state.u, state.tau
-    table = _state_table(state)
-    du, dtau, q_tri = _explicit_terms(table.gather(u.comps),
-                                      table.gather(tau.comps), table, params)
-    state._handoff = (params, table, du, dtau)
-    du, dtau = _with_dissipation(state, params,
-                                 VectorField(grid, table.scatter(du)),
-                                 TensorField(grid, table.scatter(dtau)))
-    u_work = l2_inner_product(u, du)
-    tau_work = l2_inner_product(tau, dtau)
-    diss_tau_l2 = l2_inner_product(fractional_laplacian(tau, params.beta), tau) \
-        if params.eta_eff else 0.0
-    visc_u_l2 = l2_inner_product(fractional_laplacian(u, params.alpha), u) \
-        if params.nu else 0.0
-    tau_sq = l2_inner_product(tau, tau)
-    q_work = l2_inner_product(tau.with_comps(grid.support_table(True).scatter(
-        _forward(q_tri, grid, dealiased=True))), tau) \
-        if q_tri is not None else 0.0
-    terms = {
-        "u_work": u_work,
-        "tau_work": tau_work,
-        "diss_tau_l2": diss_tau_l2,
-        "visc_u_l2": visc_u_l2,
-        "q_work": q_work,
-    }
-    residual = (u_work + tau_work + params.eta_eff * diss_tau_l2
-                + params.nu * visc_u_l2 + params.a * tau_sq + q_work)
-    scale = max(abs(u_work), abs(tau_work), params.eta_eff * diss_tau_l2,
-                params.nu * visc_u_l2, params.a * tau_sq, abs(q_work))
-    terms["residual"] = residual
-    terms["residual_rel"] = abs(residual) / scale if scale > 0 else 0.0
-    return terms
+    return _record_pass(state, params)[0]
 
 
 def _orthogonal_direction(mode: Tuple[int, ...]) -> np.ndarray:

@@ -19,29 +19,23 @@ Conventions used throughout the package:
   further leading axis, then irfft over the last axis.
 - The 2/3 rule is stated once, as Grid.dealias_cutoff kc = ceil(n/3);
   Grid.dealias_mask and the box table derive from it.  A SupportTable says
-  where coefficients can be nonzero: the box table (Grid.support_table(True))
-  holds the 2/3 box, the whole table (Grid.support_table(False)) the half
-  layout.  One constructor builds both from the index ranges they keep:
-  the compact layout, the slice map between it and the half layout
-  (gather, scatter: 2^(d-1) contiguous block copies for the box, the
-  identity for the whole), the c2c line blocks, the blocks outside it,
-  and gathered copies of the derivative multipliers, the Leray wavenumbers
-  and divisor, and the fractional multipliers.  The box layout,
-  (2kc-1,)*(d-1) + (kc,), is 28% of the half layout at 3D n=32 and 45% in
-  2D.  A state that is zero outside the box (_box_supported) stays so;
+  where coefficients can be nonzero (see its docstring): the box table
+  (Grid.support_table(True)) the 2/3 box, whose compact layout
+  (2kc-1,)*(d-1) + (kc,) is 28% of the half layout at 3D n=32 and 45% in
+  2D, the whole table (Grid.support_table(False)) the half layout.  A
+  state that is zero outside the box (_box_supported) stays so;
   model._state_table, the one place that chooses a table, scans it once
-  per step, explicit_rhs or energy_budget call, and the kernel's spectral
-  products, the projections and the stage algebra run on its compact
-  coefficients.  One loop, _c2c_passes, runs the c2c passes of every
-  transform over the table's line blocks, which on the box skip the lines
-  known to be zero, with the values of the full passes.
+  per step, explicit_rhs call or record, and the kernel's spectral
+  products, the projections, the stage algebra and a record's sums run on
+  its compact coefficients.  So a record's sums agree with half-layout
+  sums to round-off, not bit for bit: np.sum's pairwise order depends on
+  the length of the array.  One loop, _c2c_passes, runs the c2c passes of
+  every transform over the table's line blocks, which on the box skip the
+  lines known to be zero, with the values of the full passes.
   _forward(x, dealiased=True) passes over the lines the 2/3 rule keeps and
-  gathers the box (the values of _forward(x) * dealias_mask); the box
-  inverse scatters its coefficients into a zeroed work buffer and passes
-  over the lines that can be nonzero.  _inverse, behind every to_physical,
-  runs on the whole table.  rfft and irfft run over every row.  Diagnostic
-  sums stay on the half layout, since np.sum's pairwise order depends on
-  the length of the array.
+  gathers the box (the values of _forward(x) * dealias_mask).  _inverse,
+  behind every to_physical, runs on the whole table.  rfft and irfft run
+  over every row.
 - Columns k_last = 0 and k_last = -n/2 contain both k and -k, so only they
   can break Hermitian symmetry; _check_hermitian checks them and nothing
   else, and on the box table column 0 only, as column n/2 lies outside the
@@ -247,18 +241,14 @@ class Grid:
         return w
 
     def fractional_multiplier(self, gamma: float) -> np.ndarray:
-        """|k|^(2 gamma); the k = 0 entry is 0 for gamma > 0 and 1 for gamma = 0."""
+        """|k|^(2 gamma), new per call (SupportTable caches its copies); the
+        k = 0 entry is 0 for gamma > 0 and 1 for gamma = 0."""
         if gamma < 0:
             raise ValueError(f"fractional exponent must be >= 0, got {gamma}")
         if gamma == 0:
             return np.ones(self.spectral_shape)
-        key = ("frac", float(gamma))
-        cached = self._weight_cache.get(key)
-        if cached is not None:
-            return cached
         m = self.k_squared.astype(np.float64) ** gamma
         m[self.k_squared == 0] = 0.0
-        self._weight_cache[key] = m
         return m
 
     def coordinates(self) -> Tuple[np.ndarray, ...]:
@@ -285,8 +275,8 @@ class Grid:
 
 
 class SupportTable:
-    """Where the coefficients of a step can be nonzero, and the multipliers
-    gathered there (see the module docstring).
+    """Where the coefficients of a step or a record can be nonzero, and the
+    multipliers and weights gathered there (see the module docstring).
 
     Both tables are built from one description: the half-layout index
     ranges that a leading axis and the last axis keep.  The box table keeps
@@ -339,7 +329,7 @@ class SupportTable:
             self.gather(np.broadcast_to(k, grid.spectral_shape)
                         .astype(np.complex128)) for k in grid.wavenumbers)
         self.k_squared_divisor = self.gather(grid.k_squared_divisor)
-        self._fractional = {}
+        self._weights = {}
 
     def gather(self, half: np.ndarray) -> np.ndarray:
         """The compact copy of half-layout arrays (the arrays themselves
@@ -364,13 +354,23 @@ class SupportTable:
         return out
 
     def fractional_multiplier(self, gamma: float) -> np.ndarray:
-        """The compact copy of Grid.fractional_multiplier(gamma)."""
-        key = float(gamma)
-        cached = self._fractional.get(key)
-        if cached is None:
-            cached = self._fractional[key] = self.gather(
-                self.grid.fractional_multiplier(gamma))
-        return cached
+        """The compact copy of Grid.fractional_multiplier(gamma), cached."""
+        return self._gathered("fractional_multiplier", gamma)
+
+    def sobolev_weight(self, sigma: float) -> np.ndarray:
+        """The compact copy of Grid.sobolev_weight(sigma), cached."""
+        return self._gathered("sobolev_weight", sigma)
+
+    def _gathered(self, name: str, exponent: float) -> np.ndarray:
+        key = (name, float(exponent))
+        if key not in self._weights:
+            self._weights[key] = self.gather(getattr(self.grid, name)(exponent))
+        return self._weights[key]
+
+    @cached_property
+    def gradient_weight(self) -> np.ndarray:
+        """sum_j |i k_j|^2 with gradient's zeroed Nyquist entries."""
+        return sum(ik.imag ** 2 for ik in self.derivative_multipliers)
 
 
 def _c2c_passes(fft, src: np.ndarray, dst: np.ndarray, table: SupportTable,
@@ -461,12 +461,13 @@ def _unchecked_inverse(coeffs: np.ndarray, table: SupportTable,
     """The passes of _inverse from compact coeffs, without its Hermitian
     check, into out if given.
 
-    For derivative stacks: i k_j c is Hermitian wherever c is, so a stack
-    built from a source that _check_hermitian passed needs no scan of its
-    own.  The box table scatters coeffs into a zeroed work buffer and runs
-    the ifft passes in place over the lines that can be nonzero
-    (SupportTable.lines); the whole table runs them over every line, the
-    first into a new buffer, so coeffs is never written to.
+    For a source that _check_hermitian passed, and for derivative stacks:
+    i k_j c is Hermitian wherever c is, so a stack built from a checked
+    source needs no scan of its own.  The box table scatters coeffs into a
+    zeroed work buffer and runs the ifft passes in place over the lines
+    that can be nonzero (SupportTable.lines); the whole table runs them
+    over every line, the first into a new buffer, so coeffs is never
+    written to.
     """
     if table.boxed:
         src = work = table.scatter(coeffs)

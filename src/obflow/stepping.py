@@ -126,9 +126,9 @@ def step(state: FlowState, params: ModelParams, dt: float) -> FlowState:
     and the nonlinear ones are dealiased, so the box table holds the whole
     step.
 
-    A tendency that energy_budget handed off on the state with equal
-    params serves as stage 1, and its table as the step's, with no scan;
-    any hand-off is dropped (see FlowState).
+    A tendency that a record handed off on the state with equal params
+    serves as stage 1, and its table as the step's, with no scan; any
+    hand-off is dropped (see FlowState).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")

@@ -17,11 +17,14 @@ from obflow.diagnostics import (
     stress_min_eigenvalue,
     trajectory_distance,
 )
+import obflow.model
 from obflow.model import (
     FlowState,
     ModelParams,
     TermToggles,
+    explicit_rhs,
     make_initial_data,
+    rhs,
 )
 from obflow.spectral import (
     Grid,
@@ -29,7 +32,12 @@ from obflow.spectral import (
     TensorField,
     VectorField,
     dealias,
+    divergence,
+    fractional_laplacian,
+    gradient,
+    l2_inner_product,
     leray_project,
+    sobolev_inner_product,
 )
 from obflow.stepping import StepperConfig, integrate
 
@@ -121,6 +129,89 @@ class TestRecordFields:
         # repr floats parse back exactly
         assert float(values[1]) == rec.u_hs
         assert float(values[CSV_COLUMNS.index("E")]) == rec.E
+
+
+def half_layout_record(state, params, diag):
+    """Every column of a first record by sums over the half layout, with
+    the public operators (E has no dissipation integral yet), and the
+    balance scale of the L2 identity."""
+    u, tau, s, kc = state.u, state.tau, diag.resolve_s(state.grid), diag.k_cross
+    sb = s - params.beta
+
+    def norm(f, sigma):
+        return math.sqrt(sobolev_inner_product(f, f, sigma))
+
+    def pairing(f, gamma, sigma):
+        return sobolev_inner_product(fractional_laplacian(f, gamma), f, sigma)
+
+    du, dtau = rhs(state.copy(), params)
+    u_work, tau_work = l2_inner_product(u, du), l2_inner_product(tau, dtau)
+    diss_tau_l2 = pairing(tau, params.beta, 0.0) if params.eta_eff else 0.0
+    visc_u_l2 = pairing(u, params.alpha, 0.0) if params.nu else 0.0
+    q_work = 0.0
+    if params.toggles.q_term:  # with only Q on, the stress tendency is -F(Q)
+        _, q = explicit_rhs(state.copy(), ModelParams(b=params.b, toggles=(
+            TermToggles(advection_u=False, advection_tau=False,
+                        stress_divergence=False, strain_source=False))))
+        q_work = -l2_inner_product(q, tau)
+    parts = (u_work, tau_work, params.eta_eff * diss_tau_l2,
+             params.nu * visc_u_l2, params.a * l2_inner_product(tau, tau),
+             q_work)
+    scale = max(abs(p) for p in parts)
+    cross = sobolev_inner_product(u, divergence(tau), sb)
+    u_hs, tau_hs = norm(u, s), norm(tau, s)
+    return {
+        "t": state.t, "u_hs": u_hs, "tau_hs": tau_hs,
+        "u_l2": norm(u, 0.0), "tau_l2": norm(tau, 0.0),
+        "diss_tau": pairing(tau, params.beta, s),
+        "diss_u": sum(sobolev_inner_product(g, g, sb) for g in (
+            gradient(u.component(i)) for i in range(state.grid.d))),
+        "visc_u": params.nu * pairing(u, params.alpha, s) if params.nu else 0.0,
+        "cross": cross,
+        "E": u_hs ** 2 + tau_hs ** 2,
+        "L": u_hs ** 2 + tau_hs ** 2 + 2.0 * kc * cross,
+        "q_work": q_work,
+        "identity_residual": abs(sum(parts)) / scale,
+        "min_eig_sigma": stress_min_eigenvalue(state),
+        "diss_tau_l2": diss_tau_l2,
+        "visc_u_l2": params.nu * visc_u_l2,
+    }, scale
+
+
+class TestRecordPass:
+    """observe sums over the compact spectra of the record's support table;
+    every column agrees with the half-layout formulas to round-off, and
+    min_eig_sigma, from tau's one inverse, bit for bit."""
+
+    @pytest.mark.parametrize("d, n, band, boxed", [
+        (2, 32, (1, 4), True), (2, 32, (1, 16), False),
+        (3, 12, (1, 3), True), (3, 16, (1, 8), False)])
+    @pytest.mark.parametrize("params", [
+        ModelParams(eta=1.0, beta=0.75, nu=0.05, alpha=0.7, a=0.1, b=0.5),
+        ModelParams(eta=1.3, beta=0.5, nu=0.2, b=-0.6,
+                    toggles=TermToggles(q_term=False)),
+        ModelParams(eta=1.0, beta=1.0, a=0.2, b=0.3,
+                    toggles=TermToggles(eta_dissipation=False))],
+        ids=["nu-a", "no-q", "no-eta"])
+    def test_columns_match_the_half_layout(self, d, n, band, boxed, params):
+        g = Grid(d, n)
+        st = make_initial_data(g, epsilon=0.5, seed=11, band=band)
+        assert obflow.model._state_table(st).boxed == boxed
+        diag = DiagnosticParams()
+        rec, _ = collect_one(st, params, diag)
+        ref, scale = half_layout_record(st, params, diag)
+        assert set(ref) == set(CSV_COLUMNS)
+        for name in CSV_COLUMNS:
+            got = getattr(rec, name)
+            if name == "min_eig_sigma":
+                assert np.float64(got).view(np.uint64) == \
+                    np.float64(ref[name]).view(np.uint64)
+            elif name == "q_work":
+                assert abs(got - ref[name]) <= 1e-15 * scale
+            elif name == "identity_residual":
+                assert abs(got - ref[name]) <= 1e-15
+            else:
+                assert abs(got - ref[name]) <= 1e-13 * abs(ref[name]), name
 
 
 class TestLyapunovEquivalence:

@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 # energy_budget stays importable here for the tracer of perfbench/spans.py
-from .model import (FlowState, ModelParams, _record_pass,  # noqa: F401
-                    default_sobolev_index, energy_budget)
+from .model import (FlowState, ModelParams, Tendency,  # noqa: F401
+                    _record_pass, default_sobolev_index, energy_budget)
 from .snapshots import atomic_write_text
 from .spectral import SYM_PAIRS, TWO_PI, Grid, check_fields
 
@@ -139,10 +139,11 @@ class DiagnosticsCollector:
         self._dissipation_accum = 0.0
         self._prev: Optional[Tuple[float, float]] = None  # (t, integrand)
 
-    def observe(self, state: FlowState, step: int = 0) -> DiagnosticsRecord:
-        """Append the record of state, from one model._record_pass."""
+    def observe(self, state: FlowState, step: int = 0) -> Tendency:
+        """Append the record of state, from one model._record_pass, and
+        return the pass's Tendency, which integrate hands to the next step."""
         params, kc = self.params, self.diag.k_cross
-        budget, columns, tau_phys = _record_pass(state, params, self.s)
+        budget, columns, tau_phys, first = _record_pass(state, params, self.s)
         integrand = (params.eta_eff * columns["diss_tau"]
                      + 0.5 * kc * columns["diss_u"])
         if self._prev is not None:
@@ -166,7 +167,7 @@ class DiagnosticsCollector:
         ok, _ = lyapunov_equivalence_check(rec, kc)
         if not ok:
             self.lyapunov_violations += 1
-        return rec
+        return first
 
 
 def lyapunov_equivalence_check(rec: DiagnosticsRecord,

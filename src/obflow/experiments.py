@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -69,8 +68,9 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
     collector = DiagnosticsCollector(params, cfg.diagnostics, grid)
 
     manifest: List[dict] = []
+    # a record returns its Tendency, which integrate hands to the next step
     callbacks: List[Tuple[int, object]] = [
-        (cfg.diagnostics.cadence_steps, lambda s, i: collector.observe(s, i))]
+        (cfg.diagnostics.cadence_steps, collector.observe)]
     if outdir is not None:
         outdir = Path(outdir)
 
@@ -319,6 +319,9 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
 
     summaries: Dict[float, dict] = {}
     if threads > 1:
+        # imported here, so a single run does not import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # no more workers than runs: a forked pool starts them all at once
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             futures = [(nu, pool.submit(_sweep_member, cd, str(md)))

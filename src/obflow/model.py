@@ -130,23 +130,11 @@ class ModelParams:
 
 @dataclass
 class FlowState:
-    """Velocity (divergence-free) and symmetric stress at one time.
-
-    A record (_record_pass, behind energy_budget) leaves its explicit
-    tendency on the state, as a one-slot hand-off keyed by the model
-    parameters: the support table and the tendencies in its compact
-    layout.  The next step from the same state with equal parameters takes
-    it instead of its first kernel evaluation, and every step drops it.
-    So a state's arrays must not be mutated in place once its tendency was
-    taken; build a new state (or a copy, which carries no hand-off) instead.
-    """
+    """Velocity (divergence-free) and symmetric stress at one time."""
 
     u: VectorField
     tau: TensorField
     t: float = 0.0
-    _handoff: Optional[Tuple[ModelParams, SupportTable, np.ndarray,
-                             np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.u.grid != self.tau.grid:
@@ -158,6 +146,19 @@ class FlowState:
 
     def copy(self) -> "FlowState":
         return FlowState(self.u.copy(), self.tau.copy(), self.t)
+
+
+@dataclass(frozen=True)
+class Tendency:
+    """The explicit tendency of a state under params, in the compact layout
+    of its support table, and max |u| over the kernel's samples of u (those
+    of u.to_physical(), bit for bit; None if no term inverts u)."""
+
+    table: SupportTable
+    du: np.ndarray
+    dtau: np.ndarray
+    params: ModelParams
+    u_max: Optional[float]
 
 
 def strain_rate(u: VectorField) -> TensorField:
@@ -280,11 +281,13 @@ def _state_table(state: FlowState) -> SupportTable:
 
 def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                     params: ModelParams, tau_phys: Optional[np.ndarray] = None,
-                    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Kernel of explicit_rhs on the compact coefficients u and tau of
-    table: the compact tendencies, plus the physical Q triangle (None if Q
-    is off).  The only place the nonlinear terms u.grad u, u.grad tau and
-    Q are built.
+                    with_u_max: bool = False,
+                    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
+                               Optional[float]]:
+    """Kernel of tendency on the compact coefficients u and tau of table:
+    the compact tendencies, the physical Q triangle (None if Q is off) and,
+    if with_u_max, max |u| over u's samples (None if u is not inverted).
+    The only place the nonlinear terms u.grad u, u.grad tau and Q are built.
 
     Each phase drops what it no longer needs.  u is inverted whole and
     grad u one velocity row at a time; the momentum tendency is then
@@ -318,6 +321,8 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
             grid.support_table(True).scatter(coeffs)
 
     u_phys = _unchecked_inverse(u, table) if need_u_phys else None
+    u_max = float(np.max(np.abs(u_phys))) \
+        if with_u_max and u_phys is not None else None
     grad_u = _gradient_physical(u, table) \
         if (tg.advection_u or tg.q_term) else None
 
@@ -351,25 +356,28 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
         dtau += _strain(u, table)
     if nl is not None:
         dtau -= dealiased(nl)
-    return du, dtau, q_tri
+    return du, dtau, q_tri, u_max
+
+
+def tendency(state: FlowState, params: ModelParams) -> Tendency:
+    """Every term of state's tendency but the diagonal dissipation and
+    damping, which the integrating-factor stepper takes exactly; the
+    momentum tendency is Leray-projected.  One call inverts 15 components
+    and forward-transforms 5 in 2D (36 and 9 in 3D), on the box table if u
+    and tau are zero outside the 2/3 box (_state_table), else on the whole.
+    """
+    table = _state_table(state)
+    du, dtau, _, u_max = _explicit_terms(
+        table.gather(state.u.comps), table.gather(state.tau.comps), table,
+        params, with_u_max=True)
+    return Tendency(table, du, dtau, params, u_max)
 
 
 def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
-    """Tendencies without the diagonal dissipation/damping terms.
-
-    This is the stiff-free part handled explicitly by the integrating-factor
-    steppers.  The momentum tendency is Leray-projected.  One call inverts
-    15 components and forward-transforms 5 in 2D (36 and 9 in 3D).  u and
-    tau are scanned once for support in the 2/3 box: a state that is zero
-    outside it, as band-limited data stay, is evaluated on the box table,
-    whose products run over the box only and whose transforms pass over
-    fewer lines per component.
-    """
-    table = _state_table(state)
-    du, dtau, _ = _explicit_terms(table.gather(state.u.comps),
-                                  table.gather(state.tau.comps), table, params)
-    return (VectorField(state.grid, table.scatter(du)),
-            TensorField(state.grid, table.scatter(dtau)))
+    """The tendency of state on the half layout."""
+    first = tendency(state, params)
+    return (VectorField(state.grid, first.table.scatter(first.du)),
+            TensorField(state.grid, first.table.scatter(first.dtau)))
 
 
 def rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
@@ -391,10 +399,11 @@ def _spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _record_pass(state: FlowState, params: ModelParams,
-                 s: Optional[float] = None) -> Tuple[dict, dict, np.ndarray]:
-    """(energy_budget's terms, the record's norm columns, tau's samples)
-    from one pass over the compact coefficients of the state's table; the
-    kernel's tendency is handed off on the state (see FlowState).
+                 s: Optional[float] = None,
+                 ) -> Tuple[dict, dict, np.ndarray, Tendency]:
+    """(energy_budget's terms, the record's norm columns, tau's samples,
+    the state's Tendency) from one pass over the compact coefficients of
+    the state's table, with one kernel evaluation.
 
     tau is checked and inverted once, for the kernel's Q and the caller.
     Every term is one np.sum of a weight cached on the table times the
@@ -408,8 +417,8 @@ def _record_pass(state: FlowState, params: ModelParams,
     u, tau = table.gather(state.u.comps), table.gather(state.tau.comps)
     _check_hermitian(tau, table)
     tau_phys = _unchecked_inverse(tau, table)
-    du, dtau, q_tri = _explicit_terms(u, tau, table, params, tau_phys)
-    state._handoff = (params, table, du, dtau)
+    du, dtau, q_tri, u_max = _explicit_terms(u, tau, table, params, tau_phys,
+                                             with_u_max=True)
     rate_u, rate_tau = _dissipation_rates(table, params)
     p_u, p_tau = _spectrum(u, u), _spectrum(tau, tau)
     beta, alpha = map(table.fractional_multiplier, (params.beta, params.alpha))
@@ -449,7 +458,7 @@ def _record_pass(state: FlowState, params: ModelParams,
             diss_u=total(wsb * table.gradient_weight, p_u),
             visc_u=params.nu * total(ws * alpha, p_u) if params.nu else 0.0,
             cross=total(wsb, _spectrum(u, _tensor_divergence(tau, table))))
-    return terms, columns, tau_phys
+    return terms, columns, tau_phys, Tendency(table, du, dtau, params, u_max)
 
 
 def energy_budget(state: FlowState, params: ModelParams) -> dict:
@@ -464,8 +473,8 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
     works cancel exactly) and advection is either off or dealiased.
 
     It runs a record's pass (_record_pass): 15 inverse and 8 forward
-    components in 2D (36 and 15 in 3D), and a hand-off of the explicit
-    tendency, so the next step from this state skips its first evaluation.
+    components in 2D (36 and 15 in 3D).  It leaves nothing behind: the
+    pass's Tendency is dropped (DiagnosticsCollector.observe returns it).
     """
     return _record_pass(state, params)[0]
 

@@ -25,7 +25,7 @@ Conventions used throughout the package:
   2D, the whole table (Grid.support_table(False)) the half layout.  A
   state that is zero outside the box (_box_supported) stays so;
   model._state_table, the one place that chooses a table, scans it once
-  per step, explicit_rhs call or record, and the kernel's spectral
+  per model.tendency call or record, and the kernel's spectral
   products, the projections, the stage algebra and a record's sums run on
   its compact coefficients.  So a record's sums agree with half-layout
   sums to round-off, not bit for bit: np.sum's pairwise order depends on

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,12 +23,14 @@ import numpy as np
 from .model import (  # noqa: F401
     FlowState,
     ModelParams,
+    Tendency,
     _dissipation_rates,
     _explicit_terms,
-    _state_table,
     explicit_rhs,
+    tendency,
 )
 from .spectral import (  # noqa: F401
+    Grid,
     SupportTable,
     TensorField,
     VectorField,
@@ -89,8 +91,12 @@ def cfl_dt(state: FlowState, config: StepperConfig) -> float:
     The wave bound reflects the k / sqrt(2) oscillation frequency of the
     coupled velocity-stress mode pair; a zero state returns dt_cap.
     """
-    grid = state.grid
-    u_max = float(np.max(np.abs(state.u.to_physical())))
+    return _cfl_bound(state.grid, float(np.max(np.abs(state.u.to_physical()))),
+                      config)
+
+
+def _cfl_bound(grid: Grid, u_max: float, config: StepperConfig) -> float:
+    """cfl_dt of a state whose max |u| over the grid is u_max."""
     dt = config.dt_cap
     if u_max > 0:
         dt = min(dt, config.cfl_advective * grid.dx / u_max)
@@ -110,42 +116,36 @@ def _decay_factors(table: SupportTable, params: ModelParams,
 def _stage(table: SupportTable, params: ModelParams, u: np.ndarray,
            tau: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """dt times the explicit tendencies at compact (u, tau): one RK4 stage."""
-    du, dtau, _ = _explicit_terms(u, tau, table, params)
+    du, dtau, _, _ = _explicit_terms(u, tau, table, params)
     return dt * du, dt * dtau
 
 
-def step(state: FlowState, params: ModelParams, dt: float) -> FlowState:
+def step(state: FlowState, params: ModelParams, dt: float,
+         first: Optional[Tendency] = None) -> FlowState:
     """Advance one RK4 step in the variables z = exp(L (t - t0)) y; u is
     re-projected after every stage.
 
-    The state is scanned once for its support table (model._state_table),
-    unless a hand-off brings it (below): the stage algebra, the projections
-    and the four kernel evaluations run on its compact coefficients, which
-    are scattered back to the half layout at the end.  A state that is
-    zero outside the 2/3 box stays so, as the linear terms act mode by mode
-    and the nonlinear ones are dealiased, so the box table holds the whole
-    step.
-
-    A tendency that a record handed off on the state with equal params
-    serves as stage 1, and its table as the step's, with no scan; any
-    hand-off is dropped (see FlowState).
+    first, if given, must be the model.Tendency of state under params;
+    else it is evaluated here.  It serves as stage 1, and its support table
+    (model._state_table) as the step's: the stage algebra, the projections
+    and the other three kernel evaluations run on the table's compact
+    coefficients, which are scattered back to the half layout at the end.
+    A state that is zero outside the 2/3 box stays so, as the linear terms
+    act mode by mode and the nonlinear ones are dealiased, so the box table
+    holds the whole step.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    handoff, state._handoff = state._handoff, None
-    if handoff is not None and handoff[0] != params:
-        handoff = None
-    table = _state_table(state) if handoff is None else handoff[1]
+    if first is None:
+        first = tendency(state, params)
+    table = first.table
     eu_h, et_h, eu_f, et_f = _decay_factors(table, params, dt)
     u0, tau0 = table.gather(state.u.comps), table.gather(state.tau.comps)
     t0 = state.t
 
-    if handoff is None:
-        ku, kt = _stage(table, params, u0, tau0, dt)
-    else:
-        ku, kt = dt * handoff[2], dt * handoff[3]
-    del handoff
+    ku, kt = dt * first.du, dt * first.dtau
+    del first
 
     u_s = _leray(eu_h * (u0 + 0.5 * ku), table)
     tau_s = et_h * (tau0 + 0.5 * kt)
@@ -183,47 +183,55 @@ class IntegrationResult:
 
 
 def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
-              callbacks: Sequence[Tuple[int, Callable[[FlowState, int], None]]] = (),
+              callbacks: Sequence[Tuple[int, Callable[[FlowState, int], object]]] = (),
               ) -> IntegrationResult:
     """March to t_end, firing callbacks every given number of steps.
 
     Each callback is a (cadence, fn) pair; fn(state, step_index) runs at
-    step 0, every cadence steps, and at the final step.  Fixed step sizes
-    use t = i * dt arithmetic so repeated runs are bit-identical; a trailing
+    step 0, every cadence steps, and at the final step.  fn may return the
+    model.Tendency of its state (DiagnosticsCollector.observe does); one of
+    params is the next step's first stage, else integrate evaluates it, and
+    with dt "auto" its u_max gives the CFL bound.  Fixed step sizes use
+    t = i * dt arithmetic so repeated runs are bit-identical; a trailing
     partial step closes any remainder.  Non-finite values abort the march
     with a BlowUpError carrying the last finite state.
     """
-    for _, fn in callbacks:
-        fn(state, 0)
     t_end = config.t_end
-    if t_end == 0.0:
-        state._handoff = None  # no step follows the record
-        return IntegrationResult(state, 0)
-
     auto = config.dt == "auto"
     t0 = state.t
     target = t0 + t_end
-    if auto:
-        schedule = None
-    else:
+    if not auto:
         dt = float(config.dt)
         n_full = int(math.floor(t_end / dt + 1e-9))
         remainder = t_end - n_full * dt
         if remainder < 1e-12 * max(dt, 1.0):
             remainder = 0.0
-        schedule = (dt, n_full, remainder)
 
     i = 0
     current, state = state, None  # the first step consumes the initial state
+    finished = t_end == 0.0
     while True:
-        if auto:
-            dt_i = min(cfl_dt(current, config), target - current.t)
-            if dt_i <= 0:
-                break
-            next_t = None
-        else:
-            dt, n_full, remainder = schedule
-            if i < n_full:
+        first = None
+        for every, fn in callbacks:
+            if i % every == 0 or finished:
+                handed = fn(current, i)
+                if isinstance(handed, Tendency) and handed.params == params:
+                    first = handed
+        if finished:
+            break
+        # overflow during a diverging step is reported via BlowUpError, so
+        # the intermediate inf/nan arithmetic need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            if first is None:
+                first = tendency(current, params)
+            if auto:
+                dt_i = min(cfl_dt(current, config) if first.u_max is None
+                           else _cfl_bound(current.grid, first.u_max, config),
+                           target - current.t)
+                if dt_i <= 0:
+                    break
+                next_t = None
+            elif i < n_full:
                 dt_i = dt
                 next_t = t0 + (i + 1) * dt
             elif remainder > 0.0 and i == n_full:
@@ -231,10 +239,7 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
                 next_t = target
             else:
                 break
-        # overflow during a diverging step is reported via BlowUpError, so
-        # the intermediate inf/nan arithmetic need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            new = step(current, params, dt_i)
+            new = step(current, params, dt_i, first)
         if next_t is not None:
             new.t = next_t
         i += 1
@@ -243,10 +248,4 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
             raise BlowUpError(current, i, _first_non_finite(new))
         current = new
         finished = (target - current.t) <= 1e-12 * max(1.0, abs(target))
-        for every, fn in callbacks:
-            if i % every == 0 or finished:
-                fn(current, i)
-        if finished:
-            break
-    current._handoff = None  # the last record's tendency serves no step
     return IntegrationResult(current, i)

@@ -1,5 +1,8 @@
 """The exported package surface."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,13 +20,15 @@ import obflow.stepping
 # scalar-only names of the field data, the scheme switch (IF-RK4 is the
 # only scheme), the run-level record cadence (diagnostics owns it), the
 # Grid's descriptions of the 2/3 box (spectral.SupportTable builds them)
-# and the hand-off helpers (step alone takes energy_budget's hand-off).
+# and the hand-off helpers and slot (a record's model.Tendency reaches the
+# next step through integrate).
 REMOVED = [
     (obflow.linear, "CRITICAL_TOL"),
     (obflow.model, "advect"),
     (obflow.model, "q_bilinear"),
     (obflow.model, "_take_handoff"),
     (obflow.model, "_half_layout_terms"),
+    (obflow.model.FlowState, "_handoff"),
     (obflow.model.ModelParams, "nu_eff"),
     (obflow.model.ModelParams, "a_eff"),
     (obflow.model.TermToggles, "nu_dissipation"),
@@ -71,3 +76,16 @@ def test_field_classes_share_one_implementation():
             cls(grid, np.zeros((4,) + grid.spectral_shape))
         with pytest.raises(obflow.spectral.GridMismatchError):
             cls.from_physical(grid, np.zeros((4,) + grid.shape))
+
+
+def test_benchmark_tracer_targets_resolve():
+    """The benchmark's tracer (perfbench/spans.py) wraps obflow functions
+    by (owner, attribute); every one it names must still exist."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in spans.TARGETS
+               if not callable(getattr(owner, attr, None))]
+    assert spans.TARGETS and missing == []

@@ -1,8 +1,12 @@
 """Experiment drivers and the command line front end."""
 
+import concurrent.futures
 import dataclasses
 import json
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,23 @@ class TestRunSingle:
         assert series[0][1].shape == (5, 16, 16)
         assert np.all(np.isfinite(series[-1][1]))
 
+    def test_imports_no_process_pool(self):
+        """Only a sweep with threads > 1 imports the process pool, with
+        multiprocessing and socket behind it; a fresh process that imports
+        obflow and runs one config has none of them."""
+        src = Path(obflow.experiments.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "import obflow\n"
+            "from obflow.config import validate_config\n"
+            "from obflow.experiments import run_single\n"
+            f"cfg, _ = validate_config({SMALL_RUN!r})\n"
+            "run_single(cfg)\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestLinearVerify:
     def test_toggles_off_hits_oracle(self, tmp_path):
@@ -236,7 +257,8 @@ class TestSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(obflow.experiments, "ProcessPoolExecutor",
+        # sweep_viscosity imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InProcessPool)
         sweep_viscosity(self.base(0.2), [1e-2, 1e-3, 1e-4], tmp_path / "s",
                         threads=64)

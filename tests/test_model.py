@@ -456,19 +456,21 @@ class TestFusedKernel:
                              [(2, 16, 15, 5), (3, 8, 36, 9)])
     def test_step_after_budget_takes_its_tendency(
             self, fft_components, monkeypatch, d, n, inverse, forward):
-        """The step takes the table and the first stage from the budget's
-        hand-off: three kernel evaluations, and no scan of the state."""
+        """The step takes the table and the first stage from the Tendency
+        of a record's pass: three kernel evaluations, and no scan of the
+        state."""
         st = random_state(Grid(d, n), seed=96, scale=0.5)
         params = ModelParams(eta=1.0, beta=0.5, b=-0.4)
-        fresh = step(st.copy(), params, 1e-3)
-        energy_budget(st, params)
+        fresh = step(st, params, 1e-3)
+        first = DiagnosticsCollector(params, DiagnosticParams(),
+                                     st.grid).observe(st)
 
         def no_scan(coeffs, grid):
-            raise AssertionError("the step scanned a state with a hand-off")
+            raise AssertionError("the step scanned a state with a tendency")
 
         monkeypatch.setattr(obflow.model, "_box_supported", no_scan)
         fft_components[:] = [0, 0]
-        out = step(st, params, 1e-3)
+        out = step(st, params, 1e-3, first)
         assert fft_components == [3 * inverse, 3 * forward]
         assert_bits_equal(out.u.comps, fresh.u.comps)
         assert_bits_equal(out.tau.comps, fresh.tau.comps)
@@ -477,21 +479,27 @@ class TestFusedKernel:
                              [(2, 16, 15, 5), (3, 8, 36, 9)])
     def test_explicit_rhs_after_budget_recomputes(
             self, fft_components, d, n, inverse, forward):
-        """explicit_rhs does not read the hand-off, and leaves it for the
-        next step."""
+        """energy_budget leaves nothing behind: explicit_rhs and the step
+        after it evaluate the tendency afresh, the step four times."""
         st = random_state(Grid(d, n), seed=96, scale=0.5)
         params = ModelParams(eta=1.0, beta=0.5, b=-0.4)
-        fresh = explicit_rhs(st.copy(), params)
+        fresh = explicit_rhs(st, params)
+        fresh_step = step(st, params, 1e-3)
         fft_components[:] = [0, 0]
         energy_budget(st, params)
         # one kernel pass plus the forward transform of the Q triangle
         assert fft_components == [inverse, forward + len(st.tau.pairs)]
+        assert set(vars(st)) == {"u", "tau", "t"}
         fft_components[:] = [0, 0]
         du, dtau = explicit_rhs(st, params)
         assert fft_components == [inverse, forward]
         assert_bits_equal(du.comps, fresh[0].comps)
         assert_bits_equal(dtau.comps, fresh[1].comps)
-        assert st._handoff is not None
+        fft_components[:] = [0, 0]
+        out = step(st, params, 1e-3)
+        assert fft_components == [4 * inverse, 4 * forward]
+        assert_bits_equal(out.u.comps, fresh_step.u.comps)
+        assert_bits_equal(out.tau.comps, fresh_step.tau.comps)
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_step_makes_no_complex_transforms(self, fft_components, d, n):
@@ -565,7 +573,7 @@ class TestRecordPass:
                              toggles=TermToggles(q_term=q_term))
         coll = DiagnosticsCollector(params, DiagnosticParams(), st.grid)
         transforms.clear()
-        coll.observe(st)
+        first = coll.observe(st)
         m = len(SYM_PAIRS[d])
         # without Q the kernel inverts no tau and transforms no Q triangle;
         # either way the record's inverse is tau's only one
@@ -574,9 +582,12 @@ class TestRecordPass:
         assert [k for k, _, _ in transforms].count("kernel") == 1
         assert [lead for k, _, lead in transforms
                 if k == "inverse"].count(m) == 1
-        transforms.clear()
-        step(st, params, 1e-3)
-        assert [k for k, _, _ in transforms].count("kernel") == 3
+        # the step from the record's Tendency evaluates three stages; one
+        # without it evaluates four, as the record left nothing on the state
+        for handed, kernels in ((first, 3), (None, 4)):
+            transforms.clear()
+            step(st, params, 1e-3, handed)
+            assert [k for k, _, _ in transforms].count("kernel") == kernels
 
 
 class TestEnergyBudget:
@@ -682,17 +693,20 @@ class TestBoxSupportedKernel:
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 12)])
     def test_kernel_tables_agree(self, d, n):
         """_explicit_terms on the box table's compact coefficients, scattered,
-        equals _explicit_terms on the whole table, and its Q triangle too."""
+        equals _explicit_terms on the whole table, and its Q triangle too;
+        either table's max |u| is that of u.to_physical()."""
         g = Grid(d, n)
         st = random_state(g, seed=50 + d, scale=0.5)
         box, whole = g.support_table(True), g.support_table(False)
-        du, dtau, q_tri = _explicit_terms(box.gather(st.u.comps),
-                                          box.gather(st.tau.comps), box,
-                                          self.PARAMS)
-        ref = _explicit_terms(st.u.comps, st.tau.comps, whole, self.PARAMS)
+        du, dtau, q_tri, u_max = _explicit_terms(
+            box.gather(st.u.comps), box.gather(st.tau.comps), box,
+            self.PARAMS, with_u_max=True)
+        ref = _explicit_terms(st.u.comps, st.tau.comps, whole, self.PARAMS,
+                              with_u_max=True)
         assert du.shape == (d,) + box.shape
         for got, r in zip((box.scatter(du), box.scatter(dtau), q_tri), ref):
             assert_bits_equal(got, r)
+        assert u_max == ref[3] == float(np.max(np.abs(st.u.to_physical())))
 
 
 class TestInitialData:

@@ -8,17 +8,23 @@ import numpy as np
 import pytest
 
 import obflow.experiments
+import obflow.model
+import obflow.spectral
+import obflow.stepping
+from obflow.diagnostics import DiagnosticParams, DiagnosticsCollector
 from obflow.config import validate_config
 from obflow.linear import linear_mode_solution
 from obflow.model import (
     FlowState,
     ModelParams,
+    Tendency,
     TermToggles,
     _state_table,
     dissipation_rates,
     energy_budget,
     explicit_rhs,
     make_initial_data,
+    tendency,
 )
 from obflow.spectral import (
     Grid,
@@ -146,6 +152,66 @@ class TestCfl:
         expected = 0.5 * g.dx / 10.0
         assert cfl_dt(st, cfg) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("d, n, band, toggles", [
+        pytest.param(2, 16, (1, 4), TermToggles(), id="box-2d"),
+        pytest.param(3, 12, (1, 3), TermToggles(), id="box-3d"),
+        pytest.param(2, 16, (1, 8), TermToggles(), id="whole-2d"),
+        pytest.param(2, 16, (1, 4), TermToggles.linear_waves(), id="linear")])
+    def test_integrate_chooses_cfl_dt(self, monkeypatch, d, n, band,
+                                      toggles):
+        """integrate takes max |u| from the first kernel evaluation of each
+        step, which gives the dt of cfl_dt bit for bit; with no term that
+        inverts u (linear toggles) it calls cfl_dt instead."""
+        params = ModelParams(eta=1.0, beta=0.5, b=0.5, toggles=toggles)
+        st = make_initial_data(Grid(d, n), epsilon=2.0, seed=4, band=band)
+        assert _state_table(st).boxed == (band[1] < st.grid.dealias_cutoff)
+        cfg = StepperConfig(dt="auto", cfl_advective=2e-3, cfl_wave=100.0,
+                            dt_cap=1.0, t_end=0.3)
+        steps, cfl_calls = [], []
+
+        def take(state, params, dt, first=None):
+            steps.append((state, dt))
+            return step(state, params, dt, first)
+
+        def counting_cfl(state, config):
+            cfl_calls.append(state)
+            return cfl_dt(state, config)
+
+        monkeypatch.setattr(obflow.stepping, "step", take)
+        monkeypatch.setattr(obflow.stepping, "cfl_dt", counting_cfl)
+        integrate(st, params, cfg)
+        # the advective bound sets every dt but the last, which lands on
+        # t_end, so u_max matters
+        assert len(steps) >= 3
+        for state, dt in steps[:-1]:
+            assert dt == cfl_dt(state, cfg) < cfg.dt_cap
+        state, dt = steps[-1]
+        assert dt == min(cfl_dt(state, cfg), cfg.t_end - state.t)
+        assert len(cfl_calls) == (0 if toggles.advection_u else len(steps))
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_auto_step_inverts_only_in_its_kernel(self, monkeypatch, d, n):
+        """An auto-dt step with no record makes four kernel evaluations,
+        and neither to_physical nor its checked inverse runs."""
+        evaluations = []
+        kernel = obflow.model._explicit_terms
+
+        def counting(*args, **kwargs):
+            evaluations.append(1)
+            return kernel(*args, **kwargs)
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("a state was inverted outside the kernel")
+
+        for module in (obflow.model, obflow.stepping):
+            monkeypatch.setattr(module, "_explicit_terms", counting)
+        monkeypatch.setattr(obflow.spectral, "_inverse", no_inverse)
+        st = make_initial_data(Grid(d, n), epsilon=0.5, seed=6, band=(1, 2))
+        res = integrate(st, ModelParams(eta=1.0, beta=0.5, b=0.5),
+                        StepperConfig(dt="auto", t_end=0.03))
+        assert res.steps >= 2
+        assert len(evaluations) == 4 * res.steps
+
 
 def rk4_four_tendencies(state, params, dt):
     """The IF-RK4 step with all four stage tendencies kept to the end: the
@@ -159,17 +225,17 @@ def rk4_four_tendencies(state, params, dt):
     def project(u):
         return leray_project(VectorField(grid, u)).comps
 
-    def tendency(u, tau, t):
+    def stage(u, tau, t):
         du, dtau = explicit_rhs(FlowState(VectorField(grid, u),
                                           TensorField(grid, tau), t), params)
         return dt * du.comps, dt * dtau.comps
 
-    ku1, kt1 = tendency(u0, tau0, t0)
-    ku2, kt2 = tendency(project(eu_h * (u0 + 0.5 * ku1)),
+    ku1, kt1 = stage(u0, tau0, t0)
+    ku2, kt2 = stage(project(eu_h * (u0 + 0.5 * ku1)),
                         et_h * (tau0 + 0.5 * kt1), t0 + 0.5 * dt)
-    ku3, kt3 = tendency(project(eu_h * u0 + 0.5 * ku2),
+    ku3, kt3 = stage(project(eu_h * u0 + 0.5 * ku2),
                         et_h * tau0 + 0.5 * kt2, t0 + 0.5 * dt)
-    ku4, kt4 = tendency(project(eu_f * u0 + eu_h * ku3),
+    ku4, kt4 = stage(project(eu_f * u0 + eu_h * ku3),
                         et_f * tau0 + et_h * kt3, t0 + dt)
     u1 = eu_f * u0 + (eu_f * ku1 + 2.0 * eu_h * (ku2 + ku3) + ku4) / 6.0
     tau1 = et_f * tau0 + (et_f * kt1 + 2.0 * et_h * (kt2 + kt3) + kt4) / 6.0
@@ -269,7 +335,9 @@ class TestBoxSupport:
 
 
 class TestTendencyHandOff:
-    """energy_budget hands its tendency to the next step's first stage."""
+    """A record's Tendency reaches the next step only through integrate:
+    a callback returns it, and integrate passes it to step when it was
+    evaluated under the run's params."""
 
     PARAMS = ModelParams(eta=0.8, beta=0.5, b=0.4, nu=0.05)
 
@@ -277,38 +345,70 @@ class TestTendencyHandOff:
         return make_initial_data(Grid(2, 16), recipe="random-band",
                                  epsilon=0.5, seed=8)
 
-    def test_step_after_budget_is_bit_identical(self):
-        st = self.state()
-        fresh = step(st.copy(), self.PARAMS, 0.01)
-        energy_budget(st, self.PARAMS)
-        assert st._handoff is not None
-        out = step(st, self.PARAMS, 0.01)
-        np.testing.assert_array_equal(out.u.comps, fresh.u.comps)
-        np.testing.assert_array_equal(out.tau.comps, fresh.tau.comps)
-        assert st._handoff is None
+    def run(self, callbacks=(), t_end=0.03):
+        return integrate(self.state(), self.PARAMS,
+                         StepperConfig(dt=0.01, t_end=t_end), callbacks)
 
-    def test_hand_off_with_other_params_is_ignored(self):
-        other = ModelParams(eta=0.8, beta=0.5, b=-0.7, nu=0.05)
+    def test_step_after_budget_is_bit_identical(self):
+        """energy_budget leaves the state as it was; the Tendency of a
+        record's pass, given to step, gives the step bit for bit."""
         st = self.state()
-        fresh = step(st.copy(), self.PARAMS, 0.01)
-        energy_budget(st, other)
-        out = step(st, self.PARAMS, 0.01)
+        fresh = step(st, self.PARAMS, 0.01)
+        energy_budget(st, self.PARAMS)
+        assert set(vars(st)) == {"u", "tau", "t"}
+        first = DiagnosticsCollector(self.PARAMS, DiagnosticParams(),
+                                     st.grid).observe(st)
+        assert isinstance(first, Tendency) and first.params == self.PARAMS
+        out = step(st, self.PARAMS, 0.01, first)
         np.testing.assert_array_equal(out.u.comps, fresh.u.comps)
         np.testing.assert_array_equal(out.tau.comps, fresh.tau.comps)
-        assert st._handoff is None
+
+    def test_hand_off_with_other_params_is_ignored(self, monkeypatch):
+        """A Tendency of other params, None or any other return value
+        leaves integrate to evaluate the tendency itself: four kernel
+        evaluations a step, and the run of no callback, bit for bit.  One
+        of the run's params is taken: three a step."""
+        other = ModelParams(eta=0.8, beta=0.5, b=-0.7, nu=0.05)
+        ref = self.run()
+        kernel, calls = obflow.stepping._explicit_terms, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(obflow.model, "_explicit_terms", counting)
+        monkeypatch.setattr(obflow.stepping, "_explicit_terms", counting)
+        # (return value, the callback's own evaluations per call, the
+        # evaluations of each step)
+        for returned, own, per_step in (
+                (lambda s: tendency(s, other), 1, 4), (lambda s: None, 0, 4),
+                (lambda s: "a record", 0, 4),
+                (lambda s: tendency(s, self.PARAMS), 1, 3)):
+            calls.clear()
+            res = self.run([(1, lambda s, i: returned(s))])
+            assert len(calls) == per_step * res.steps + own * (res.steps + 1)
+            np.testing.assert_array_equal(res.state.u.comps,
+                                          ref.state.u.comps)
+            np.testing.assert_array_equal(res.state.tau.comps,
+                                          ref.state.tau.comps)
 
     def test_no_hand_off_outlives_the_run(self):
-        seen = []
+        """Nothing is left on the states, and the last record's Tendency,
+        which serves no step, is dropped when integrate returns."""
+        seen, last = [], []
 
         def record(state, i):
             energy_budget(state, self.PARAMS)
+            first = tendency(state, self.PARAMS)
             seen.append(state)
+            last[:] = [weakref.ref(first)]
+            return first
 
-        res = integrate(self.state(), self.PARAMS,
-                        StepperConfig(dt=0.01, t_end=0.03), [(1, record)])
+        res = self.run([(1, record)])
         assert len(seen) == 4
-        assert all(s._handoff is None for s in seen)
+        assert all(set(vars(s)) == {"u", "tau", "t"} for s in seen)
         assert res.state is seen[-1]
+        assert last[0]() is None
 
 
 class TestIntegrate:

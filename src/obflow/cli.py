@@ -198,11 +198,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, warnings = load_config(args.config, args.override)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[args.command](args, cfg, warnings)
     except ConfigError as exc:
         for err in exc.errors:

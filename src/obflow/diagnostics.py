@@ -28,7 +28,7 @@ import numpy as np
 from .model import (FlowState, ModelParams, Tendency,  # noqa: F401
                     _record_pass, default_sobolev_index, energy_budget)
 from .snapshots import atomic_write_text
-from .spectral import SYM_PAIRS, TWO_PI, Grid, check_fields
+from .spectral import PAIR_WEIGHTS, SYM_PAIRS, TWO_PI, Grid, check_fields
 
 
 @dataclass(frozen=True)
@@ -296,15 +296,14 @@ def trajectory_distance(series_a: Sequence[Tuple[float, np.ndarray]],
         if ca.shape != cb.shape:
             raise ValueError(f"snapshot shapes differ: {ca.shape} vs {cb.shape}")
         d = ca.ndim - 1
-        pairs = SYM_PAIRS[d]
-        if ca.shape[0] != d + len(pairs):
-            raise ValueError(f"expected {d + len(pairs)} components, got {ca.shape[0]}")
+        weights = PAIR_WEIGHTS[d]
+        if ca.shape[0] != d + len(weights):
+            raise ValueError(f"expected {d + len(weights)} components, got {ca.shape[0]}")
         cell = (TWO_PI / ca.shape[1]) ** d
         delta = ca - cb
         total = float(np.sum(delta[:d] ** 2))
-        for m, (i, j) in enumerate(pairs):
-            mult = 1.0 if i == j else 2.0
-            total += mult * float(np.sum(delta[d + m] ** 2))
+        for mult, comp in zip(weights, delta[d:]):
+            total += mult * float(np.sum(comp ** 2))
         times.append(ta)
         dists.append(math.sqrt(cell * total))
     times = np.array(times)

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .spectral import (
+    PAIR_WEIGHTS,
     SYM_PAIRS,
     TWO_PI,
     ConfigError,
@@ -182,9 +183,8 @@ def _gradient_physical(field_comps: np.ndarray,
     shape (m, d, *grid).
 
     The d derivatives of one component are inverted at a time, straight
-    into the result, so no m d-component spectral stack exists.  They are
-    not checked for Hermitian symmetry, as they keep it from their source
-    (_explicit_terms checks it).
+    into the result, so no m d-component spectral stack exists; unchecked,
+    as they keep the Hermitian symmetry of their checked source.
     """
     grid = table.grid
     ik = table.derivative_multipliers
@@ -281,48 +281,36 @@ def _state_table(state: FlowState) -> SupportTable:
 
 def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                     params: ModelParams, tau_phys: Optional[np.ndarray] = None,
-                    with_u_max: bool = False,
                     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
                                Optional[float]]:
     """Kernel of tendency on the compact coefficients u and tau of table:
-    the compact tendencies, the physical Q triangle (None if Q is off) and,
-    if with_u_max, max |u| over u's samples (None if u is not inverted).
-    The only place the nonlinear terms u.grad u, u.grad tau and Q are built.
+    the compact tendencies, the physical Q triangle (None if Q is off) and
+    max |u| over u's samples (None if no term inverts u).  The only place
+    the nonlinear terms u.grad u, u.grad tau and Q are built.
 
     Each phase drops what it no longer needs.  u is inverted whole and
     grad u one velocity row at a time; the momentum tendency is then
-    transformed and projected.  Q is built from tau, inverted whole, and
-    grad u, which is then released.  grad tau is inverted one stress
-    component at a time, each contracted with u into its row of u.grad tau
-    at once; u.grad tau and Q are summed on the grid and transformed once,
-    and the stress tendency is allocated last.
-
-    The sources that are inverted, u and (for u.grad tau or Q) tau, are
-    each checked for Hermitian symmetry once, on entry, unless tau_phys
-    brings tau's samples, checked and inverted by a record's pass; every
-    inverse after that is unchecked, as the derivative stacks keep the
-    symmetry of their source.  Every spectral product, the projection and
-    the inverse passes run over the table's coefficients and lines only.  Both products take
-    the dealiased forward transform, which passes only over the lines the
-    2/3 rule keeps and gathers the 2/3 box.
+    transformed and projected.  Q is built from tau, inverted whole (or
+    tau_phys), and grad u, which is then released.  grad tau is inverted
+    one stress component at a time, each contracted with u into its row of
+    u.grad tau at once; u.grad tau and Q are summed on the grid and
+    transformed once, and the stress tendency is allocated last.  Every
+    inverse is unchecked, as a state is checked where it enters
+    (_evaluate).  Every spectral product, the projection and the inverse
+    passes run over the table's coefficients and lines only.  Both
+    products take the dealiased forward transform, which passes only over
+    the lines the 2/3 rule keeps and gathers the 2/3 box.
     """
     grid = table.grid
     tg = params.toggles
-    need_tau_phys = tg.advection_tau or tg.q_term
-    need_u_phys = tg.advection_u or need_tau_phys
-    if need_u_phys:
-        _check_hermitian(u, table)
-    if need_tau_phys and tau_phys is None:
-        _check_hermitian(tau, table)
 
     def dealiased(samples):  # the product's coefficients on the table
         coeffs = _forward(samples, grid, dealiased=True)
         return coeffs if table.boxed else \
             grid.support_table(True).scatter(coeffs)
 
-    u_phys = _unchecked_inverse(u, table) if need_u_phys else None
-    u_max = float(np.max(np.abs(u_phys))) \
-        if with_u_max and u_phys is not None else None
+    u_phys = _unchecked_inverse(u, table) if _inverts(tg)[0] else None
+    u_max = None if u_phys is None else float(np.max(np.abs(u_phys)))
     grad_u = _gradient_physical(u, table) \
         if (tg.advection_u or tg.q_term) else None
 
@@ -359,18 +347,40 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
     return du, dtau, q_tri, u_max
 
 
+def _inverts(tg: TermToggles, record: bool = False) -> Tuple[bool, bool]:
+    """Whether (u, tau) are inverted under tg: u by any nonlinear term of
+    the kernel, tau by u.grad tau or Q, and by every record."""
+    tau = tg.advection_tau or tg.q_term
+    return tg.advection_u or tau, tau or record
+
+
+def _evaluate(state: FlowState, params: ModelParams, record: bool = False,
+              ) -> Tuple[Tendency, np.ndarray, np.ndarray,
+                         Optional[np.ndarray], Optional[np.ndarray]]:
+    """A state's one entry into the kernel, for tendency and (record)
+    _record_pass: (Tendency, compact u and tau on _state_table's table,
+    tau's samples if record, the Q triangle).  u and tau are checked for
+    Hermitian symmetry where a term inverts them, tau always in a record,
+    which inverts it once, for the kernel's Q and its caller."""
+    table = _state_table(state)
+    u, tau = table.gather(state.u.comps), table.gather(state.tau.comps)
+    for source, inverted in zip((u, tau), _inverts(params.toggles, record)):
+        if inverted:
+            _check_hermitian(source, table)
+    tau_phys = _unchecked_inverse(tau, table) if record else None
+    du, dtau, q_tri, u_max = _explicit_terms(u, tau, table, params, tau_phys)
+    return Tendency(table, du, dtau, params, u_max), u, tau, tau_phys, q_tri
+
+
 def tendency(state: FlowState, params: ModelParams) -> Tendency:
     """Every term of state's tendency but the diagonal dissipation and
     damping, which the integrating-factor stepper takes exactly; the
     momentum tendency is Leray-projected.  One call inverts 15 components
     and forward-transforms 5 in 2D (36 and 9 in 3D), on the box table if u
-    and tau are zero outside the 2/3 box (_state_table), else on the whole.
+    and tau are zero outside the 2/3 box, else on the whole; its entry,
+    _evaluate, picks the table and checks u and tau.
     """
-    table = _state_table(state)
-    du, dtau, _, u_max = _explicit_terms(
-        table.gather(state.u.comps), table.gather(state.tau.comps), table,
-        params, with_u_max=True)
-    return Tendency(table, du, dtau, params, u_max)
+    return _evaluate(state, params)[0]
 
 
 def explicit_rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField]:
@@ -390,11 +400,11 @@ def rhs(state: FlowState, params: ModelParams) -> Tuple[VectorField, TensorField
 
 def _spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re sum_c mult_c a_c conj(b_c) over the leading axis of compact stacks;
-    mult_c is 2 for the off-diagonal pairs of a stress triangle, else 1."""
+    mult_c is a stress triangle's PAIR_WEIGHTS, else 1."""
     x = a.real * b.real + a.imag * b.imag
-    pairs = SYM_PAIRS[a.ndim - 1]
-    if len(a) == len(pairs):
-        x[[m for m, (i, j) in enumerate(pairs) if i != j]] *= 2.0
+    weights = PAIR_WEIGHTS[a.ndim - 1]
+    if len(a) == len(weights):  # a weight of 1.0 keeps its row bit for bit
+        x *= np.reshape(weights, (-1,) + (1,) * (a.ndim - 1))
     return x.sum(axis=0)
 
 
@@ -403,9 +413,8 @@ def _record_pass(state: FlowState, params: ModelParams,
                  ) -> Tuple[dict, dict, np.ndarray, Tendency]:
     """(energy_budget's terms, the record's norm columns, tau's samples,
     the state's Tendency) from one pass over the compact coefficients of
-    the state's table, with one kernel evaluation.
+    the state's table, with one kernel evaluation, through _evaluate.
 
-    tau is checked and inverted once, for the kernel's Q and the caller.
     Every term is one np.sum of a weight cached on the table times the
     power spectrum of u or tau or a cross spectrum (u with du or div tau,
     tau with dtau or, over the box, the dealiased F(Q)).  The columns are
@@ -413,12 +422,8 @@ def _record_pass(state: FlowState, params: ModelParams,
     diss_u, visc_u and cross of DiagnosticsRecord.
     """
     grid = state.grid
-    table = _state_table(state)
-    u, tau = table.gather(state.u.comps), table.gather(state.tau.comps)
-    _check_hermitian(tau, table)
-    tau_phys = _unchecked_inverse(tau, table)
-    du, dtau, q_tri, u_max = _explicit_terms(u, tau, table, params, tau_phys,
-                                             with_u_max=True)
+    first, u, tau, tau_phys, q_tri = _evaluate(state, params, record=True)
+    table, du, dtau = first.table, first.du, first.dtau
     rate_u, rate_tau = _dissipation_rates(table, params)
     p_u, p_tau = _spectrum(u, u), _spectrum(tau, tau)
     beta, alpha = map(table.fractional_multiplier, (params.beta, params.alpha))
@@ -458,7 +463,7 @@ def _record_pass(state: FlowState, params: ModelParams,
             diss_u=total(wsb * table.gradient_weight, p_u),
             visc_u=params.nu * total(ws * alpha, p_u) if params.nu else 0.0,
             cross=total(wsb, _spectrum(u, _tensor_divergence(tau, table))))
-    return terms, columns, tau_phys, Tendency(table, du, dtau, params, u_max)
+    return terms, columns, tau_phys, first
 
 
 def energy_budget(state: FlowState, params: ModelParams) -> dict:

@@ -39,8 +39,10 @@ Conventions used throughout the package:
 - Columns k_last = 0 and k_last = -n/2 contain both k and -k, so only they
   can break Hermitian symmetry; _check_hermitian checks them and nothing
   else, and on the box table column 0 only, as column n/2 lies outside the
-  box.  _unchecked_inverse runs the passes of _inverse without it, for
-  stacks derived from a checked source, which keep its symmetry.
+  box.  _inverse (to_physical) checks its input, and model._evaluate a
+  state's u and tau where they enter the kernel; every later inverse is
+  _unchecked_inverse, as derivative stacks and step's later stage inputs
+  keep the symmetry of the checked arrays they are built from.
 - All L2 / Sobolev quantities carry the explicit (2pi)^d domain factor,
   e.g. ||f||_L2^2 = (2pi)^d sum_k |fhat(k)|^2 over the whole lattice.  On
   the half layout each interior last-axis column stands for itself and its
@@ -70,6 +72,9 @@ TWO_PI = 2.0 * np.pi
 # Pair orderings for triangular tensor storage, keyed by dimension.
 SYM_PAIRS = {2: ((0, 0), (0, 1), (1, 1)),
              3: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))}
+# Frobenius multiplicity of each pair: (i, j) and (j, i) for i != j
+PAIR_WEIGHTS = {d: tuple(1.0 if i == j else 2.0 for i, j in pairs)
+                for d, pairs in SYM_PAIRS.items()}
 
 HERMITIAN_TOL = 1e-12  # _check_hermitian's bound is it * (1 + max |samples|)
 
@@ -576,8 +581,7 @@ class TensorField(_FieldBase):
         return SpectralField(self.grid, self.comps[self.pair_index(i, j)])
 
     def _pairs(self) -> Iterator[Tuple[np.ndarray, float]]:
-        for m, (i, j) in enumerate(self.pairs):
-            yield self.comps[m], 1.0 if i == j else 2.0
+        return zip(self.comps, PAIR_WEIGHTS[self.grid.d])
 
 
 Field = Union[SpectralField, VectorField, TensorField]

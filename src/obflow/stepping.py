@@ -105,14 +105,6 @@ def _cfl_bound(grid: Grid, u_max: float, config: StepperConfig) -> float:
     return dt
 
 
-def _decay_factors(table: SupportTable, params: ModelParams,
-                   dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(Eu_half, Et_half, Eu_full, Et_full) integrating factors on table."""
-    rate_u, rate_tau = _dissipation_rates(table, params)
-    return (np.exp(-0.5 * dt * rate_u), np.exp(-0.5 * dt * rate_tau),
-            np.exp(-dt * rate_u), np.exp(-dt * rate_tau))
-
-
 def _stage(table: SupportTable, params: ModelParams, u: np.ndarray,
            tau: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """dt times the explicit tendencies at compact (u, tau): one RK4 stage."""
@@ -130,6 +122,8 @@ def step(state: FlowState, params: ModelParams, dt: float,
     (model._state_table) as the step's: the stage algebra, the projections
     and the other three kernel evaluations run on the table's compact
     coefficients, which are scattered back to the half layout at the end.
+    Only stage 1 checks Hermitian symmetry (model._evaluate): the later
+    stage inputs are built from checked arrays and the kernel's outputs.
     A state that is zero outside the 2/3 box stays so, as the linear terms
     act mode by mode and the nonlinear ones are dealiased, so the box table
     holds the whole step.
@@ -140,7 +134,10 @@ def step(state: FlowState, params: ModelParams, dt: float,
     if first is None:
         first = tendency(state, params)
     table = first.table
-    eu_h, et_h, eu_f, et_f = _decay_factors(table, params, dt)
+    rate_u, rate_tau = _dissipation_rates(table, params)
+    eu_h, et_h = np.exp(-0.5 * dt * rate_u), np.exp(-0.5 * dt * rate_tau)
+    eu_f, et_f = np.exp(-dt * rate_u), np.exp(-dt * rate_tau)
+    del rate_u, rate_tau
     u0, tau0 = table.gather(state.u.comps), table.gather(state.tau.comps)
     t0 = state.t
 
@@ -211,22 +208,22 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
     current, state = state, None  # the first step consumes the initial state
     finished = t_end == 0.0
     while True:
-        first = None
+        # the first stage, popped into step: no name here outlives stage 1
+        first = []
         for every, fn in callbacks:
             if i % every == 0 or finished:
-                handed = fn(current, i)
-                if isinstance(handed, Tendency) and handed.params == params:
-                    first = handed
+                first.append(fn(current, i))
+        first = [h for h in first
+                 if isinstance(h, Tendency) and h.params == params][-1:]
         if finished:
             break
         # overflow during a diverging step is reported via BlowUpError, so
         # the intermediate inf/nan arithmetic need not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            if first is None:
-                first = tendency(current, params)
+            first = first or [tendency(current, params)]
             if auto:
-                dt_i = min(cfl_dt(current, config) if first.u_max is None
-                           else _cfl_bound(current.grid, first.u_max, config),
+                dt_i = min(cfl_dt(current, config) if first[0].u_max is None
+                           else _cfl_bound(current.grid, first[0].u_max, config),
                            target - current.t)
                 if dt_i <= 0:
                     break
@@ -239,7 +236,7 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
                 next_t = target
             else:
                 break
-            new = step(current, params, dt_i, first)
+            new = step(current, params, dt_i, first.pop())
         if next_t is not None:
             new.t = next_t
         i += 1

@@ -45,7 +45,7 @@ from obflow.spectral import (
     _hermitian_residue,
     _inverse,
 )
-from obflow.stepping import step
+from obflow.stepping import StepperConfig, integrate, step
 
 
 def random_state(grid, seed, scale=1.0, project=True):
@@ -232,6 +232,59 @@ class TestKernelHermitianCheck:
         getattr(st, name).comps[slot] += 0.5
         with pytest.raises(HermitianSymmetryError):
             explicit_rhs(st, ModelParams(b=0.5))
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("name", ["u", "tau"])
+    @pytest.mark.parametrize("column", ["zero", "nyquist"])
+    @pytest.mark.parametrize("entry", [
+        "step", "integrate", "integrate-recorded", "observe", "energy_budget"])
+    def test_broken_mode_raises_at_every_entry(self, d, n, name, column,
+                                               entry):
+        """The check is made where a state enters the kernel, so every
+        public entry that evaluates it raises as explicit_rhs does."""
+        g = Grid(d, n)
+        st = random_state(g, seed=d)
+        slot = (0,) + (1,) * (d - 1) + (0 if column == "zero" else n // 2,)
+        getattr(st, name).comps[slot] += 0.5
+        params = ModelParams(b=0.5)
+        record = DiagnosticsCollector(params, DiagnosticParams(), g).observe
+        config = StepperConfig(dt=1e-3, t_end=2e-3)
+        run = {
+            "step": lambda: step(st, params, 1e-3),
+            "integrate": lambda: integrate(st, params, config),
+            "integrate-recorded": lambda: integrate(st, params, config,
+                                                    [(1, record)]),
+            "observe": lambda: record(st),
+            "energy_budget": lambda: energy_budget(st, params)}[entry]
+        with pytest.raises(HermitianSymmetryError):
+            run()
+
+    @pytest.mark.parametrize("d, n, band", [
+        (2, 16, (1, 4)), (2, 16, (1, 8)), (3, 8, (1, 2)), (3, 8, (1, 4))])
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_two_scans_per_step(self, monkeypatch, d, n, band, recorded):
+        """One step under integrate scans u and tau once each, where they
+        enter the kernel (a record's pass or integrate's own tendency), on
+        the state's table; step's three later stages are not scanned.  The
+        record after the step, which serves no step, scans twice more."""
+        scans = []
+
+        def counting(coeffs, table):
+            scans.append(table.boxed)
+            return _hermitian_residue(coeffs, table)
+
+        g = Grid(d, n)
+        st = make_initial_data(g, epsilon=0.5, seed=4, band=band)
+        boxed = band[1] < g.dealias_cutoff
+        assert obflow.model._state_table(st).boxed == boxed
+        params = ModelParams(eta=1.0, beta=0.5, b=0.5)
+        callbacks = [(1, DiagnosticsCollector(
+            params, DiagnosticParams(), g).observe)] if recorded else []
+        monkeypatch.setattr(obflow.spectral, "_hermitian_residue", counting)
+        res = integrate(st, params, StepperConfig(dt=1e-3, t_end=1e-3),
+                        callbacks)
+        assert res.steps == 1
+        assert scans == [boxed] * 2 * (1 + recorded)
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     @pytest.mark.parametrize("column", ["zero", "nyquist"])
@@ -700,9 +753,8 @@ class TestBoxSupportedKernel:
         box, whole = g.support_table(True), g.support_table(False)
         du, dtau, q_tri, u_max = _explicit_terms(
             box.gather(st.u.comps), box.gather(st.tau.comps), box,
-            self.PARAMS, with_u_max=True)
-        ref = _explicit_terms(st.u.comps, st.tau.comps, whole, self.PARAMS,
-                              with_u_max=True)
+            self.PARAMS)
+        ref = _explicit_terms(st.u.comps, st.tau.comps, whole, self.PARAMS)
         assert du.shape == (d,) + box.shape
         for got, r in zip((box.scatter(du), box.scatter(dtau), q_tri), ref):
             assert_bits_equal(got, r)

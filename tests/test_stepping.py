@@ -285,6 +285,31 @@ class TestWorkingSet:
         component = 16 * math.prod(grid.spectral_shape)
         assert (peak - entry) / component <= bound
 
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    def test_integrate_step_peak_is_the_steps(self, d, n):
+        """One step under integrate peaks within half a component of step
+        alone: integrate keeps no reference to the step's first Tendency,
+        so its du and dtau go once stage 1 is summed."""
+        grid = Grid(d, n)
+        params = ModelParams(eta=1.0, beta=0.5, b=0.5)
+        st = make_initial_data(grid, epsilon=1.0, seed=5, band=(1, 4))
+        st = step(st, params, 1e-3)  # fills the grid's cached multipliers
+        config = StepperConfig(dt=1e-3, t_end=1e-3)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+
+        alone = peak(lambda: step(st, params, 1e-3))
+        under = peak(lambda: integrate(st, params, config))
+        component = 16 * math.prod(grid.spectral_shape)
+        assert (under - alone) / component <= 0.5
+
     def test_run_drops_the_initial_state(self, monkeypatch):
         """Neither run_single nor integrate holds the state of step 0 once
         the first step has consumed it."""

@@ -601,7 +601,7 @@ def make_initial_data(grid: Grid, recipe: str = InitialDataConfig.recipe,
     elif recipe == "random-band":
         lo, hi = int(band[0]), int(band[1])
         rng = np.random.default_rng(seed)
-        ksq = grid.k_squared
+        ksq = grid.support_table(False).k_squared
         keep = (ksq >= lo * lo) & (ksq <= hi * hi)
         u = VectorField.from_physical(
             grid, rng.standard_normal((grid.d,) + grid.shape))

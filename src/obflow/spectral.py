@@ -48,10 +48,13 @@ Conventions used throughout the package:
   the half layout each interior last-axis column stands for itself and its
   mirror, so it counts twice; columns 0 and n/2 count once.  The cached
   Sobolev weights carry this multiplicity.
-- Derivative multipliers i*k_j have every Nyquist entry zeroed so that odd
-  multipliers map real fields to real fields.
-- The Leray projector uses the integer lattice with Nyquist = -n/2 on every
-  axis and leaves the k = 0 mode untouched.
+- Each SupportTable builds the multipliers of the slots it keeps on its
+  compact layout (Grid holds geometry only).  Derivative multipliers
+  i*k~_j zero every Nyquist entry of k, so that odd multipliers map real
+  fields to real fields.
+- The Leray projector reads the derivative's k~ and |k~|^2: it is the
+  orthogonal projector onto the kernel of divergence, even in k, and
+  leaves the slots with k~ = 0 (k = 0 among them) untouched.
 - Dealiasing zeroes every coefficient with any |k_i| >= n/3, i.e. >= kc
   (strict at the boundary, so quadratic products are alias-free for every
   even n).
@@ -123,6 +126,9 @@ def check_fields(obj: object, rules: Sequence[tuple]) -> None:
 class Grid:
     """Uniform n^d grid on [0, 2pi)^d with integer wavenumbers.
 
+    A Grid holds geometry only; its SupportTables (support_table) own the
+    wavenumbers, multipliers and weights.
+
     Parameters
     ----------
     d : spatial dimension, 2 or 3.
@@ -161,50 +167,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.dx ** self.d
 
-    @cached_property
-    def wavenumbers(self) -> Tuple[np.ndarray, ...]:
-        """Integer wavenumbers per axis, broadcast to d axes (Nyquist = -n/2).
-
-        The last axis runs 0 .. n/2-1, -n/2 (the half layout).
-        """
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
-        k_last = np.arange(self.n // 2 + 1)
-        k_last[-1] = -(self.n // 2)
-        out = []
-        for axis in range(self.d):
-            shape = [1] * self.d
-            shape[axis] = -1
-            out.append((k if axis < self.d - 1 else k_last).reshape(shape))
-        return tuple(out)
-
-    @cached_property
-    def derivative_multipliers(self) -> Tuple[np.ndarray, ...]:
-        """i*k_j per axis with the Nyquist entry zeroed (odd multiplier).
-
-        Each is a dense spectral_shape array, not a broadcast row: a
-        product with a coefficient array then runs without broadcasting.
-        """
-        out = []
-        for axis in range(self.d):
-            k = self.wavenumbers[axis].copy()
-            k[np.abs(k) == self.n // 2] = 0
-            out.append(np.broadcast_to(1j * k.astype(np.float64),
-                                       self.spectral_shape).copy())
-        return tuple(out)
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 on the stored half lattice, exact integer arithmetic."""
-        ksq = np.zeros(self.spectral_shape, dtype=np.int64)
-        for k in self.wavenumbers:
-            ksq = ksq + k * k
-        return ksq
-
-    @cached_property
-    def k_squared_divisor(self) -> np.ndarray:
-        """|k|^2 as floats, 1 at k = 0: the divisor of leray_project."""
-        return np.where(self.k_squared > 0, self.k_squared, 1).astype(np.float64)
-
     @property
     def dealias_cutoff(self) -> int:
         """kc = ceil(n/3): the 2/3 rule keeps the modes with every |k_i| < kc."""
@@ -212,15 +174,10 @@ class Grid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Boolean keep-mask of the 2/3 rule: True where all |k_i| < kc."""
-        mask = np.ones(self.spectral_shape, dtype=bool)
-        for k in self.wavenumbers:
-            mask = mask & (np.abs(k) < self.dealias_cutoff)
-        return mask
-
-    @cached_property
-    def _weight_cache(self) -> dict:
-        return {}
+        """Boolean keep-mask of the 2/3 rule, True on the box table's
+        slots: where all |k_i| < kc."""
+        box = self.support_table(True)
+        return box.scatter(np.ones(box.shape, dtype=bool))
 
     @cached_property
     def _support_tables(self) -> dict:
@@ -232,29 +189,6 @@ class Grid:
         if table is None:
             table = self._support_tables[boxed] = SupportTable(self, boxed)
         return table
-
-    def sobolev_weight(self, sigma: float) -> np.ndarray:
-        """(1 + |k|^2)^sigma times the column multiplicity of the half
-        layout (2 for interior last-axis columns, 1 for columns 0 and n/2)."""
-        key = float(sigma)
-        cached = self._weight_cache.get(key)
-        if cached is not None:
-            return cached
-        w = (1.0 + self.k_squared.astype(np.float64)) ** sigma
-        w[..., 1:-1] *= 2.0
-        self._weight_cache[key] = w
-        return w
-
-    def fractional_multiplier(self, gamma: float) -> np.ndarray:
-        """|k|^(2 gamma), new per call (SupportTable caches its copies); the
-        k = 0 entry is 0 for gamma > 0 and 1 for gamma = 0."""
-        if gamma < 0:
-            raise ValueError(f"fractional exponent must be >= 0, got {gamma}")
-        if gamma == 0:
-            return np.ones(self.spectral_shape)
-        m = self.k_squared.astype(np.float64) ** gamma
-        m[self.k_squared == 0] = 0.0
-        return m
 
     def coordinates(self) -> Tuple[np.ndarray, ...]:
         """Physical coordinates per axis, each dense with the grid shape."""
@@ -281,7 +215,8 @@ class Grid:
 
 class SupportTable:
     """Where the coefficients of a step or a record can be nonzero, and the
-    multipliers and weights gathered there (see the module docstring).
+    one owner of the spectral multipliers and weights there (see the
+    module docstring).
 
     Both tables are built from one description: the half-layout index
     ranges that a leading axis and the last axis keep.  The box table keeps
@@ -292,10 +227,15 @@ class SupportTable:
     0 .. n/2: its compact layout is the half layout, and its gather and
     scatter are the identity.  From the ranges come the blocks, the c2c
     line blocks of _c2c_passes, the blocks outside the table that
-    _box_supported scans, and the mirrored columns, 0 and n/2, of which
-    the box holds column 0 only.  The Leray wavenumbers are dense
-    complex128 arrays: numpy would cast the integer rows to complex128 in
-    every product, with the same values.
+    _box_supported scans, the mirrored columns, 0 and n/2, of which the
+    box holds column 0 only, and the multipliers, built on the compact
+    layout: the wavenumbers (index i holds i below n/2, else i - n), k^2,
+    the derivative multipliers i k~_j (k~ is k with its Nyquist entries
+    zeroed), and, cached, their gradient_weight sum_j k~_j^2 and per
+    exponent the Sobolev weights and fractional multipliers.  The Leray
+    projector reads k~ (leray_wavenumbers, dense complex128 arrays, as
+    numpy would cast real rows in every product) and sum_j k~_j^2
+    (leray_divisor, 1 where it is 0).
     """
 
     def __init__(self, grid: Grid, boxed: bool):
@@ -328,12 +268,26 @@ class SupportTable:
         self.mirrored_columns = slice(None, None, n // 2)
         # index -k of each leading index k
         self.reversal = -np.arange(ends[-1]) % ends[-1]
+        # integer wavenumbers per axis, rows broadcast to d axes
+        self.wavenumbers = tuple(
+            ((np.r_[lead if axis < grid.d - 1 else last] + n // 2) % n
+             - n // 2).reshape([-1 if a == axis else 1
+                                for a in range(grid.d)])
+            for axis in range(grid.d))
+        self.k_squared = np.zeros(self.shape, dtype=np.int64)
+        for k in self.wavenumbers:
+            self.k_squared = self.k_squared + k * k
+        # dense, so that a product with coefficients does not broadcast
         self.derivative_multipliers = tuple(
-            self.gather(ik) for ik in grid.derivative_multipliers)
-        self.leray_wavenumbers = tuple(
-            self.gather(np.broadcast_to(k, grid.spectral_shape)
-                        .astype(np.complex128)) for k in grid.wavenumbers)
-        self.k_squared_divisor = self.gather(grid.k_squared_divisor)
+            np.broadcast_to(1j * np.where(np.abs(k) == n // 2, 0, k)
+                            .astype(np.float64), self.shape).copy()
+            for k in self.wavenumbers)
+        # the divisor sums the squares afresh, so that gradient_weight is
+        # built only on a table whose records read it
+        squares = sum(ik.imag ** 2 for ik in self.derivative_multipliers)
+        self.leray_wavenumbers = tuple(ik.imag.astype(np.complex128)
+                                       for ik in self.derivative_multipliers)
+        self.leray_divisor = np.where(squares > 0, squares, 1.0)
         self._weights = {}
 
     def gather(self, half: np.ndarray) -> np.ndarray:
@@ -359,23 +313,36 @@ class SupportTable:
         return out
 
     def fractional_multiplier(self, gamma: float) -> np.ndarray:
-        """The compact copy of Grid.fractional_multiplier(gamma), cached."""
-        return self._gathered("fractional_multiplier", gamma)
-
-    def sobolev_weight(self, sigma: float) -> np.ndarray:
-        """The compact copy of Grid.sobolev_weight(sigma), cached."""
-        return self._gathered("sobolev_weight", sigma)
-
-    def _gathered(self, name: str, exponent: float) -> np.ndarray:
-        key = (name, float(exponent))
+        """|k|^(2 gamma), cached; the k = 0 entry is 0 for gamma > 0 and 1
+        for gamma = 0."""
+        if gamma < 0:
+            raise ValueError(f"fractional exponent must be >= 0, got {gamma}")
+        key = ("fractional_multiplier", float(gamma))
         if key not in self._weights:
-            self._weights[key] = self.gather(getattr(self.grid, name)(exponent))
+            if gamma == 0:
+                m = np.ones(self.shape)
+            else:
+                m = self.k_squared.astype(np.float64) ** gamma
+                m[self.k_squared == 0] = 0.0
+            self._weights[key] = m
         return self._weights[key]
 
     @cached_property
     def gradient_weight(self) -> np.ndarray:
-        """sum_j |i k_j|^2 with gradient's zeroed Nyquist entries."""
+        """sum_j k~_j^2, cached when first asked for: only a record with a
+        Sobolev index reads it."""
         return sum(ik.imag ** 2 for ik in self.derivative_multipliers)
+
+    def sobolev_weight(self, sigma: float) -> np.ndarray:
+        """(1 + |k|^2)^sigma times the column multiplicity of the half
+        layout (2 for the interior last-axis columns 1 .. n/2-1, 1 for
+        columns 0 and n/2), cached."""
+        key = ("sobolev_weight", float(sigma))
+        if key not in self._weights:
+            w = (1.0 + self.k_squared.astype(np.float64)) ** sigma
+            w[..., 1:self.grid.n // 2] *= 2.0
+            self._weights[key] = w
+        return self._weights[key]
 
 
 def _c2c_passes(fft, src: np.ndarray, dst: np.ndarray, table: SupportTable,
@@ -589,11 +556,11 @@ Field = Union[SpectralField, VectorField, TensorField]
 
 def gradient(f: SpectralField) -> VectorField:
     """Spectral gradient; Nyquist modes of each derivative are zeroed."""
-    grid = f.grid
-    out = np.empty((grid.d,) + grid.spectral_shape, dtype=np.complex128)
-    for axis, ik in enumerate(grid.derivative_multipliers):
+    table = f.grid.support_table(False)
+    out = np.empty((f.grid.d,) + table.shape, dtype=np.complex128)
+    for axis, ik in enumerate(table.derivative_multipliers):
         out[axis] = ik * f.comps
-    return VectorField(grid, out)
+    return VectorField(f.grid, out)
 
 
 def divergence(field: Union[VectorField, TensorField]) -> Union[SpectralField, VectorField]:
@@ -602,15 +569,14 @@ def divergence(field: Union[VectorField, TensorField]) -> Union[SpectralField, V
     For tensors, row i of the result is sum_j i k_j T_ij with T_ji = T_ij.
     """
     grid = field.grid
-    ik = grid.derivative_multipliers
+    table = grid.support_table(False)
     if isinstance(field, VectorField):
         out = np.zeros(grid.spectral_shape, dtype=np.complex128)
-        for j in range(grid.d):
-            out += ik[j] * field.comps[j]
+        for j, ik in enumerate(table.derivative_multipliers):
+            out += ik * field.comps[j]
         return SpectralField(grid, out)
     if isinstance(field, TensorField):
-        return VectorField(grid, _tensor_divergence(
-            field.comps, grid.support_table(False)))
+        return VectorField(grid, _tensor_divergence(field.comps, table))
     raise TypeError(f"divergence expects a vector or tensor field, got {type(field)}")
 
 
@@ -620,7 +586,7 @@ def fractional_laplacian(field: Field, gamma: float) -> Field:
     The zero mode is annihilated for gamma > 0 and kept for gamma = 0;
     gamma < 0 is rejected.
     """
-    mult = field.grid.fractional_multiplier(gamma)
+    mult = field.grid.support_table(False).fractional_multiplier(gamma)
     return field.with_comps(field.comps * mult)
 
 
@@ -637,10 +603,12 @@ def _tensor_divergence(comps: np.ndarray, table: SupportTable) -> np.ndarray:
 
 
 def leray_project(v: VectorField) -> VectorField:
-    """Project onto divergence-free fields: vhat -> vhat - k (k.vhat)/|k|^2.
+    """Project onto divergence-free fields: vhat -> vhat - k~ (k~.vhat)/|k~|^2.
 
-    Uses the integer lattice with Nyquist = -n/2 on every axis; the k = 0
-    mode is left untouched, so the mean flow is preserved.
+    k~ are the wavenumbers of divergence's multipliers, whose Nyquist
+    entries are zero, so the result has zero divergence and keeps the
+    Hermitian symmetry of v; a slot with k~ = 0 (k = 0, so the mean flow
+    is preserved, or every component 0 or n/2) is left untouched.
     """
     return VectorField(v.grid, _leray(v.comps, v.grid.support_table(False)))
 
@@ -650,7 +618,7 @@ def _leray(comps: np.ndarray, table: SupportTable) -> np.ndarray:
     factor = np.zeros(table.shape, dtype=np.complex128)
     for j, k in enumerate(table.leray_wavenumbers):
         factor += k * comps[j]
-    np.divide(factor, table.k_squared_divisor, out=factor)
+    np.divide(factor, table.leray_divisor, out=factor)
     factor[(0,) * table.grid.d] = 0.0
     out = np.empty_like(comps)
     for j, k in enumerate(table.leray_wavenumbers):
@@ -677,13 +645,13 @@ def sobolev_inner_product(f: Field, g: Field, sigma: float) -> float:
     componentwise.
 
     The sum runs over the whole lattice: each stored interior last-axis
-    column counts for itself and its mirror (see Grid.sobolev_weight).
+    column counts for itself and its mirror (see SupportTable.sobolev_weight).
     Tensor components are weighted with their mirror multiplicity, so the
     pairing is the full Frobenius one.  The reduction is numpy's pairwise
     sum in a fixed order, independent of any threading.
     """
     _check_compatible(f, g)
-    w = f.grid.sobolev_weight(sigma)
+    w = f.grid.support_table(False).sobolev_weight(sigma)
     total = 0.0
     for (fc, mult), (gc, _) in zip(f._pairs(), g._pairs()):
         total += mult * float(np.sum(w * (fc.real * gc.real + fc.imag * gc.imag)))

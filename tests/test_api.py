@@ -19,9 +19,10 @@ import obflow.stepping
 # transform wrappers (SpectralField.from_physical / to_physical), the
 # scalar-only names of the field data, the scheme switch (IF-RK4 is the
 # only scheme), the run-level record cadence (diagnostics owns it), the
-# Grid's descriptions of the 2/3 box (spectral.SupportTable builds them)
-# and the hand-off helpers and slot (a record's model.Tendency reaches the
-# next step through integrate).
+# Grid's descriptions of the 2/3 box and its half-layout multipliers and
+# weights (each spectral.SupportTable builds its own) and the hand-off
+# helpers and slot (a record's model.Tendency reaches the next step
+# through integrate).
 REMOVED = [
     (obflow.linear, "CRITICAL_TOL"),
     (obflow.model, "advect"),
@@ -41,6 +42,14 @@ REMOVED = [
     (obflow.spectral.Grid, "kept_ranges"),
     (obflow.spectral.Grid, "box_lines"),
     (obflow.spectral.Grid, "outside_box"),
+    (obflow.spectral.Grid, "wavenumbers"),
+    (obflow.spectral.Grid, "derivative_multipliers"),
+    (obflow.spectral.Grid, "k_squared"),
+    (obflow.spectral.Grid, "k_squared_divisor"),
+    (obflow.spectral.Grid, "sobolev_weight"),
+    (obflow.spectral.Grid, "fractional_multiplier"),
+    (obflow.spectral.Grid, "_weight_cache"),
+    (obflow.spectral.SupportTable, "_gathered"),
     (obflow.spectral.SpectralField, "coeffs"),
     (obflow.spectral.SpectralField, "with_coeffs"),
     (obflow.stepping, "SCHEMES"),

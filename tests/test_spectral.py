@@ -94,7 +94,7 @@ class TestGrid:
                 k = lead + (last,)
                 idx, conjugated = g.mode_index(k)
                 stored = [np.broadcast_to(w, g.spectral_shape)[idx]
-                          for w in g.wavenumbers]
+                          for w in g.support_table(False).wavenumbers]
                 sign = -1 if conjugated else 1
                 assert all((s - sign * ki) % n == 0 for s, ki in zip(stored, k))
                 value = half[idx].conj() if conjugated else half[idx]
@@ -104,18 +104,19 @@ class TestGrid:
 
     def test_wavenumber_broadcast_shapes(self):
         g = Grid(3, 8)
-        ks = g.wavenumbers
+        whole = g.support_table(False)
+        ks = whole.wavenumbers
         assert ks[0].shape == (8, 1, 1)
         assert ks[1].shape == (1, 8, 1)
         assert ks[2].shape == (1, 1, 5)
-        assert g.k_squared.shape == (8, 8, 5)
+        assert whole.k_squared.shape == (8, 8, 5)
         assert g.spectral_shape == (8, 8, 5)
         assert g.shape == (8, 8, 8)
         assert list(ks[2].ravel()) == [0, 1, 2, 3, -4]
 
     def test_nyquist_derivative_multiplier_is_zero(self):
         g = Grid(2, 16)
-        m = g.derivative_multipliers[0]
+        m = g.support_table(False).derivative_multipliers[0]
         assert m[8, 0] == 0.0
         assert m[3, 0] == 3j
 
@@ -227,15 +228,15 @@ class TestPrunedPasses:
         g = Grid(2, n)
         kc = g.dealias_cutoff
         assert kc == math.ceil(n / 3)
+        ks = g.support_table(False).wavenumbers
         lead, last = (g.support_table(True).gather(
-            np.broadcast_to(k, g.spectral_shape)) for k in g.wavenumbers)
+            np.broadcast_to(k, g.spectral_shape)) for k in ks)
         k = np.fft.fftfreq(n, d=1.0 / n)
         np.testing.assert_array_equal(lead[:, 0], k[3 * np.abs(k) < n])
         np.testing.assert_array_equal(lead[:, 0], np.r_[0:kc, -(kc - 1):0])
         np.testing.assert_array_equal(last[0], np.arange(kc))
         np.testing.assert_array_equal(
-            g.dealias_mask, (3 * np.abs(g.wavenumbers[0]) < n)
-            & (3 * np.abs(g.wavenumbers[1]) < n))
+            g.dealias_mask, (3 * np.abs(ks[0]) < n) & (3 * np.abs(ks[1]) < n))
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [8, 12, 32, 48])
@@ -356,25 +357,34 @@ class TestSupportTable:
         assert whole.shape == g.spectral_shape
         assert whole.gather(full) is full and whole.scatter(full) is full
 
+    @pytest.mark.parametrize("n", [8, 16, 32, 48])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_compact_wavenumbers_are_the_gathered_ones(self, d):
-        """A leading compact index i holds the wavenumber i for i < kc and
-        i - (2kc - 1) above; the tables are gathered from the grid's."""
-        g = Grid(d, 16)
-        box = g.support_table(True)
+    def test_box_multipliers_are_the_gathered_ones(self, d, n):
+        """Each table builds its multipliers on its own compact layout; the
+        box table's hold the bytes of the whole table's, gathered."""
+        g = Grid(d, n)
+        box, whole = g.support_table(True), g.support_table(False)
+
+        def same_bytes(compact, half):
+            compact = np.broadcast_to(compact, box.shape)
+            gathered = box.gather(np.broadcast_to(half, g.spectral_shape))
+            assert compact.dtype == gathered.dtype
+            assert compact.tobytes() == gathered.tobytes()
+
+        for name in ("wavenumbers", "derivative_multipliers",
+                     "leray_wavenumbers"):
+            for compact, half in zip(getattr(box, name), getattr(whole, name)):
+                same_bytes(compact, half)
+        for name in ("k_squared", "gradient_weight", "leray_divisor"):
+            same_bytes(getattr(box, name), getattr(whole, name))
+        for exponent in (0, 0.5, 0.75, 1, 2.01):
+            same_bytes(box.sobolev_weight(exponent),
+                       whole.sobolev_weight(exponent))
+            same_bytes(box.fractional_multiplier(exponent),
+                       whole.fractional_multiplier(exponent))
         kc = g.dealias_cutoff
-        lead = np.r_[0:kc, -(kc - 1):0]
-        for axis, (k, ik) in enumerate(zip(box.leray_wavenumbers,
-                                           box.derivative_multipliers)):
-            shape = [1] * d
-            shape[axis] = -1
-            want = (lead if axis < d - 1 else np.arange(kc)).reshape(shape)
-            np.testing.assert_array_equal(k, np.broadcast_to(want, box.shape))
-            np.testing.assert_array_equal(ik, 1j * k)
-        np.testing.assert_array_equal(
-            box.k_squared_divisor, box.gather(g.k_squared_divisor))
-        np.testing.assert_array_equal(box.fractional_multiplier(0.75),
-                                      box.gather(g.fractional_multiplier(0.75)))
+        np.testing.assert_array_equal(box.wavenumbers[0].ravel(),
+                                      np.r_[0:kc, -(kc - 1):0])
         np.testing.assert_array_equal(box.reversal,
                                       -np.arange(2 * kc - 1) % (2 * kc - 1))
 
@@ -477,18 +487,19 @@ class TestDifferentialOperators:
 
     def test_fractional_multiplier_values(self):
         g = Grid(2, 16)
-        m = g.fractional_multiplier(0.5)   # |k|^1
+        whole = g.support_table(False)
+        m = whole.fractional_multiplier(0.5)   # |k|^1
         assert m[g.mode_index((3, 4))[0]] == pytest.approx(5.0, rel=1e-15)
         assert m[g.mode_index((0, 0))[0]] == 0.0
-        m2 = g.fractional_multiplier(1.0)  # |k|^2
+        m2 = whole.fractional_multiplier(1.0)  # |k|^2
         assert m2[g.mode_index((3, 4))[0]] == pytest.approx(25.0, rel=1e-15)
 
     def test_fractional_identity_and_domain(self):
-        g = Grid(2, 16)
-        np.testing.assert_array_equal(g.fractional_multiplier(0.0),
-                                      np.ones(g.spectral_shape))
+        whole = Grid(2, 16).support_table(False)
+        np.testing.assert_array_equal(whole.fractional_multiplier(0.0),
+                                      np.ones(whole.shape))
         with pytest.raises(ValueError):
-            g.fractional_multiplier(-0.5)
+            whole.fractional_multiplier(-0.5)
 
     def test_fractional_laplacian_matches_analytic(self):
         """(-Lap)^g of a plane wave multiplies by |k|^(2g)."""
@@ -532,13 +543,9 @@ class TestLerayProjection:
         assert out.comps[1][zero] == -1.0
 
     def test_projection_properties(self):
-        """Idempotent, kills gradients, output divergence-free, self-adjoint.
-
-        The divergence and gradient identities are exact on the dealiased
-        band (solver states always live there); at the Nyquist modes the
-        projector sees the full lattice wavenumber while the derivative
-        multiplier is zeroed, so the identities are checked post-dealias.
-        """
+        """Idempotent, kills gradients, output divergence-free, self-adjoint,
+        on the dealiased band, where solver states live (TestLerayWholeSpectrum
+        checks data that set every mode)."""
         for d, n in ((2, 16), (3, 8)):
             g = Grid(d, n)
             u = dealias(random_vector(g, seed=5 * d))
@@ -556,22 +563,30 @@ class TestLerayProjection:
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def derivative_wavenumbers(grid):
+    """k~: the integer wavenumbers with every Nyquist entry zeroed, those
+    of the derivative multipliers."""
+    return [np.where(np.abs(k) == grid.n // 2, 0, k)
+            for k in grid.support_table(False).wavenumbers]
+
+
 def leray_by_where(v):
     """The formula leray_project replaced: two np.where around an integer
-    |k|^2, and fresh arrays for every component."""
+    |k~|^2, and fresh arrays for every component."""
     grid = v.grid
-    ksq = grid.k_squared
+    ks = derivative_wavenumbers(grid)
+    ksq = sum(k * k for k in ks)
     kdotv = np.zeros(grid.spectral_shape, dtype=np.complex128)
-    for j, k in enumerate(grid.wavenumbers):
+    for j, k in enumerate(ks):
         kdotv += k * v.comps[j]
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(ksq > 0, kdotv / np.where(ksq > 0, ksq, 1), 0.0)
-    return np.stack([v.comps[j] - k * factor
-                     for j, k in enumerate(grid.wavenumbers)])
+    return np.stack([v.comps[j] - k * factor for j, k in enumerate(ks)])
 
 
 class TestLerayDivisor:
-    """The cached float divisor keeps every bit of the np.where formula."""
+    """The cached float divisor keeps every bit of the np.where formula,
+    whose wavenumbers are the derivative's k~."""
 
     @pytest.mark.parametrize("d, n", [(2, 8), (2, 16), (3, 8)])
     def test_equals_where_formula_exactly(self, d, n):
@@ -592,12 +607,35 @@ class TestLerayDivisor:
         zero = (slice(None),) + (0,) * d
         np.testing.assert_array_equal(got[zero], comps[zero])
 
-    def test_divisor_is_one_only_at_the_mean(self):
+    def test_divisor_is_one_where_no_derivative_acts(self):
+        """|k~|^2, and 1 where k~ = 0: on the 2^d slots whose every
+        component is 0 or n/2, the mean among them."""
         g = Grid(3, 8)
-        div = g.k_squared_divisor
+        div = g.support_table(False).leray_divisor
+        ksq = sum(k * k for k in derivative_wavenumbers(g))
         assert div.dtype == np.float64 and div[0, 0, 0] == 1.0
-        np.testing.assert_array_equal(div.ravel()[1:],
-                                      g.k_squared.ravel()[1:])
+        assert np.count_nonzero(ksq == 0) == 2 ** 3
+        np.testing.assert_array_equal(div, np.where(ksq > 0, ksq, 1))
+
+
+class TestLerayWholeSpectrum:
+    """Real random fields set every mode, the Nyquist slots included: the
+    projector is even in k, so its output stays Hermitian, and it projects
+    onto the kernel of divergence."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_hermitian_divergence_free_idempotent(self, d, n):
+        g = Grid(d, n)
+        whole = g.support_table(False)
+        v = random_vector(g, seed=7 * d + n)
+        pv = leray_project(v)
+        assert _hermitian_residue(pv.comps, whole) < 1e-15
+        pv.to_physical()
+        scale = np.max(np.abs(v.comps)) * n
+        assert np.max(np.abs(divergence(pv).comps)) < 1e-15 * scale
+        np.testing.assert_allclose(leray_project(pv).comps, pv.comps,
+                                   rtol=0, atol=1e-15 * scale)
 
 
 def divergence_by_double_loop(t):
@@ -606,7 +644,8 @@ def divergence_by_double_loop(t):
     out = np.zeros((g.d,) + g.spectral_shape, dtype=np.complex128)
     for i in range(g.d):
         for j in range(g.d):
-            out[i] += g.derivative_multipliers[j] * t.component(i, j).comps
+            out[i] += (g.support_table(False).derivative_multipliers[j]
+                       * t.component(i, j).comps)
     return out
 
 

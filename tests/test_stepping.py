@@ -79,7 +79,7 @@ class TestExactness:
         st = make_initial_data(g, recipe="random-band", epsilon=1.0, seed=8)
         dt = 0.7
         out = step(st, params, dt)
-        ksq = g.k_squared.astype(float)
+        ksq = g.support_table(False).k_squared.astype(float)
         decay_u = np.exp(-0.3 * ksq ** 1.0 * dt)
         decay_tau = np.exp(-(1.7 * ksq ** 0.5 + 0.2) * dt)
         np.testing.assert_allclose(out.u.comps, st.u.comps * decay_u,

@@ -137,7 +137,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig,
     outdir = _resolve_outdir(args, cfg)
     result = sweep_viscosity(cfg, args.nu, outdir, threads=args.threads,
                              slope_band=tuple(args.slope_band))
-    for w in warnings:
+    for w in dict.fromkeys(warnings + result.warnings):  # each once
         print(f"warning: {w}")
     print(f"wrote {outdir / 'sweep.csv'}")
     print(f"wrote {outdir / 'sweep_summary.json'}")

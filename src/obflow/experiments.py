@@ -2,9 +2,9 @@
 
 Every driver is deterministic for a fixed config: initial data is seeded,
 step counts and record/snapshot times are derived from the config alone,
-and all file output goes through atomic writes.  The sweep driver runs its
-members in separate processes; each member's outputs are identical whether
-the pool has one worker or many.
+and all file output goes through atomic writes.  run_members runs
+independent members in separate processes; each member's outputs are
+identical whether the pool has one worker or many.
 """
 
 from __future__ import annotations
@@ -245,16 +245,38 @@ class SweepResult:
     member_dirs: Dict[str, str]
     checks: Dict[str, bool]
     blew_up: bool
+    warnings: List[str]
 
 
 def _member_dir(outdir: Path, nu: float) -> Path:
     return Path(outdir) / (f"nu_{nu:.3e}" if nu > 0 else "nu_0")
 
 
-def _sweep_member(cfg_dict: dict, outdir: str) -> dict:
-    """Run one sweep member from its serialized config (process-pool safe)."""
+def _run_member(cfg_dict: dict, outdir: Optional[Path]) -> dict:
+    """Run one member from its serialized config (process-pool safe)."""
     cfg, _ = validate_config(cfg_dict)
-    return run_single(cfg, Path(outdir)).summary
+    return run_single(cfg, outdir).summary
+
+
+def run_members(members: Sequence[Tuple[RunConfig, Optional[Path]]],
+                threads: int = 1) -> List[dict]:
+    """Run independent (config, output directory or None) pairs and return
+    run_single's summary of each, in order.  Two or more members run in a
+    pool of min(threads, len(members)) processes when threads > 1.  Each
+    member is rebuilt from its serialized config, so summaries and files do
+    not depend on the worker count.  Fewer than one thread is a ConfigError
+    raised before any member runs or any directory is made."""
+    if threads < 1:
+        raise ConfigError([f"threads must be >= 1, got {threads!r}"])
+    jobs = [(cfg.to_dict(), outdir) for cfg, outdir in members]
+    workers = min(threads, len(jobs))  # a forked pool starts them all at once
+    if workers <= 1:
+        return [_run_member(*job) for job in jobs]
+    # imported here, so a single run does not import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_member, *zip(*jobs)))
 
 
 def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
@@ -265,8 +287,8 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
     Runs the baseline and one member per nu (all other parameters shared,
     fixed dt required so snapshot times match), computes the sup-in-time L2
     distance of each member to the baseline from the snapshot files, and
-    fits the log-log slope of distance against nu.  Members may run in a
-    process pool; results do not depend on the worker count.  When a run
+    fits the log-log slope of distance against nu.  The members go through
+    run_members, so results do not depend on the worker count.  When a run
     blows up, blew_up is set and the slope is NaN, and so is the distance
     of each member whose snapshot series is not as long as the baseline's.
     A slope band that is not finite with lo <= hi, or fewer than one
@@ -276,8 +298,6 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ConfigError([f"slope_band must hold two finite bounds with "
                            f"lo <= hi, got [{lo!r}, {hi!r}]"])
-    if threads < 1:
-        raise ConfigError([f"threads must be >= 1, got {threads!r}"])
     nus = sorted((float(v) for v in nus), reverse=True)
     if len(nus) < 3:
         raise ConfigError(["sweep needs at least three viscosity values"])
@@ -310,27 +330,10 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
             "guaranteed at this regularity")
 
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    jobs: List[Tuple[float, dict, Path]] = []
-    for nu in [0.0] + nus:
-        member_cfg = dataclasses.replace(
-            cfg, model=dataclasses.replace(cfg.model, nu=nu))
-        jobs.append((nu, member_cfg.to_dict(), _member_dir(outdir, nu)))
-
-    summaries: Dict[float, dict] = {}
-    if threads > 1:
-        # imported here, so a single run does not import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # no more workers than runs: a forked pool starts them all at once
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            futures = [(nu, pool.submit(_sweep_member, cd, str(md)))
-                       for nu, cd, md in jobs]
-            for nu, fut in futures:
-                summaries[nu] = fut.result()
-    else:
-        for nu, cd, md in jobs:
-            summaries[nu] = _sweep_member(cd, str(md))
+    runs = [0.0] + nus
+    summaries = dict(zip(runs, run_members(
+        [(dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, nu=nu)),
+          _member_dir(outdir, nu)) for nu in runs], threads)))
 
     blew_up = any(s["blow_up"] is not None for s in summaries.values())
     baseline = load_snapshot_series(_member_dir(outdir, 0.0))
@@ -342,26 +345,23 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
         distances.append(trajectory_distance(baseline, series)[2]
                          if len(series) == len(baseline) else float("nan"))
     if not blew_up and min(distances) > 0.0:
-        slope, intercept = np.polyfit(np.log(np.array(nus)),
-                                      np.log(np.array(distances)), 1)
+        slope, intercept = np.polyfit(np.log(nus), np.log(distances), 1)
     else:
         slope, intercept = float("nan"), float("nan")
     checks = {"slope_in_band": bool(lo <= slope <= hi)}
     result = SweepResult(
         nus=tuple(nus), distances=tuple(distances),
         slope=float(slope), intercept=float(intercept),
-        sup_u_hs={repr(nu): summaries[nu]["sup_u_hs"] for nu in [0.0] + nus},
-        sup_tau_hs={repr(nu): summaries[nu]["sup_tau_hs"] for nu in [0.0] + nus},
-        member_dirs={repr(nu): str(_member_dir(outdir, nu)) for nu in [0.0] + nus},
-        checks=checks, blew_up=blew_up)
+        sup_u_hs={repr(nu): summaries[nu]["sup_u_hs"] for nu in runs},
+        sup_tau_hs={repr(nu): summaries[nu]["sup_tau_hs"] for nu in runs},
+        member_dirs={repr(nu): str(_member_dir(outdir, nu)) for nu in runs},
+        checks=checks, blew_up=blew_up, warnings=warnings)
 
-    lines = ["nu,distance,sup_u_hs,sup_tau_hs"]
-    for nu, dist in zip(nus, distances):
-        lines.append(",".join([repr(nu), repr(dist),
-                               repr(summaries[nu]["sup_u_hs"]),
-                               repr(summaries[nu]["sup_tau_hs"])]))
+    lines = ["nu,distance,sup_u_hs,sup_tau_hs"] + [
+        ",".join(map(repr, (nu, dist, summaries[nu]["sup_u_hs"],
+                            summaries[nu]["sup_tau_hs"])))
+        for nu, dist in zip(nus, distances)]
     atomic_write_text(outdir / "sweep.csv", "\n".join(lines) + "\n")
-    payload = dataclasses.asdict(result)
-    payload["warnings"] = warnings
-    atomic_write_text(outdir / "sweep_summary.json", _json_text(payload))
+    atomic_write_text(outdir / "sweep_summary.json",
+                      _json_text(dataclasses.asdict(result)))
     return result

@@ -20,7 +20,12 @@ from obflow.diagnostics import (
     DiagnosticsCollector,
     max_relative_identity_residual,
 )
-from obflow.experiments import linear_verify, run_single, sweep_viscosity
+from obflow.experiments import (
+    linear_verify,
+    run_members,
+    run_single,
+    sweep_viscosity,
+)
 from obflow.linear import linear_mode_solution
 from obflow.model import (
     FlowState,
@@ -213,19 +218,21 @@ class TestAcceptance:
         factor 2 (up to a 1% allowance: C* scales like 1/eps for small
         data, so the ratio sits at the factor-2 boundary with an O(eps)
         correction)."""
-        results = {}
-        for beta in (0.5, 1.0):
-            for eps in (1e-2, 5e-3):
-                raw = {
-                    "grid": {"d": 2, "n": 64},
-                    "model": {"eta": 1.0, "beta": beta, "b": 0.5},
-                    "stepper": {"dt": "auto", "t_end": 50.0},
-                    "diagnostics": {"cadence_steps": 50},
-                    "initial_data": {"recipe": "random-band",
-                                     "epsilon": eps, "seed": 7},
-                }
-                cfg, _ = validate_config(raw)
-                results[(beta, eps)] = run_single(cfg).summary["bootstrap"]
+        keys = [(beta, eps) for beta in (0.5, 1.0) for eps in (1e-2, 5e-3)]
+        members = []
+        for beta, eps in keys:
+            raw = {
+                "grid": {"d": 2, "n": 64},
+                "model": {"eta": 1.0, "beta": beta, "b": 0.5},
+                "stepper": {"dt": "auto", "t_end": 50.0},
+                "diagnostics": {"cadence_steps": 50},
+                "initial_data": {"recipe": "random-band",
+                                 "epsilon": eps, "seed": 7},
+            }
+            cfg, _ = validate_config(raw)
+            members.append((cfg, None))
+        results = {key: summary["bootstrap"] for key, summary
+                   in zip(keys, run_members(members, threads=2))}
 
         ok = True
         details = []
@@ -247,11 +254,11 @@ class TestAcceptance:
     def test_criterion_6_uniform_in_viscosity(self, accept):
         """Adding fractional velocity dissipation nu in [0, 1e-2] moves the
         sup-in-time H^s norms by less than 10% of the inviscid run."""
-        ok = True
-        details = []
-        for alpha, beta in ((1.0, 1.0), (0.5, 0.5)):
-            sups = {}
-            for nu in (0.0, 1e-4, 1e-3, 1e-2):
+        pairs = ((1.0, 1.0), (0.5, 0.5))
+        nus = (0.0, 1e-4, 1e-3, 1e-2)
+        members = []
+        for alpha, beta in pairs:
+            for nu in nus:
                 raw = {
                     "grid": {"d": 2, "n": 64},
                     "model": {"eta": 1.0, "beta": beta, "alpha": alpha,
@@ -262,8 +269,15 @@ class TestAcceptance:
                                      "epsilon": 1e-2, "seed": 7},
                 }
                 cfg, _ = validate_config(raw)
-                summary = run_single(cfg).summary
-                sups[nu] = (summary["sup_u_hs"], summary["sup_tau_hs"])
+                members.append((cfg, None))
+        # in the members' order: the four nus of one (alpha, beta), then
+        # of the next
+        summaries = iter(run_members(members, threads=2))
+        ok = True
+        details = []
+        for alpha, beta in pairs:
+            sups = {nu: (summary["sup_u_hs"], summary["sup_tau_hs"])
+                    for nu, summary in zip(nus, summaries)}
             base_u, base_tau = sups[0.0]
             gap = max(max(abs(u - base_u) / base_u,
                           abs(t - base_tau) / base_tau)

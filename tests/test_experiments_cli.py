@@ -5,7 +5,6 @@ import dataclasses
 import json
 import subprocess
 import sys
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,7 @@ from obflow.config import ConfigError, validate_config
 from obflow.experiments import (
     linear_verify,
     load_snapshot_series,
+    run_members,
     run_single,
     sweep_viscosity,
 )
@@ -142,6 +142,69 @@ class TestRunSingle:
         assert out.stdout.strip() == "False"
 
 
+class TestRunMembers:
+    def members(self, root):
+        """Three short n=16 runs that differ in seed; the last writes no
+        files."""
+        out = []
+        for seed, name in ((3, "a"), (4, "b"), (5, None)):
+            raw = json.loads(json.dumps(SMALL_RUN))
+            raw["stepper"]["t_end"] = 0.1
+            raw["initial_data"]["seed"] = seed
+            out.append((cfg_of(raw), None if name is None else root / name))
+        return out
+
+    def test_worker_count_does_not_change_summaries_or_bytes(self, tmp_path):
+        one = run_members(self.members(tmp_path / "t1"), threads=1)
+        two = run_members(self.members(tmp_path / "t2"), threads=2)
+        assert one == two
+        assert [s["config"]["initial_data"]["seed"] for s in one] == [3, 4, 5]
+        files = sorted(p.relative_to(tmp_path / "t1")
+                       for p in (tmp_path / "t1").rglob("*") if p.is_file())
+        assert Path("a/diagnostics.csv") in files
+        assert Path("b/snapshots/snap_00000010.obsf") in files
+        assert files == sorted(p.relative_to(tmp_path / "t2")
+                               for p in (tmp_path / "t2").rglob("*")
+                               if p.is_file())
+        for name in files:
+            assert (tmp_path / "t1" / name).read_bytes() == \
+                (tmp_path / "t2" / name).read_bytes()
+
+    def test_zero_threads_is_rejected_before_any_member_runs(self, tmp_path):
+        with pytest.raises(ConfigError, match="threads must be >= 1, got 0"):
+            run_members(self.members(tmp_path / "m"), threads=0)
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("threads, workers", [(2, 2), (64, 3)])
+    def test_pool_has_no_more_workers_than_members(self, tmp_path,
+                                                   monkeypatch, threads,
+                                                   workers):
+        """A process pool forks all its workers at once, so a thread count
+        above the number of runs is cut to it; the pool is replaced by one
+        that runs in this process."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        # run_members imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        summaries = run_members(self.members(tmp_path), threads=threads)
+        assert sizes == [workers]
+        assert len(summaries) == 3
+
+
 class TestLinearVerify:
     def test_toggles_off_hits_oracle(self, tmp_path):
         report = linear_verify(cfg_of(LINEAR_RUN), tmp_path / "lv")
@@ -234,35 +297,6 @@ class TestSweep:
             sweep_viscosity(self.base(), [1e-2, 1e-3, 1e-4], out,
                             threads=threads, slope_band=band)
         assert not out.exists()
-
-    def test_pool_has_no_more_workers_than_members(self, tmp_path,
-                                                   monkeypatch):
-        """A process pool forks all its workers at once, so a thread count
-        above the number of runs is cut to it (here the baseline and three
-        members); the pool is replaced by one that runs in this process."""
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        # sweep_viscosity imports the pool class when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InProcessPool)
-        sweep_viscosity(self.base(0.2), [1e-2, 1e-3, 1e-4], tmp_path / "s",
-                        threads=64)
-        assert sizes == [4]
 
     @pytest.mark.parametrize("nus", [[1e-2, 1e-3, 1.0001e-3, 1e-4],
                                      [1e-2, 1e-3, 1e-3, 1e-4]])
@@ -418,6 +452,23 @@ class TestCli:
                      "--nu", "1e-2", "--nu", "1e-3", "--nu", "1e-4",
                      "--slope-band", "5.0", "6.0"])
         assert code == 4
+
+    def test_sweep_prints_its_own_warnings(self, tmp_path, capsys):
+        """At the default s and exponents the O(nu) rate's regularity floor
+        is not met; the sweep prints that warning as well as writing it to
+        sweep_summary.json."""
+        raw = {"grid": {"n": 16}, "stepper": {"dt": 0.01, "t_end": 0.05}}
+        path = self.write_config(tmp_path, raw)
+        out = tmp_path / "sw"
+        assert main(["sweep-nu", "--config", str(path), "--output", str(out),
+                     "--nu", "1e-1", "--nu", "1e-2", "--nu", "1e-3"]) == 0
+        warnings = json.loads(
+            (out / "sweep_summary.json").read_text())["warnings"]
+        assert any(w.startswith("s=2.01 is below 2 alpha + 2 beta - 1 = 3")
+                   for w in warnings)
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("warning: ")]
+        assert printed == [f"warning: {w}" for w in warnings]
 
     def test_sweep_member_blow_up_exit_code(self, tmp_path, capsys):
         """Runs that blow up at different steps leave snapshot series of

@@ -28,7 +28,6 @@ from .diagnostics import (
     max_relative_identity_residual,
     stress_min_eigenvalue,
     trajectory_distance,
-    write_diagnostics_csv,
 )
 from .experiments import (
     LinearVerifyReport,
@@ -44,7 +43,6 @@ from .linear import (
     decay_envelope,
     dispersion_roots,
     linear_mode_solution,
-    write_dispersion_csv,
 )
 from .model import (
     FlowState,
@@ -144,7 +142,5 @@ __all__ = [
     "sweep_viscosity",
     "trajectory_distance",
     "validate_config",
-    "write_diagnostics_csv",
-    "write_dispersion_csv",
     "write_snapshot",
 ]

@@ -19,12 +19,12 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .config import ConfigError, RunConfig, load_config
 from .experiments import linear_verify, run_single, sweep_viscosity
-from .linear import decay_envelope, mode_coefficients, write_dispersion_csv
-from .snapshots import atomic_write_text
+from .linear import decay_envelope, dispersion_csv, mode_coefficients
+from .snapshots import atomic_write_text, json_text
 from .stepping import BlowUpError
 
 EXIT_OK = 0
@@ -91,97 +91,91 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace, cfg: RunConfig,
-             warnings: List[str]) -> int:
-    outdir = _resolve_outdir(args, cfg)
-    result = run_single(cfg, outdir)
-    for w in warnings:
+def _blow_up_text(t: float, step: int, field: str) -> str:
+    return f"blow-up at t={t:g} (step {step}, {field} non-finite)"
+
+
+def _report(warnings: List[str], wrote: List[Path], blow_up: str = "",
+            result: str = "", failed: Sequence[str] = ()) -> int:
+    """Print what a command did and return its exit code: each warning
+    once, the files written, then a blow-up (3), or the result line and
+    then a failed check (4)."""
+    for w in dict.fromkeys(warnings):
         print(f"warning: {w}")
-    print(f"wrote {outdir / 'diagnostics.csv'}")
-    print(f"wrote {outdir / 'summary.json'}")
-    if result.blew_up:
-        info = result.summary["blow_up"]
-        print(f"blow-up at t={info['t']:g} (step {info['step']}, "
-              f"{info['field']} non-finite)", file=sys.stderr)
+    for path in wrote:
+        print(f"wrote {path}")
+    if blow_up:
+        print(blow_up, file=sys.stderr)
         return EXIT_BLOWUP
-    print(f"t_final={result.summary['t_final']:g} "
-          f"steps={result.summary['steps']} "
-          f"sup_u_hs={result.summary['sup_u_hs']:.6e} "
-          f"c_star={result.summary['bootstrap']['c_star']:.6e}")
-    if not all(result.summary["checks"].values()):
-        failed = [k for k, v in result.summary["checks"].items() if not v]
+    if result:
+        print(result)
+    if failed:
         print(f"check failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_CHECK
     return EXIT_OK
+
+
+def _failed(checks: dict) -> List[str]:
+    return [name for name, ok in checks.items() if not ok]
+
+
+def _cmd_run(args: argparse.Namespace, cfg: RunConfig,
+             warnings: List[str]) -> int:
+    outdir = _resolve_outdir(args, cfg)
+    summary = run_single(cfg, outdir).summary
+    info = summary["blow_up"]
+    return _report(
+        warnings, [outdir / "diagnostics.csv", outdir / "summary.json"],
+        blow_up=_blow_up_text(**info) if info else "",
+        result=f"t_final={summary['t_final']:g} steps={summary['steps']} "
+               f"sup_u_hs={summary['sup_u_hs']:.6e} "
+               f"c_star={summary['bootstrap']['c_star']:.6e}",
+        failed=_failed(summary["checks"]))
 
 
 def _cmd_linear_verify(args: argparse.Namespace, cfg: RunConfig,
                        warnings: List[str]) -> int:
     outdir = _resolve_outdir(args, cfg)
     report = linear_verify(cfg, outdir)
-    for w in warnings:
-        print(f"warning: {w}")
-    print(f"wrote {outdir / 'linear_verify.json'}")
-    print(f"mode={report.mode} max_deviation={report.max_deviation:.6e} "
-          f"dev/eps={report.deviation_over_eps:.6e} "
-          f"dev/eps^2={report.deviation_over_eps_sq:.6e}")
-    if not all(report.checks.values()):
-        failed = [k for k, v in report.checks.items() if not v]
-        print(f"check failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_CHECK
-    return EXIT_OK
+    return _report(
+        warnings, [outdir / "linear_verify.json"],
+        result=f"mode={report.mode} max_deviation={report.max_deviation:.6e} "
+               f"dev/eps={report.deviation_over_eps:.6e} "
+               f"dev/eps^2={report.deviation_over_eps_sq:.6e}",
+        failed=_failed(report.checks))
 
 
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig,
                warnings: List[str]) -> int:
     outdir = _resolve_outdir(args, cfg)
+    lo, hi = args.slope_band
     result = sweep_viscosity(cfg, args.nu, outdir, threads=args.threads,
-                             slope_band=tuple(args.slope_band))
-    for w in dict.fromkeys(warnings + result.warnings):  # each once
-        print(f"warning: {w}")
-    print(f"wrote {outdir / 'sweep.csv'}")
-    print(f"wrote {outdir / 'sweep_summary.json'}")
-    if result.blew_up:
-        print("a sweep member blew up", file=sys.stderr)
-        return EXIT_BLOWUP
-    print(f"slope={result.slope:.4f} "
-          f"distances={[f'{d:.3e}' for d in result.distances]}")
-    if not all(result.checks.values()):
-        print(f"check failed: slope {result.slope:.4f} outside "
-              f"[{args.slope_band[0]:g}, {args.slope_band[1]:g}]",
-              file=sys.stderr)
-        return EXIT_CHECK
-    return EXIT_OK
+                             slope_band=(lo, hi))
+    return _report(
+        warnings + result.warnings,
+        [outdir / "sweep.csv", outdir / "sweep_summary.json"],
+        blow_up="a sweep member blew up" if result.blew_up else "",
+        result=f"slope={result.slope:.4f} "
+               f"distances={[f'{d:.3e}' for d in result.distances]}",
+        failed=[f"slope {result.slope:.4f} outside [{lo:g}, {hi:g}]"]
+        if _failed(result.checks) else [])
 
 
 def _cmd_dispersion(args: argparse.Namespace, cfg: RunConfig,
                     warnings: List[str]) -> int:
-    outdir = _resolve_outdir(args, cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = decay_envelope(k_max=cfg.grid.n // 2,
-                          **mode_coefficients(cfg.model))
-    path = outdir / "dispersion.csv"
-    write_dispersion_csv(path, rows)
-    for w in warnings:
-        print(f"warning: {w}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    path = _resolve_outdir(args, cfg) / "dispersion.csv"
+    atomic_write_text(path, dispersion_csv(decay_envelope(
+        k_max=cfg.grid.n // 2, **mode_coefficients(cfg.model))))
+    return _report(warnings, [path])
 
 
 def _cmd_check_config(args: argparse.Namespace, cfg: RunConfig,
                       warnings: List[str]) -> int:
-    import json
-
-    print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
-    for w in warnings:
-        print(f"warning: {w}")
-    print("config ok")
+    text = json_text(cfg.to_dict())
+    print(text, end="")
     if args.output is not None:
-        args.output.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(args.output / "resolved_config.json",
-                          json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
-                          + "\n")
-    return EXIT_OK
+        atomic_write_text(args.output / "resolved_config.json", text)
+    return _report(warnings, [], result="config ok")
 
 
 _COMMANDS = {
@@ -204,9 +198,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:
-        print(f"blow-up at t={exc.state.t:g} (step {exc.step}, "
-              f"{exc.field} non-finite)", file=sys.stderr)
-        return EXIT_BLOWUP
+        return _report([], [], blow_up=_blow_up_text(exc.state.t, exc.step,
+                                                     exc.field))
 
 
 if __name__ == "__main__":

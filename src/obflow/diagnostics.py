@@ -27,7 +27,7 @@ import numpy as np
 # energy_budget stays importable here for the tracer of perfbench/spans.py
 from .model import (FlowState, ModelParams, Tendency,  # noqa: F401
                     _record_pass, default_sobolev_index, energy_budget)
-from .snapshots import atomic_write_text
+from .snapshots import csv_text
 from .spectral import PAIR_WEIGHTS, SYM_PAIRS, TWO_PI, Grid, check_fields
 
 
@@ -313,11 +313,5 @@ def trajectory_distance(series_a: Sequence[Tuple[float, np.ndarray]],
 
 def diagnostics_csv(records: Sequence[DiagnosticsRecord]) -> str:
     """CSV text with one row per record, columns in declaration order."""
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(repr(float(getattr(rec, c))) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
-def write_diagnostics_csv(path, records: Sequence[DiagnosticsRecord]) -> None:
-    atomic_write_text(path, diagnostics_csv(records))
+    return csv_text(CSV_COLUMNS, ([getattr(rec, c) for c in CSV_COLUMNS]
+                                  for rec in records))

@@ -23,22 +23,19 @@ from .diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
     bootstrap_monitor,
+    diagnostics_csv,
     max_relative_identity_residual,
     trajectory_distance,
-    write_diagnostics_csv,
 )
 from .linear import linear_mode_solution, mode_coefficients
 from .model import FlowState, make_initial_data, single_mode
-from .snapshots import atomic_write_text, read_snapshot, write_snapshot
+from .snapshots import (atomic_write_text, csv_text, json_text, read_snapshot,
+                        write_snapshot)
 from .spectral import divergence, leray_project
 from .stepping import BlowUpError, integrate
 
 # Gate on the deviation of a linear-toggles run from the exact mode solution.
 ORACLE_TOL = 1e-10
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _state_components(state: FlowState) -> np.ndarray:
@@ -60,8 +57,10 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
     """Integrate one configuration and (optionally) write its artifacts.
 
     Writes diagnostics.csv, summary.json, config.json and OBSF snapshots
-    under outdir when given.  A blow-up is not raised here: the partial
-    record stream and a marker in the summary are produced instead.
+    under outdir when given; the directory is made when its first file
+    lands, so a run that fails before its first snapshot leaves none.  A
+    blow-up is not raised here: the partial record stream and a marker in
+    the summary are produced instead.
     """
     grid = cfg.grid
     params = cfg.model
@@ -75,10 +74,6 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
         outdir = Path(outdir)
 
         def save_snapshot(s: FlowState, i: int) -> None:
-            # made at the first write, so a run that fails before its first
-            # record leaves no empty directory behind
-            if not manifest:
-                (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
             name = f"snapshots/snap_{i:08d}.obsf"
             write_snapshot(outdir / name, grid.d, grid.n, _state_components(s))
             manifest.append({"step": i, "t": s.t, "file": name})
@@ -128,9 +123,9 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
         "snapshots": manifest,
     }
     if outdir is not None:
-        write_diagnostics_csv(outdir / "diagnostics.csv", records)
-        atomic_write_text(outdir / "summary.json", _json_text(summary))
-        atomic_write_text(outdir / "config.json", _json_text(cfg.to_dict()))
+        atomic_write_text(outdir / "diagnostics.csv", diagnostics_csv(records))
+        atomic_write_text(outdir / "summary.json", json_text(summary))
+        atomic_write_text(outdir / "config.json", json_text(cfg.to_dict()))
     return RunResult(cfg, records, summary, final_state, outdir, blow_up is not None)
 
 
@@ -224,13 +219,11 @@ def linear_verify(cfg: RunConfig,
         checks=checks)
     if outdir is not None:
         outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         payload = dataclasses.asdict(report)
         payload["mode"] = list(report.mode)
-        atomic_write_text(outdir / "linear_verify.json", _json_text(payload))
-        lines = ["t,deviation"]
-        lines += [f"{repr(t)},{repr(d)}" for t, d in zip(times, devs)]
-        atomic_write_text(outdir / "linear_verify.csv", "\n".join(lines) + "\n")
+        atomic_write_text(outdir / "linear_verify.json", json_text(payload))
+        atomic_write_text(outdir / "linear_verify.csv",
+                          csv_text(["t", "deviation"], zip(times, devs)))
     return report
 
 
@@ -321,19 +314,21 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
     # shared template: members only differ in nu, baseline included below
     cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, nu=0.0))
 
-    s_floor = 2.0 * cfg.model.alpha + 2.0 * cfg.model.beta - 1.0
-    warnings = list(cfg.warnings())
-    if cfg.diagnostics.resolve_s(cfg.grid) < s_floor:
-        warnings.append(
-            f"s={cfg.diagnostics.resolve_s(cfg.grid):g} is below "
-            f"2 alpha + 2 beta - 1 = {s_floor:g}; the O(nu) rate is not "
-            "guaranteed at this regularity")
-
     outdir = Path(outdir)
     runs = [0.0] + nus
     summaries = dict(zip(runs, run_members(
         [(dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, nu=nu)),
           _member_dir(outdir, nu)) for nu in runs], threads)))
+
+    # the members' own warnings (nu > 0 ones included), each once in run order
+    warnings = list(dict.fromkeys(
+        w for nu in runs for w in summaries[nu]["warnings"]))
+    s_floor = 2.0 * cfg.model.alpha + 2.0 * cfg.model.beta - 1.0
+    if cfg.diagnostics.resolve_s(cfg.grid) < s_floor:
+        warnings.append(
+            f"s={cfg.diagnostics.resolve_s(cfg.grid):g} is below "
+            f"2 alpha + 2 beta - 1 = {s_floor:g}; the O(nu) rate is not "
+            "guaranteed at this regularity")
 
     blew_up = any(s["blow_up"] is not None for s in summaries.values())
     baseline = load_snapshot_series(_member_dir(outdir, 0.0))
@@ -357,11 +352,10 @@ def sweep_viscosity(cfg: RunConfig, nus: Sequence[float], outdir: Path,
         member_dirs={repr(nu): str(_member_dir(outdir, nu)) for nu in runs},
         checks=checks, blew_up=blew_up, warnings=warnings)
 
-    lines = ["nu,distance,sup_u_hs,sup_tau_hs"] + [
-        ",".join(map(repr, (nu, dist, summaries[nu]["sup_u_hs"],
-                            summaries[nu]["sup_tau_hs"])))
-        for nu, dist in zip(nus, distances)]
-    atomic_write_text(outdir / "sweep.csv", "\n".join(lines) + "\n")
+    atomic_write_text(outdir / "sweep.csv", csv_text(
+        ["nu", "distance", "sup_u_hs", "sup_tau_hs"],
+        ([nu, dist, summaries[nu]["sup_u_hs"], summaries[nu]["sup_tau_hs"]]
+         for nu, dist in zip(nus, distances))))
     atomic_write_text(outdir / "sweep_summary.json",
-                      _json_text(dataclasses.asdict(result)))
+                      json_text(dataclasses.asdict(result)))
     return result

@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .model import ModelParams
-from .snapshots import atomic_write_text
+from .snapshots import csv_text
 from .spectral import ConfigError
 
 ArrayLike = Union[complex, np.ndarray]
@@ -141,16 +141,9 @@ def decay_envelope(eta: float, beta: float, k_max: int, *, nu: float = 0.0,
 
 def dispersion_csv(rows: Sequence[ModeAnalysis]) -> str:
     """CSV text of a mode table (one row per wavenumber)."""
-    lines = ["k,re_lambda_plus,im_lambda_plus,re_lambda_minus,im_lambda_minus,regime"]
-    for row in rows:
-        lines.append(",".join([
-            repr(float(row.k)),
-            repr(row.lambda_plus.real), repr(row.lambda_plus.imag),
-            repr(row.lambda_minus.real), repr(row.lambda_minus.imag),
-            row.regime,
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def write_dispersion_csv(path, rows: Sequence[ModeAnalysis]) -> None:
-    atomic_write_text(path, dispersion_csv(rows))
+    return csv_text(
+        ["k", "re_lambda_plus", "im_lambda_plus", "re_lambda_minus",
+         "im_lambda_minus", "regime"],
+        ([row.k, row.lambda_plus.real, row.lambda_plus.imag,
+          row.lambda_minus.real, row.lambda_minus.imag, row.regime]
+         for row in rows))

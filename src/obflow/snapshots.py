@@ -1,4 +1,4 @@
-"""Binary field snapshots and atomic file helpers.
+"""Binary field snapshots and the one writer of every artifact.
 
 Snapshot layout ("OBSF", version 1):
 
@@ -13,17 +13,20 @@ Snapshot layout ("OBSF", version 1):
                   row-major per component
 
 Round-trips are bit-exact: the payload is written and read as raw float64
-bytes.  All writers go through a temp-file + rename so readers never see a
-partial file.
+bytes.  Every file obflow writes goes through atomic_write_bytes: a
+temp-file + rename, so readers never see a partial file, in a directory
+made when its first file lands.  JSON and CSV artifacts take their text
+from json_text and csv_text.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,8 +40,10 @@ class SnapshotFormatError(RuntimeError):
 
 
 def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> None:
-    """Write payload to path via a same-directory temp file and rename."""
+    """Write payload to path via a same-directory temp file and rename,
+    making the directory first if it is missing."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -52,6 +57,20 @@ def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> None:
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def json_text(payload: dict) -> str:
+    """JSON text of an artifact: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of an artifact: strings as they are, numbers as
+    repr(float(v)), which round-trips and reads the same for numpy scalars."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_snapshot(path: Union[str, Path], d: int, n: int,

@@ -8,6 +8,8 @@ import pytest
 
 import obflow
 import obflow.config
+import obflow.diagnostics
+import obflow.experiments
 import obflow.linear
 import obflow.model
 import obflow.spectral
@@ -22,9 +24,13 @@ import obflow.stepping
 # Grid's descriptions of the 2/3 box and its half-layout multipliers and
 # weights (each spectral.SupportTable builds its own) and the hand-off
 # helpers and slot (a record's model.Tendency reaches the next step
-# through integrate).
+# through integrate) and the per-artifact writers (every file goes through
+# snapshots.atomic_write_text with json_text or csv_text).
 REMOVED = [
+    (obflow.diagnostics, "write_diagnostics_csv"),
+    (obflow.experiments, "_json_text"),
     (obflow.linear, "CRITICAL_TOL"),
+    (obflow.linear, "write_dispersion_csv"),
     (obflow.model, "advect"),
     (obflow.model, "q_bilinear"),
     (obflow.model, "_take_handoff"),

@@ -104,8 +104,9 @@ class TestRunSingle:
         assert (out / "diagnostics.csv").exists()
 
     def test_failed_initial_data_leaves_no_snapshot_directory(self, tmp_path):
-        """The snapshot directory is made at the first snapshot write, so a
-        config whose initial data cannot be built leaves none behind."""
+        """A directory is made when its first file lands, so a config whose
+        initial data cannot be built leaves neither the run directory nor
+        its snapshot directory behind."""
         cfg = cfg_of(SMALL_RUN)
         # a band past n/2 that bypassed validate_config
         cfg = dataclasses.replace(cfg, initial_data=dataclasses.replace(
@@ -113,7 +114,7 @@ class TestRunSingle:
         out = tmp_path / "run"
         with pytest.raises(ConfigError, match="band"):
             run_single(cfg, out)
-        assert not (out / "snapshots").exists()
+        assert not out.exists()
 
     def test_snapshot_series_round_trip(self, tmp_path):
         out = tmp_path / "run"
@@ -436,6 +437,93 @@ class TestCli:
                      "--output", str(out)]) == 0
         assert (out / "linear_verify.json").exists()
 
+    def test_linear_verify_oracle_failure_exits_4(self, tmp_path, capsys):
+        """At dt 0.5 the integrator error of the linear run (about 2e-7)
+        is far above the oracle tolerance."""
+        path = self.write_config(tmp_path, LINEAR_RUN)
+        out = tmp_path / "lv"
+        assert main(["linear-verify", "--config", str(path),
+                     "--output", str(out), "--override", "stepper.dt=0.5",
+                     "--override", "stepper.t_end=2"]) == 4
+        assert capsys.readouterr().err == "check failed: oracle_agreement\n"
+        report = json.loads((out / "linear_verify.json").read_text())
+        assert report["checks"] == {"oracle_agreement": False}
+
+    def test_linear_verify_blow_up_exits_3_and_writes_nothing(self, tmp_path,
+                                                              capsys):
+        """linear_verify raises the blow-up, which main reports with the
+        text of a run's blow-up; nothing was written, so no directory."""
+        raw = {"grid": {"d": 2, "n": 16},
+               "model": {"eta": 0.01, "beta": 0.5, "b": 1.0},
+               "stepper": {"dt": 0.2, "t_end": 4.0},
+               "diagnostics": {"cadence_steps": 1},
+               "initial_data": {"recipe": "single-mode", "epsilon": 500.0,
+                                "mode": [1, 1]}}
+        path = self.write_config(tmp_path, raw)
+        out = tmp_path / "lv"
+        assert main(["linear-verify", "--config", str(path),
+                     "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "blow-up at t=1 (step 6, u[0] non-finite)\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta, code", [(0.0, 4), (0.5, 0)])
+    def test_run_checks_the_lyapunov_equivalence(self, tmp_path, capsys,
+                                                 beta, code):
+        """The mode-by-mode Lyapunov equivalence holds for beta >= 1/2 and
+        fails below it: at beta = 0 six records violate it, and run
+        prints the beta warning and exits 4."""
+        raw = {"grid": {"d": 2, "n": 16}, "model": {"beta": beta, "b": 0.5},
+               "stepper": {"dt": 0.01, "t_end": 1.0},
+               "diagnostics": {"cadence_steps": 1, "k_cross": 0.24},
+               "initial_data": {"band": [6, 8]}}
+        path = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path),
+                     "--output", str(out)]) == code
+        captured = capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["steps"] == 100
+        assert summary["lyapunov_violations"] == (6 if code else 0)
+        assert ("warning: beta=0.0 lies outside [0.5, 1]" in captured.out) \
+            == bool(code)
+        assert captured.err == ("check failed: lyapunov_equivalence\n"
+                                if code else "")
+
+    @pytest.mark.parametrize("fallback", ["config", "environment", "cwd"])
+    def test_output_directory_fallbacks(self, tmp_path, monkeypatch, capsys,
+                                        fallback):
+        """With no --output a command writes to the config's
+        output.directory, else $OBFLOW_OUTPUT_ROOT/<stem>-<command>, else
+        ./runs/<stem>-<command>; the directory is made for the file."""
+        raw = json.loads(json.dumps(SMALL_RUN))
+        monkeypatch.delenv("OBFLOW_OUTPUT_ROOT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        if fallback == "config":
+            raw["output"]["directory"] = str(tmp_path / "from-config")
+            expected = tmp_path / "from-config"
+        elif fallback == "environment":
+            monkeypatch.setenv("OBFLOW_OUTPUT_ROOT", str(tmp_path / "root"))
+            expected = tmp_path / "root" / "small-dispersion"
+        else:
+            expected = Path("runs") / "small-dispersion"
+        path = self.write_config(tmp_path, raw, name="small.json")
+        assert main(["dispersion", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == \
+            f"wrote {expected / 'dispersion.csv'}\n"
+        assert sorted(p.name for p in (tmp_path / expected).iterdir()) == \
+            ["dispersion.csv"]
+
+    def test_check_config_output_is_the_printed_json(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "chk"
+        assert main(["check-config", "--config", str(path),
+                     "--output", str(out)]) == 0
+        text = (out / "resolved_config.json").read_text()
+        assert capsys.readouterr().out == text + "config ok\n"
+        assert json.loads(text) == cfg_of(SMALL_RUN).to_dict()
+
     def test_sweep_cli_and_check_exit(self, tmp_path):
         raw = json.loads(json.dumps(SMALL_RUN))
         raw["stepper"]["t_end"] = 0.2
@@ -469,6 +557,25 @@ class TestCli:
         printed = [line for line in capsys.readouterr().out.splitlines()
                    if line.startswith("warning: ")]
         assert printed == [f"warning: {w}" for w in warnings]
+
+    def test_sweep_reports_its_members_warnings(self, tmp_path, capsys):
+        """Every member but the nu = 0 baseline runs at nu > 0, where alpha
+        above min(1, 3 beta - 1) draws a warning; the sweep reports it."""
+        raw = {"grid": {"n": 16}, "model": {"beta": 0.5, "alpha": 1.0},
+               "stepper": {"dt": 0.01, "t_end": 0.05}}
+        path = self.write_config(tmp_path, raw)
+        out = tmp_path / "sw"
+        assert main(["sweep-nu", "--config", str(path), "--output", str(out),
+                     "--nu", "1e-1", "--nu", "1e-2", "--nu", "1e-3"]) == 0
+        cap = ("alpha=1.0 exceeds min(1, 3*beta-1)=0.5; uniform-in-nu "
+               "behaviour is not covered")
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["warnings"] == [cap]
+        member = json.loads((out / "nu_1.000e-01" / "summary.json").read_text())
+        assert member["warnings"] == [cap]
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("warning: ")]
+        assert printed == [f"warning: {cap}"]
 
     def test_sweep_member_blow_up_exit_code(self, tmp_path, capsys):
         """Runs that blow up at different steps leave snapshot series of

@@ -10,6 +10,8 @@ from obflow.snapshots import (
     MAGIC,
     SnapshotFormatError,
     atomic_write_bytes,
+    csv_text,
+    json_text,
     read_snapshot,
     write_snapshot,
 )
@@ -108,3 +110,22 @@ class TestAtomicWrites:
             atomic_write_bytes(path, Exploding())
         assert path.read_bytes() == b"original"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.obsf"]
+
+    def test_missing_directories_are_made(self, tmp_path):
+        path = tmp_path / "a" / "b" / "x.obsf"
+        atomic_write_bytes(path, b"payload")
+        atomic_write_bytes(path, b"again")
+        assert path.read_bytes() == b"again"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["x.obsf"]
+
+
+class TestArtifactText:
+    def test_csv_text_writes_strings_as_they_are_and_numbers_by_repr(self):
+        """numpy 2 reprs a scalar as np.float64(...); the CSV text does not."""
+        rows = [[np.float64(0.1), 2, "oscillatory"], [float("nan"), -1e-300, ""]]
+        assert csv_text(["x", "n", "regime"], rows) == \
+            "x,n,regime\n0.1,2.0,oscillatory\nnan,-1e-300,\n"
+
+    def test_json_text_sorts_keys_and_ends_with_a_newline(self):
+        assert json_text({"b": 1.5, "a": [1]}) == \
+            '{\n  "a": [\n    1\n  ],\n  "b": 1.5\n}\n'

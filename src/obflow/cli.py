@@ -33,7 +33,11 @@ EXIT_BLOWUP = 3
 EXIT_CHECK = 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser,
+                output_help: str = "output directory (default: config "
+                "output.directory, else $OBFLOW_OUTPUT_ROOT/<config "
+                "stem>-<command>, else ./runs/<config stem>-<command>)",
+                ) -> None:
     parser.add_argument("--config", required=True, type=Path,
                         help="path to a JSON config file")
     parser.add_argument("--override", action="append", default=[],
@@ -41,9 +45,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override a config entry, dotted path, JSON value "
                              "(repeatable), e.g. --override model.eta=0.5")
     parser.add_argument("--output", type=Path, default=None,
-                        help="output directory (default: config output.directory, "
-                             "else $OBFLOW_OUTPUT_ROOT/<config stem>-<command>, "
-                             "else ./runs/<config stem>-<command>)")
+                        help=output_help)
 
 
 def _resolve_outdir(args: argparse.Namespace, cfg: RunConfig) -> Path:
@@ -87,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_disp)
 
     p_chk = sub.add_parser("check-config", help="validate a config file")
-    _add_common(p_chk)
+    _add_common(p_chk, output_help="also write the resolved config to "
+                "resolved_config.json in this directory (without it, "
+                "nothing is written)")
     return parser
 
 
@@ -125,7 +129,9 @@ def _cmd_run(args: argparse.Namespace, cfg: RunConfig,
     summary = run_single(cfg, outdir).summary
     info = summary["blow_up"]
     return _report(
-        warnings, [outdir / "diagnostics.csv", outdir / "summary.json"],
+        warnings, [outdir / "snapshots"] * bool(summary["snapshots"])
+        + [outdir / name for name in ("diagnostics.csv", "summary.json",
+                                      "config.json")],
         blow_up=_blow_up_text(**info) if info else "",
         result=f"t_final={summary['t_final']:g} steps={summary['steps']} "
                f"sup_u_hs={summary['sup_u_hs']:.6e} "
@@ -138,7 +144,8 @@ def _cmd_linear_verify(args: argparse.Namespace, cfg: RunConfig,
     outdir = _resolve_outdir(args, cfg)
     report = linear_verify(cfg, outdir)
     return _report(
-        warnings, [outdir / "linear_verify.json"],
+        warnings, [outdir / name for name in ("linear_verify.json",
+                                              "linear_verify.csv")],
         result=f"mode={report.mode} max_deviation={report.max_deviation:.6e} "
                f"dev/eps={report.deviation_over_eps:.6e} "
                f"dev/eps^2={report.deviation_over_eps_sq:.6e}",

@@ -177,52 +177,124 @@ def _strain(u: np.ndarray, table: SupportTable) -> np.ndarray:
     return comps
 
 
+# The byte budget of an inverse: one call of a source stack fills at most
+# this much half-layout work buffer, but always takes one whole group.
+# Both stacks of a 2D n=64 evaluation fit in one call each (tau's takes 304
+# KB); from 2D n=128, and at 3D n=32, each call takes one group, as whole
+# stacks there cost time and peak memory (ROADMAP item 8).
+_STACK_BYTES = 384 << 10
+
+
+def _buffer(table: SupportTable, name: str, shape: Tuple[int, ...],
+            dtype: type = np.float64) -> np.ndarray:
+    """The table's workspace buffer name if both of an evaluation's stacks
+    fit in one inverse, else a new array: on larger grids the kernel makes
+    its buffers per evaluation and drops them as its phases end, so that
+    its peak stays that of one group per call."""
+    d, n = table.grid.d, table.grid.n
+    tau_stack = 8 * d * (d + 1) ** 2 * n ** (d - 1) * (n // 2 + 1)
+    if tau_stack > _STACK_BYTES:
+        return np.empty(shape, dtype=dtype)
+    return table.workspace(name, shape, dtype)
+
+
+def _stack_chunks(table: SupportTable, m: int, values: bool,
+                  derivatives: bool) -> List[Tuple[int, int]]:
+    """The (start, stop) rows of each inverse of the stack of m components
+    that _invert_rows builds: the groups are the m values (if values) and
+    then each component's d derivatives (if derivatives), and each call
+    takes as many whole groups as _STACK_BYTES allows, at least one."""
+    d = table.grid.d
+    ends = [m] * values + [m * values + d * (c + 1)
+                           for c in range(m * derivatives)]
+    rows = _STACK_BYTES // (16 * math.prod(table.grid.spectral_shape))
+    chunks, start = [], 0
+    for stop in ends:
+        if chunks and stop - chunks[-1][0] <= rows:
+            chunks[-1] = (chunks[-1][0], stop)
+        else:
+            chunks.append((start, stop))
+        start = stop
+    return chunks
+
+
+def _invert_rows(comps: np.ndarray, table: SupportTable, values: bool,
+                 start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Physical samples, into out, of rows start:stop of the stack of
+    compact comps: the m values (if values), then the d derivatives of each
+    component, i k_j c_i in row v + d i + j (v is m with values, else 0).
+    The derivative rows are built with one broadcast product with the
+    table's derivative multipliers, and the rows are inverted in one call,
+    unchecked, as derivatives keep the Hermitian symmetry of their checked
+    source."""
+    d = table.grid.d
+    v = len(comps) if values else 0
+    work = _buffer(table, "work",
+                   (stop - start,) + table.grid.spectral_shape, np.complex128)
+    if stop == v:  # the values alone
+        return _unchecked_inverse(comps, table, out=out, work=work)
+    stack = _buffer(table, "stack", (stop - start,) + table.shape,
+                    np.complex128)
+    if start < v:
+        stack[:v] = comps
+    first, last = (max(start, v) - v) // d, (stop - v) // d
+    if last > first:
+        np.multiply(comps[first:last, None], table.derivative_multipliers,
+                    out=stack[max(start, v) - start:].reshape(
+                        (last - first, d) + table.shape))
+    return _unchecked_inverse(stack, table, out=out, work=work)
+
+
 def _gradient_physical(field_comps: np.ndarray,
                        table: SupportTable) -> np.ndarray:
     """Physical samples of all first derivatives of compact coefficients;
-    shape (m, d, *grid).
-
-    The d derivatives of one component are inverted at a time, straight
-    into the result, so no m d-component spectral stack exists; unchecked,
-    as they keep the Hermitian symmetry of their checked source.
-    """
+    shape (m, d, *grid), a new array."""
     grid = table.grid
-    ik = table.derivative_multipliers
-    out = np.empty((field_comps.shape[0], grid.d) + grid.shape)
-    grads = np.empty((grid.d,) + table.shape, dtype=np.complex128)
-    for c, comp in enumerate(field_comps):
-        for axis in range(grid.d):
-            np.multiply(comp, ik[axis], out=grads[axis])
-        _unchecked_inverse(grads, table, out=out[c])
-    return out
+    out = np.empty((len(field_comps) * grid.d,) + grid.shape)
+    for start, stop in _stack_chunks(table, len(field_comps), False, True):
+        _invert_rows(field_comps, table, False, start, stop, out[start:stop])
+    return out.reshape((len(field_comps), grid.d) + grid.shape)
 
 
-def _q_triangle_physical(tri: np.ndarray, grad_u: np.ndarray,
-                         b: float) -> np.ndarray:
+def _q_triangle_physical(tri: np.ndarray, grad_u: np.ndarray, b: float,
+                         out: Optional[np.ndarray] = None,
+                         work: Optional[np.ndarray] = None,
+                         consume: bool = False) -> np.ndarray:
     """Physical samples of the upper triangle of Q(tau, grad u), from those
-    of tau's upper triangle (tri) and of grad u.
+    of tau's upper triangle (tri) and of grad u, into out if given.
 
     Q_ij = (M_ij + M_ji) - b (N_ij + N_ji) with M = tau W and N = D tau, so
     the result is symmetric by construction.  Each entry of M and N is
     summed over k in ascending order, pair by pair from the tau triangle
     and grad u, with no dense tensor, in place in the output row and three
-    work rows.  The k = j term of M is skipped, as W_jj = 0; W_kj below the
-    diagonal is read as -W_jk by subtraction, which IEEE negation keeps
-    exact; and D_ii is G_ii, which 0.5 (G_ii + G_ii) equals exactly.  The
-    rounding is that of the dense products M + M^T.
+    work rows (work if given, else new).  The off-diagonal W_ij and D_ij
+    take d(d-1) more new rows, or, if consume, the slots of G_ij and G_ji,
+    so that grad_u is overwritten.  The k = j term of M is skipped, as
+    W_jj = 0; W_kj below the diagonal is read as -W_jk by subtraction,
+    which IEEE negation keeps exact; and D_ii is G_ii, which
+    0.5 (G_ii + G_ii) equals exactly.  The rounding is that of the dense
+    products M + M^T.
     """
     d, shape = grad_u.shape[0], grad_u.shape[2:]
     pairs = SYM_PAIRS[d]
+    if out is None:
+        out = np.empty((len(pairs),) + shape)
+    if work is None:
+        work = np.empty((3,) + shape)
+    slip, other, term = work
     t = [[None] * d for _ in range(d)]
     w = {}  # W_ij for i < j
     s = [[grad_u[i, i]] * d for i in range(d)]  # off-diagonals set below
     for m, (i, j) in enumerate(pairs):
         t[i][j] = t[j][i] = tri[m]
         if i != j:
-            w[i, j] = 0.5 * (grad_u[i, j] - grad_u[j, i])
-            s[i][j] = s[j][i] = 0.5 * (grad_u[i, j] + grad_u[j, i])
-    out = np.empty((len(pairs),) + shape)
-    slip, other, term = (np.empty(shape) for _ in range(3))
+            w[i, j], s[i][j] = ((grad_u[i, j], grad_u[j, i]) if consume
+                                else (np.empty(shape), np.empty(shape)))
+            np.subtract(grad_u[i, j], grad_u[j, i], out=term)
+            np.add(grad_u[i, j], grad_u[j, i], out=s[i][j])
+            np.multiply(term, 0.5, out=w[i, j])
+            s[i][j] *= 0.5
+            s[j][i] = s[i][j]
 
     def tau_w(i, j):  # the terms of (tau W)_ij as (factor, factor, sign)
         return [(t[i][k], w[k, j], 1) if k < j else (t[i][k], w[j, k], -1)
@@ -280,71 +352,115 @@ def _state_table(state: FlowState) -> SupportTable:
 
 
 def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
-                    params: ModelParams, tau_phys: Optional[np.ndarray] = None,
+                    params: ModelParams, record: bool = False,
+                    cfl: bool = True,
                     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
-                               Optional[float]]:
+                               Optional[float], Optional[np.ndarray]]:
     """Kernel of tendency on the compact coefficients u and tau of table:
-    the compact tendencies, the physical Q triangle (None if Q is off) and
-    max |u| over u's samples (None if no term inverts u).  The only place
-    the nonlinear terms u.grad u, u.grad tau and Q are built.
+    the compact tendencies, the physical Q triangle (if record, None if Q
+    is off), max |u| over u's samples (None unless cfl, or if no term
+    inverts u) and, if record, tau's samples.  The only place the
+    nonlinear terms u.grad u, u.grad tau and Q are built.
 
-    Each phase drops what it no longer needs.  u is inverted whole and
-    grad u one velocity row at a time; the momentum tendency is then
-    transformed and projected.  Q is built from tau, inverted whole (or
-    tau_phys), and grad u, which is then released.  grad tau is inverted
-    one stress component at a time, each contracted with u into its row of
-    u.grad tau at once; u.grad tau and Q are summed on the grid and
-    transformed once, and the stress tendency is allocated last.  Every
+    Two source stacks are inverted where a term (or the record) reads them:
+    [u, grad u] and [tau, grad tau], in as few calls as _STACK_BYTES allows
+    (_stack_chunks), each built with one broadcast product.  tau's own
+    samples come first and give Q in its product rows, before a later
+    chunk overwrites them; each chunk of grad tau is contracted with u and
+    added into its rows of u.grad tau + Q at once.
+    u.grad u and u.grad tau + Q are transformed in one dealiased forward
+    transform, which passes only over the lines the 2/3 rule keeps and
+    gathers the 2/3 box.  The samples, the products and the work buffers
+    are the table's workspace (_buffer), which every evaluation reuses;
+    du, dtau, the Q triangle and tau's samples are new arrays.  Every
     inverse is unchecked, as a state is checked where it enters
     (_evaluate).  Every spectral product, the projection and the inverse
-    passes run over the table's coefficients and lines only.  Both
-    products take the dealiased forward transform, which passes only over
-    the lines the 2/3 rule keeps and gathers the 2/3 box.
+    passes run over the table's coefficients and lines only.
     """
     grid = table.grid
+    d, m = grid.d, len(tau)
     tg = params.toggles
+    invert_u, invert_tau = _inverts(tg, record)
+    stress = tg.advection_tau or tg.q_term  # u.grad tau + Q
+    products = _buffer(table, "products",
+                        (d * tg.advection_u + m * stress,) + grid.shape)
+    nl = products[len(products) - m:]
 
-    def dealiased(samples):  # the product's coefficients on the table
-        coeffs = _forward(samples, grid, dealiased=True)
-        return coeffs if table.boxed else \
-            grid.support_table(True).scatter(coeffs)
+    u_max = None
+    if invert_u:
+        grad = tg.advection_u or tg.q_term
+        u_stack = _buffer(table, "u", (d + d * d * grad,) + grid.shape)
+        for start, stop in _stack_chunks(table, d, True, grad):
+            _invert_rows(u, table, True, start, stop, u_stack[start:stop])
+        u_phys = u_stack[:d]
+        grad_u = u_stack[d:].reshape((-1, d) + grid.shape)
+        if cfl:
+            u_max = float(np.max(np.abs(u_phys)))
+    if tg.advection_u:
+        np.einsum("j...,ij...->i...", u_phys, grad_u, out=products[:d])
 
-    u_phys = _unchecked_inverse(u, table) if _inverts(tg)[0] else None
-    u_max = None if u_phys is None else float(np.max(np.abs(u_phys)))
-    grad_u = _gradient_physical(u, table) \
-        if (tg.advection_u or tg.q_term) else None
+    q_tri = tau_phys = None
+    if invert_tau:
+        values = tg.q_term or record
+        v = m if values else 0
+        chunks = _stack_chunks(table, m, values, tg.advection_tau)
+        rows = max((stop - start for start, stop in chunks
+                    if not (record and stop == v)), default=0)
+        samples = _buffer(table, "tau", (rows,) + grid.shape)
+        for start, stop in chunks:
+            # what leaves the kernel is new: a record's samples of tau,
+            # inverted alone or copied before later chunks overwrite them,
+            # and its Q triangle
+            alone = record and stop == v
+            part = _invert_rows(tau, table, values, start, stop,
+                                np.empty((m,) + grid.shape) if alone
+                                else samples[:stop - start])
+            if start < v:
+                tau_phys = part[:m].copy() if record and not alone \
+                    else part[:m]
+            if start < v and tg.q_term:
+                q = _q_triangle_physical(
+                    tau_phys, grad_u, params.b, None if record else nl,
+                    _buffer(table, "work", (3,) + grid.shape),
+                    consume=True)
+                if record:
+                    q_tri = q
+                    nl[...] = q
+            if tg.advection_tau and stop > v:
+                # u.grad tau, added to Q where Q is on: the sum of the two
+                # is exact in either order
+                first, last = (max(start, v) - v) // d, (stop - v) // d
+                adv = nl[first:last]
+                if tg.q_term:
+                    adv = _buffer(table, "work", adv.shape)
+                np.einsum("j...,mj...->m...", u_phys,
+                          part[max(start, v) - start:].reshape(
+                              (last - first, d) + grid.shape), out=adv)
+                if tg.q_term:
+                    np.add(nl[first:last], adv, out=nl[first:last])
+                del adv
+        del samples
+    u_phys = grad_u = u_stack = None  # on large grids, free before forward
 
-    du = np.zeros((grid.d,) + table.shape, dtype=np.complex128)
+    if len(products):
+        # the work buffer is free once the products are built
+        coeffs = _forward(products, grid, dealiased=True, work=_buffer(
+            table, "work", products.shape[:1] + grid.spectral_shape,
+            np.complex128))
+        if not table.boxed:
+            coeffs = grid.support_table(True).scatter(coeffs)
+    du = np.zeros((d,) + table.shape, dtype=np.complex128)
     if tg.stress_divergence:
         du += _tensor_divergence(tau, table)
     if tg.advection_u:
-        du -= dealiased(np.einsum("j...,ij...->i...", u_phys, grad_u))
+        du -= coeffs[:d]
     du = _leray(du, table)
-
-    q_tri = _q_triangle_physical(
-        _unchecked_inverse(tau, table) if tau_phys is None else tau_phys,
-        grad_u, params.b) if tg.q_term else None
-    del grad_u
-    nl = None
-    if tg.advection_tau:
-        # one stress component at a time: the m d-component gradient stack
-        # would be the largest array of the step
-        nl = np.empty((len(SYM_PAIRS[grid.d]),) + grid.shape)
-        for m in range(len(nl)):
-            np.einsum("j...,mj...->m...", u_phys,
-                      _gradient_physical(tau[m:m + 1], table),
-                      out=nl[m:m + 1])
-    del u_phys
-    if q_tri is not None:
-        # in place into the advection samples, so q_tri itself survives
-        nl = q_tri if nl is None else np.add(nl, q_tri, out=nl)
-
     dtau = np.zeros_like(tau)
     if tg.strain_source:
         dtau += _strain(u, table)
-    if nl is not None:
-        dtau -= dealiased(nl)
-    return du, dtau, q_tri, u_max
+    if stress:
+        dtau -= coeffs[len(coeffs) - m:]
+    return du, dtau, q_tri, u_max, tau_phys if record else None
 
 
 def _inverts(tg: TermToggles, record: bool = False) -> Tuple[bool, bool]:
@@ -359,7 +475,7 @@ def _evaluate(state: FlowState, params: ModelParams, record: bool = False,
                          Optional[np.ndarray], Optional[np.ndarray]]:
     """A state's one entry into the kernel, for tendency and (record)
     _record_pass: (Tendency, compact u and tau on _state_table's table,
-    tau's samples if record, the Q triangle).  u and tau are checked for
+    tau's samples and the Q triangle if record).  u and tau are checked for
     Hermitian symmetry where a term inverts them, tau always in a record,
     which inverts it once, for the kernel's Q and its caller."""
     table = _state_table(state)
@@ -367,8 +483,8 @@ def _evaluate(state: FlowState, params: ModelParams, record: bool = False,
     for source, inverted in zip((u, tau), _inverts(params.toggles, record)):
         if inverted:
             _check_hermitian(source, table)
-    tau_phys = _unchecked_inverse(tau, table) if record else None
-    du, dtau, q_tri, u_max = _explicit_terms(u, tau, table, params, tau_phys)
+    du, dtau, q_tri, u_max, tau_phys = _explicit_terms(u, tau, table,
+                                                       params, record)
     return Tendency(table, du, dtau, params, u_max), u, tau, tau_phys, q_tri
 
 

@@ -231,11 +231,13 @@ class SupportTable:
     box holds column 0 only, and the multipliers, built on the compact
     layout: the wavenumbers (index i holds i below n/2, else i - n), k^2,
     the derivative multipliers i k~_j (k~ is k with its Nyquist entries
-    zeroed), and, cached, their gradient_weight sum_j k~_j^2 and per
-    exponent the Sobolev weights and fractional multipliers.  The Leray
-    projector reads k~ (leray_wavenumbers, dense complex128 arrays, as
-    numpy would cast real rows in every product) and sum_j k~_j^2
-    (leray_divisor, 1 where it is 0).
+    zeroed; a (d, *shape) stack), and, cached, their gradient_weight
+    sum_j k~_j^2 and per exponent the Sobolev weights and fractional
+    multipliers.  The Leray projector reads k~ (leray_wavenumbers, a dense
+    complex128 stack, as numpy would cast real rows in every product) and
+    sum_j k~_j^2 (leray_divisor, 1 where it is 0).  A table also holds a
+    workspace: named buffers that the kernel reuses from one evaluation to
+    the next.
     """
 
     def __init__(self, grid: Grid, boxed: bool):
@@ -277,18 +279,20 @@ class SupportTable:
         self.k_squared = np.zeros(self.shape, dtype=np.int64)
         for k in self.wavenumbers:
             self.k_squared = self.k_squared + k * k
-        # dense, so that a product with coefficients does not broadcast
-        self.derivative_multipliers = tuple(
+        # dense (d, *shape) stacks, so that one broadcast product with a
+        # field's components builds all their derivatives
+        self.derivative_multipliers = np.stack([
             np.broadcast_to(1j * np.where(np.abs(k) == n // 2, 0, k)
-                            .astype(np.float64), self.shape).copy()
-            for k in self.wavenumbers)
+                            .astype(np.float64), self.shape)
+            for k in self.wavenumbers])
         # the divisor sums the squares afresh, so that gradient_weight is
         # built only on a table whose records read it
         squares = sum(ik.imag ** 2 for ik in self.derivative_multipliers)
-        self.leray_wavenumbers = tuple(ik.imag.astype(np.complex128)
-                                       for ik in self.derivative_multipliers)
+        self.leray_wavenumbers = self.derivative_multipliers.imag.astype(
+            np.complex128)
         self.leray_divisor = np.where(squares > 0, squares, 1.0)
         self._weights = {}
+        self._workspace, self._views = {}, {}
 
     def gather(self, half: np.ndarray) -> np.ndarray:
         """The compact copy of half-layout arrays (the arrays themselves
@@ -301,16 +305,40 @@ class SupportTable:
             out[c] = half[h]
         return out
 
-    def scatter(self, compact: np.ndarray) -> np.ndarray:
+    def scatter(self, compact: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
         """Half-layout arrays, zero outside the table, from compact ones
-        (the arrays themselves for the whole table)."""
+        (the arrays themselves for the whole table); into out if given,
+        every slot of which is written."""
         if not self.boxed:
             return compact
-        out = np.zeros(compact.shape[:compact.ndim - self.grid.d]
-                       + self.grid.spectral_shape, dtype=compact.dtype)
+        if out is None:
+            out = np.zeros(compact.shape[:compact.ndim - self.grid.d]
+                           + self.grid.spectral_shape, dtype=compact.dtype)
+        else:
+            for block in self.outside:
+                out[block] = 0.0
         for c, h in self.blocks:
             out[h] = compact[c]
         return out
+
+    def workspace(self, name: str, shape: Tuple[int, ...],
+                  dtype: type) -> np.ndarray:
+        """A buffer of shape and dtype on bytes that every call with the
+        same name shares, and that grow when a call needs more: one
+        evaluation's work, which the next call overwrites.  The views
+        are cached until their name's bytes grow."""
+        view = self._views.get((name, shape, dtype))
+        if view is None:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            raw = self._workspace.get(name)
+            if raw is None or raw.size < nbytes:
+                raw = self._workspace[name] = np.empty(nbytes, dtype=np.uint8)
+                self._views = {k: v for k, v in self._views.items()
+                               if k[0] != name}
+            view = self._views[name, shape, dtype] = \
+                raw[:nbytes].view(dtype).reshape(shape)
+        return view
 
     def fractional_multiplier(self, gamma: float) -> np.ndarray:
         """|k|^(2 gamma), cached; the k = 0 entry is 0 for gamma > 0 and 1
@@ -357,18 +385,20 @@ def _c2c_passes(fft, src: np.ndarray, dst: np.ndarray, table: SupportTable,
         src = dst
 
 
-def _forward(values: np.ndarray, grid: Grid,
-             dealiased: bool = False) -> np.ndarray:
+def _forward(values: np.ndarray, grid: Grid, dealiased: bool = False,
+             work: Optional[np.ndarray] = None) -> np.ndarray:
     """Real samples (trailing grid axes) -> half-layout coefficients, equal
     to rfftn's bit for bit (see the module docstring).  dealiased gives the
     coefficients in the 2/3 box instead, in the box table's compact layout,
-    with no fft pass over a line that the 2/3 rule discards."""
+    with no fft pass over a line that the 2/3 rule discards.  The passes run
+    in work, a half-layout buffer, if given; the dealiased result is a new
+    array either way."""
     values = np.asarray(values)
     if values.shape[-grid.d:] != grid.shape:
         raise GridMismatchError(
             f"sample shape {values.shape} does not end in {grid.shape}")
     table = grid.support_table(dealiased)
-    out = np.fft.rfft(values, axis=-1, norm="forward")
+    out = np.fft.rfft(values, axis=-1, norm="forward", out=work)
     _c2c_passes(np.fft.fft, out, out, table, range(grid.d - 2, -1, -1))
     return table.gather(out)
 
@@ -429,22 +459,26 @@ def _inverse(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _unchecked_inverse(coeffs: np.ndarray, table: SupportTable,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
+                       out: Optional[np.ndarray] = None,
+                       work: Optional[np.ndarray] = None) -> np.ndarray:
     """The passes of _inverse from compact coeffs, without its Hermitian
     check, into out if given.
 
     For a source that _check_hermitian passed, and for derivative stacks:
     i k_j c is Hermitian wherever c is, so a stack built from a checked
     source needs no scan of its own.  The box table scatters coeffs into a
-    zeroed work buffer and runs the ifft passes in place over the lines
-    that can be nonzero (SupportTable.lines); the whole table runs them
-    over every line, the first into a new buffer, so coeffs is never
-    written to.
+    half-layout work buffer, zero outside the table, and runs the ifft
+    passes in place over the lines that can be nonzero
+    (SupportTable.lines); the whole table runs them over every line, the
+    first into the work buffer, so coeffs is never written to.  The work
+    buffer is work if given, else a new one.
     """
     if table.boxed:
-        src = work = table.scatter(coeffs)
+        src = work = table.scatter(coeffs, work)
     else:
-        src, work = coeffs, np.empty(coeffs.shape, dtype=np.complex128)
+        src = coeffs
+        if work is None:
+            work = np.empty(coeffs.shape, dtype=np.complex128)
     _c2c_passes(np.fft.ifft, src, work, table, range(table.grid.d - 1))
     return np.fft.irfft(work, n=table.grid.n, axis=-1, norm="forward",
                         out=out)
@@ -614,17 +648,15 @@ def leray_project(v: VectorField) -> VectorField:
 
 
 def _leray(comps: np.ndarray, table: SupportTable) -> np.ndarray:
-    """leray_project of compact vector comps, in compact layout."""
-    factor = np.zeros(table.shape, dtype=np.complex128)
-    for j, k in enumerate(table.leray_wavenumbers):
-        factor += k * comps[j]
+    """leray_project of compact vector comps, in compact layout: k~.c
+    summed from 0 in ascending j, then c - k~ factor, each a broadcast
+    operation over the (d, *shape) stack of k~."""
+    k = table.leray_wavenumbers
+    factor = np.sum(k * comps, axis=0, initial=0.0)
     np.divide(factor, table.leray_divisor, out=factor)
     factor[(0,) * table.grid.d] = 0.0
-    out = np.empty_like(comps)
-    for j, k in enumerate(table.leray_wavenumbers):
-        np.multiply(k, factor, out=out[j])
-        np.subtract(comps[j], out[j], out=out[j])
-    return out
+    out = np.multiply(k, factor)
+    return np.subtract(comps, out, out=out)
 
 
 def dealias(field: Field) -> Field:

@@ -414,6 +414,20 @@ class TestCli:
                      "--output", str(out)]) == 0
         assert (out / "summary.json").exists()
 
+    def test_run_names_every_file_it_writes(self, tmp_path, capsys):
+        """One wrote line per file, and one for the snapshot directory, in
+        the order they were written."""
+        path = self.write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path),
+                     "--output", str(out)]) == 0
+        wrote = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == [f"wrote {out / name}" for name in (
+            "snapshots", "diagnostics.csv", "summary.json", "config.json")]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            line.rsplit("/", 1)[1] for line in wrote)
+
     def test_run_blow_up_exit_code(self, tmp_path, capsys):
         path = self.write_config(tmp_path, BLOWUP_RUN)
         assert main(["run", "--config", str(path),
@@ -436,6 +450,19 @@ class TestCli:
         assert main(["linear-verify", "--config", str(path),
                      "--output", str(out)]) == 0
         assert (out / "linear_verify.json").exists()
+
+    def test_linear_verify_names_every_file_it_writes(self, tmp_path,
+                                                      capsys):
+        path = self.write_config(tmp_path, LINEAR_RUN)
+        out = tmp_path / "lv"
+        assert main(["linear-verify", "--config", str(path),
+                     "--output", str(out)]) == 0
+        wrote = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == [f"wrote {out / name}" for name in (
+            "linear_verify.json", "linear_verify.csv")]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "linear_verify.csv", "linear_verify.json"]
 
     def test_linear_verify_oracle_failure_exits_4(self, tmp_path, capsys):
         """At dt 0.5 the integrator error of the linear run (about 2e-7)
@@ -514,6 +541,24 @@ class TestCli:
             f"wrote {expected / 'dispersion.csv'}\n"
         assert sorted(p.name for p in (tmp_path / expected).iterdir()) == \
             ["dispersion.csv"]
+
+    def test_check_config_writes_only_with_output(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """check-config takes no output fallback: its --output help says
+        so, and without --output it writes nothing, even where the config
+        names an output directory."""
+        with pytest.raises(SystemExit):
+            main(["check-config", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "without it, nothing is written" in help_text
+        assert "OBFLOW_OUTPUT_ROOT" not in help_text
+        raw = json.loads(json.dumps(SMALL_RUN))
+        raw["output"]["directory"] = str(tmp_path / "from-config")
+        monkeypatch.setenv("OBFLOW_OUTPUT_ROOT", str(tmp_path / "root"))
+        path = self.write_config(tmp_path, raw, name="small.json")
+        monkeypatch.chdir(tmp_path)
+        assert main(["check-config", "--config", str(path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.json"]
 
     def test_check_config_output_is_the_printed_json(self, tmp_path, capsys):
         path = self.write_config(tmp_path, SMALL_RUN)

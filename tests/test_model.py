@@ -1,6 +1,7 @@
 """Model terms: Q bilinear form, advection, tendencies, energy budget."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -575,6 +576,92 @@ class TestFusedKernel:
         assert abs(energy_budget(st, params)["q_work"] - ref) <= 1e-15 * abs(ref)
 
 
+class TestBatchedKernel:
+    """The kernel inverts each source stack in as few calls as
+    _STACK_BYTES allows, transforms its products forward once, and works
+    in its table's workspace; none of it shows in the values."""
+
+    PARAMS = ModelParams(eta=1.0, beta=0.5, b=0.5)
+
+    @staticmethod
+    def compact_state(d, n, band):
+        st = make_initial_data(Grid(d, n), epsilon=0.5, seed=8, band=band)
+        table = obflow.model._state_table(st)
+        return table, table.gather(st.u.comps), table.gather(st.tau.comps)
+
+    @pytest.mark.parametrize("d, n, band", [
+        (2, 16, (1, 4)), (2, 16, (1, 8)), (3, 12, (1, 3)), (3, 12, (1, 6))])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_one_group_per_call_is_invisible(self, monkeypatch, d, n, band,
+                                             record):
+        """With the budget at one group per call, on either table, every
+        output is that of one call per stack, bit for bit."""
+        table, u, tau = self.compact_state(d, n, band)
+        assert table.boxed == (band[1] < table.grid.dealias_cutoff)
+        ref = _explicit_terms(u, tau, table, self.PARAMS, record)
+        inverse, calls = obflow.model._unchecked_inverse, []
+
+        def counting(coeffs, *args, **kwargs):
+            calls.append(len(coeffs))
+            return inverse(coeffs, *args, **kwargs)
+
+        monkeypatch.setattr(obflow.model, "_STACK_BYTES", 1)
+        monkeypatch.setattr(obflow.model, "_unchecked_inverse", counting)
+        got = _explicit_terms(u, tau, table, self.PARAMS, record)
+        m = len(SYM_PAIRS[d])
+        # u's values, each row of grad u, tau's values, each row of grad tau
+        assert calls == [d] * (1 + d) + [m] + [d] * m
+        assert got[3] == ref[3]
+        for g, r in zip(got[:3] + got[4:], ref[:3] + ref[4:]):
+            assert (g is None) == (r is None)
+            if r is not None:
+                assert_bits_equal(g, r)
+
+    @pytest.mark.parametrize("d, n, calls", [(2, 64, 6), (3, 32, 52)])
+    def test_numpy_fft_calls_per_evaluation(self, monkeypatch, d, n, calls):
+        """2D n=64 on the box table: one inverse of each stack and one
+        forward, two numpy.fft calls each.  3D n=32 takes one group per
+        call, and no more calls than one component's gradient per call did
+        (52; 48 here)."""
+        table, u, tau = self.compact_state(d, n, (1, 4))
+        assert table.boxed
+        made = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, lambda *a, _fn=getattr(
+                np.fft, name), **k: made.append(1) or _fn(*a, **k))
+        _explicit_terms(u, tau, table, self.PARAMS)
+        assert len(made) == calls if d == 2 else len(made) <= calls
+
+    def test_a_warm_evaluation_allocates_no_stack(self):
+        """Once one evaluation has filled the workspace, the next reuses
+        its buffers and allocates less than tau's stack of samples (the
+        one-gradient-per-call kernel allocated twice that)."""
+        table, u, tau = self.compact_state(2, 64, (1, 4))
+        _explicit_terms(u, tau, table, self.PARAMS)
+        buffers = dict(table._workspace)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _explicit_terms(u, tau, table, self.PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table._workspace.keys() == buffers.keys()
+        assert all(table._workspace[k] is v for k, v in buffers.items())
+        stack = 8 * len(SYM_PAIRS[2]) * 3 * 64 ** 2
+        assert peak - entry < stack
+
+    def test_nothing_that_leaves_the_kernel_is_workspace(self):
+        """du, dtau, the Q triangle and a record's samples of tau share no
+        byte with the table's workspace."""
+        table, u, tau = self.compact_state(2, 16, (1, 4))
+        out = _explicit_terms(u, tau, table, self.PARAMS, record=True)
+        assert table._workspace
+        for array in out[:3] + out[4:]:
+            for raw in table._workspace.values():
+                assert not np.shares_memory(array, raw)
+
+
 @pytest.fixture
 def transforms(monkeypatch):
     """Records ("inverse" | "forward", components, leading size) per call of
@@ -628,13 +715,13 @@ class TestRecordPass:
         transforms.clear()
         first = coll.observe(st)
         m = len(SYM_PAIRS[d])
-        # without Q the kernel inverts no tau and transforms no Q triangle;
-        # either way the record's inverse is tau's only one
+        # without Q the kernel transforms no Q triangle; either way tau is
+        # inverted once, in its stack, which the record reads
         assert tally(transforms, "inverse") == inverse
         assert tally(transforms, "forward") == forward - (0 if q_term else m)
         assert [k for k, _, _ in transforms].count("kernel") == 1
         assert [lead for k, _, lead in transforms
-                if k == "inverse"].count(m) == 1
+                if k == "inverse"] == [d + d * d, m + m * d]
         # the step from the record's Tendency evaluates three stages; one
         # without it evaluates four, as the record left nothing on the state
         for handed, kernels in ((first, 3), (None, 4)):
@@ -746,18 +833,22 @@ class TestBoxSupportedKernel:
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 12)])
     def test_kernel_tables_agree(self, d, n):
         """_explicit_terms on the box table's compact coefficients, scattered,
-        equals _explicit_terms on the whole table, and its Q triangle too;
-        either table's max |u| is that of u.to_physical()."""
+        equals _explicit_terms on the whole table, and its Q triangle and
+        tau's samples too; either table's max |u| is that of
+        u.to_physical()."""
         g = Grid(d, n)
         st = random_state(g, seed=50 + d, scale=0.5)
         box, whole = g.support_table(True), g.support_table(False)
-        du, dtau, q_tri, u_max = _explicit_terms(
+        du, dtau, q_tri, u_max, tau_phys = _explicit_terms(
             box.gather(st.u.comps), box.gather(st.tau.comps), box,
-            self.PARAMS)
-        ref = _explicit_terms(st.u.comps, st.tau.comps, whole, self.PARAMS)
+            self.PARAMS, record=True)
+        ref = _explicit_terms(st.u.comps, st.tau.comps, whole, self.PARAMS,
+                              record=True)
         assert du.shape == (d,) + box.shape
-        for got, r in zip((box.scatter(du), box.scatter(dtau), q_tri), ref):
+        for got, r in zip((box.scatter(du), box.scatter(dtau), q_tri,
+                           tau_phys), ref[:3] + ref[4:]):
             assert_bits_equal(got, r)
+        assert_bits_equal(tau_phys, st.tau.to_physical())
         assert u_max == ref[3] == float(np.max(np.abs(st.u.to_physical())))
 
 

@@ -151,11 +151,15 @@ class FlowState:
 
 @dataclass(frozen=True)
 class Tendency:
-    """The explicit tendency of a state under params, in the compact layout
-    of its support table, and max |u| over the kernel's samples of u (those
-    of u.to_physical(), bit for bit; None if no term inverts u)."""
+    """The explicit tendency of a state under params, and the state's u and
+    tau it was evaluated at, all in the compact layout of its support table
+    (u and tau are the state's own arrays on the whole table), and max |u|
+    over the kernel's samples of u (those of u.to_physical(), bit for bit;
+    None if no term inverts u)."""
 
     table: SupportTable
+    u: np.ndarray
+    tau: np.ndarray
     du: np.ndarray
     dtau: np.ndarray
     params: ModelParams
@@ -245,42 +249,25 @@ def _invert_rows(comps: np.ndarray, table: SupportTable, values: bool,
     return _unchecked_inverse(stack, table, out=out, work=work)
 
 
-def _gradient_physical(field_comps: np.ndarray,
-                       table: SupportTable) -> np.ndarray:
-    """Physical samples of all first derivatives of compact coefficients;
-    shape (m, d, *grid), a new array."""
-    grid = table.grid
-    out = np.empty((len(field_comps) * grid.d,) + grid.shape)
-    for start, stop in _stack_chunks(table, len(field_comps), False, True):
-        _invert_rows(field_comps, table, False, start, stop, out[start:stop])
-    return out.reshape((len(field_comps), grid.d) + grid.shape)
-
-
 def _q_triangle_physical(tri: np.ndarray, grad_u: np.ndarray, b: float,
-                         out: Optional[np.ndarray] = None,
-                         work: Optional[np.ndarray] = None,
-                         consume: bool = False) -> np.ndarray:
-    """Physical samples of the upper triangle of Q(tau, grad u), from those
-    of tau's upper triangle (tri) and of grad u, into out if given.
+                         out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Physical samples of the upper triangle of Q(tau, grad u), into out,
+    from those of tau's upper triangle (tri) and of grad u, which it
+    overwrites.
 
     Q_ij = (M_ij + M_ji) - b (N_ij + N_ji) with M = tau W and N = D tau, so
     the result is symmetric by construction.  Each entry of M and N is
     summed over k in ascending order, pair by pair from the tau triangle
-    and grad u, with no dense tensor, in place in the output row and three
-    work rows (work if given, else new).  The off-diagonal W_ij and D_ij
-    take d(d-1) more new rows, or, if consume, the slots of G_ij and G_ji,
-    so that grad_u is overwritten.  The k = j term of M is skipped, as
+    and grad u, with no dense tensor, in place in the output row and the
+    three rows of work.  The off-diagonal W_ij and D_ij take the slots of
+    G_ij and G_ji.  The k = j term of M is skipped, as
     W_jj = 0; W_kj below the diagonal is read as -W_jk by subtraction,
     which IEEE negation keeps exact; and D_ii is G_ii, which
     0.5 (G_ii + G_ii) equals exactly.  The rounding is that of the dense
     products M + M^T.
     """
-    d, shape = grad_u.shape[0], grad_u.shape[2:]
+    d = grad_u.shape[0]
     pairs = SYM_PAIRS[d]
-    if out is None:
-        out = np.empty((len(pairs),) + shape)
-    if work is None:
-        work = np.empty((3,) + shape)
     slip, other, term = work
     t = [[None] * d for _ in range(d)]
     w = {}  # W_ij for i < j
@@ -288,8 +275,7 @@ def _q_triangle_physical(tri: np.ndarray, grad_u: np.ndarray, b: float,
     for m, (i, j) in enumerate(pairs):
         t[i][j] = t[j][i] = tri[m]
         if i != j:
-            w[i, j], s[i][j] = ((grad_u[i, j], grad_u[j, i]) if consume
-                                else (np.empty(shape), np.empty(shape)))
+            w[i, j], s[i][j] = grad_u[i, j], grad_u[j, i]
             np.subtract(grad_u[i, j], grad_u[j, i], out=term)
             np.add(grad_u[i, j], grad_u[j, i], out=s[i][j])
             np.multiply(term, 0.5, out=w[i, j])
@@ -420,9 +406,9 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                     else part[:m]
             if start < v and tg.q_term:
                 q = _q_triangle_physical(
-                    tau_phys, grad_u, params.b, None if record else nl,
-                    _buffer(table, "work", (3,) + grid.shape),
-                    consume=True)
+                    tau_phys, grad_u, params.b,
+                    np.empty_like(tau_phys) if record else nl,
+                    _buffer(table, "work", (3,) + grid.shape))
                 if record:
                     q_tri = q
                     nl[...] = q
@@ -471,13 +457,13 @@ def _inverts(tg: TermToggles, record: bool = False) -> Tuple[bool, bool]:
 
 
 def _evaluate(state: FlowState, params: ModelParams, record: bool = False,
-              ) -> Tuple[Tendency, np.ndarray, np.ndarray,
-                         Optional[np.ndarray], Optional[np.ndarray]]:
+              ) -> Tuple[Tendency, Optional[np.ndarray], Optional[np.ndarray]]:
     """A state's one entry into the kernel, for tendency and (record)
-    _record_pass: (Tendency, compact u and tau on _state_table's table,
-    tau's samples and the Q triangle if record).  u and tau are checked for
-    Hermitian symmetry where a term inverts them, tau always in a record,
-    which inverts it once, for the kernel's Q and its caller."""
+    _record_pass: (its Tendency on _state_table's table, which carries u
+    and tau as gathered here, and, if record, tau's samples and the Q
+    triangle).  u and tau are checked for Hermitian symmetry where a term
+    inverts them, tau always in a record, which inverts it once, for the
+    kernel's Q and its caller."""
     table = _state_table(state)
     u, tau = table.gather(state.u.comps), table.gather(state.tau.comps)
     for source, inverted in zip((u, tau), _inverts(params.toggles, record)):
@@ -485,7 +471,7 @@ def _evaluate(state: FlowState, params: ModelParams, record: bool = False,
             _check_hermitian(source, table)
     du, dtau, q_tri, u_max, tau_phys = _explicit_terms(u, tau, table,
                                                        params, record)
-    return Tendency(table, du, dtau, params, u_max), u, tau, tau_phys, q_tri
+    return Tendency(table, u, tau, du, dtau, params, u_max), tau_phys, q_tri
 
 
 def tendency(state: FlowState, params: ModelParams) -> Tendency:
@@ -529,7 +515,8 @@ def _record_pass(state: FlowState, params: ModelParams,
                  ) -> Tuple[dict, dict, np.ndarray, Tendency]:
     """(energy_budget's terms, the record's norm columns, tau's samples,
     the state's Tendency) from one pass over the compact coefficients of
-    the state's table, with one kernel evaluation, through _evaluate.
+    the state's table, which the Tendency of its one kernel evaluation
+    (_evaluate) carries.
 
     Every term is one np.sum of a weight cached on the table times the
     power spectrum of u or tau or a cross spectrum (u with du or div tau,
@@ -538,8 +525,8 @@ def _record_pass(state: FlowState, params: ModelParams,
     diss_u, visc_u and cross of DiagnosticsRecord.
     """
     grid = state.grid
-    first, u, tau, tau_phys, q_tri = _evaluate(state, params, record=True)
-    table, du, dtau = first.table, first.du, first.dtau
+    first, tau_phys, q_tri = _evaluate(state, params, record=True)
+    table, u, tau = first.table, first.u, first.tau
     rate_u, rate_tau = _dissipation_rates(table, params)
     p_u, p_tau = _spectrum(u, u), _spectrum(tau, tau)
     beta, alpha = map(table.fractional_multiplier, (params.beta, params.alpha))
@@ -549,8 +536,8 @@ def _record_pass(state: FlowState, params: ModelParams,
 
     w0 = table.sobolev_weight(0.0)
     terms = {
-        "u_work": total(w0, _spectrum(u, du) - rate_u * p_u),
-        "tau_work": total(w0, _spectrum(tau, dtau) - rate_tau * p_tau),
+        "u_work": total(w0, _spectrum(u, first.du) - rate_u * p_u),
+        "tau_work": total(w0, _spectrum(tau, first.dtau) - rate_tau * p_tau),
         "diss_tau_l2": total(w0 * beta, p_tau) if params.eta_eff else 0.0,
         "visc_u_l2": total(w0 * alpha, p_u) if params.nu else 0.0,
         "q_work": 0.0,

@@ -119,10 +119,12 @@ def step(state: FlowState, params: ModelParams, dt: float,
     re-projected after every stage.
 
     first, if given, must be the model.Tendency of state under params;
-    else it is evaluated here.  It serves as stage 1, and its support table
-    (model._state_table) as the step's: the stage algebra, the projections
-    and the other three kernel evaluations run on the table's compact
-    coefficients, which are scattered back to the half layout at the end.
+    else it is evaluated here.  It serves as stage 1, its support table
+    (model._state_table) as the step's, and the compact u and tau it
+    carries as the step's start, so the step gathers none of state's
+    arrays: the stage algebra, the projections and the other three kernel
+    evaluations run on the table's compact coefficients, which are
+    scattered back to the half layout at the end.
     Only stage 1 checks Hermitian symmetry (model._evaluate): the later
     stage inputs are built from checked arrays and the kernel's outputs.
     A state that is zero outside the 2/3 box stays so, as the linear terms
@@ -139,8 +141,7 @@ def step(state: FlowState, params: ModelParams, dt: float,
     eu_h, et_h = np.exp(-0.5 * dt * rate_u), np.exp(-0.5 * dt * rate_tau)
     eu_f, et_f = np.exp(-dt * rate_u), np.exp(-dt * rate_tau)
     del rate_u, rate_tau
-    u0, tau0 = table.gather(state.u.comps), table.gather(state.tau.comps)
-    t0 = state.t
+    u0, tau0, t0 = first.u, first.tau, state.t
 
     ku, kt = dt * first.du, dt * first.dtau
     del first

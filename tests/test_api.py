@@ -35,6 +35,7 @@ REMOVED = [
     (obflow.model, "q_bilinear"),
     (obflow.model, "_take_handoff"),
     (obflow.model, "_half_layout_terms"),
+    (obflow.model, "_gradient_physical"),
     (obflow.model.FlowState, "_handoff"),
     (obflow.model.ModelParams, "nu_eff"),
     (obflow.model.ModelParams, "a_eff"),

@@ -17,7 +17,6 @@ from obflow.model import (
     ModelParams,
     TermToggles,
     _explicit_terms,
-    _gradient_physical,
     _q_triangle_physical,
     dissipation_rates,
     energy_budget,
@@ -214,8 +213,9 @@ class TestPairwiseQ:
     def test_equals_dense_assembly_exactly(self, d, n, b, project):
         g = Grid(d, n)
         st = random_state(g, seed=d + 30, scale=3.0, project=project)
-        grad_u = _gradient_physical(st.u.comps, g.support_table(False))
-        got = _q_triangle_physical(_inverse(st.tau.comps, g), grad_u, b)
+        grad_u, tri = dense_gradient(st.u), _inverse(st.tau.comps, g)
+        got = _q_triangle_physical(tri, grad_u.copy(), b, np.empty_like(tri),
+                                   np.empty((3,) + g.shape))
         np.testing.assert_array_equal(got, dense_q_triangle(st.tau, grad_u, b))
 
 
@@ -492,8 +492,7 @@ class TestFusedKernel:
         st = random_state(g, seed=80 + d, scale=0.7)
         _, dtau = explicit_rhs(st, ModelParams(toggles=only("advection_tau")))
         adv = np.einsum("j...,mj...->m...", st.u.to_physical(),
-                        _gradient_physical(st.tau.comps,
-                                           g.support_table(False)))
+                        dense_gradient(st.tau))
         np.testing.assert_array_equal(
             dtau.comps, -(_forward(adv, g) * g.dealias_mask))
 

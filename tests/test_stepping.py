@@ -260,11 +260,13 @@ class TestWorkingSet:
 
     # Peak of one step above its entry, in complex components of the half
     # layout, at b = 0.5 with every term on.  A step on the box table
-    # measures 27.0 (2D n=32) and 42.4 (3D n=16; 42.5 at 3D n=32), one on
-    # the whole table, from a band past kc, 35.6 (2D n=32).  A step on the
-    # half layout throughout measured 35.8 and 61.5, and before that, with
-    # stage tendencies kept past their last use and the grad u stack built
-    # whole, 57.5 and 101.
+    # measures 16.5 (2D n=32, where the kernel reuses its table's
+    # workspace) and 56.3 (3D n=16, where it makes its buffers per
+    # evaluation), one on the whole table, from a band past kc, 33.3 (2D
+    # n=32); before the kernel's batched stacks, 27.0, 42.4 and 35.6.  A
+    # step on the half layout throughout measured 35.8 and 61.5, and before
+    # that, with stage tendencies kept past their last use and the grad u
+    # stack built whole, 57.5 and 101.
     @pytest.mark.parametrize("d, n, bound, band", [
         pytest.param(2, 32, 41.0, (1, 4), id="2-32-41.0"),
         pytest.param(3, 16, 70.0, (1, 4), id="3-16-70.0"),
@@ -387,6 +389,27 @@ class TestTendencyHandOff:
         out = step(st, self.PARAMS, 0.01, first)
         np.testing.assert_array_equal(out.u.comps, fresh.u.comps)
         np.testing.assert_array_equal(out.tau.comps, fresh.tau.comps)
+
+    @pytest.mark.parametrize("d, n, band", [
+        (2, 16, (1, 4)), (2, 16, (1, 8)), (3, 12, (1, 3)), (3, 12, (1, 6))])
+    def test_step_gathers_none_of_its_input(self, monkeypatch, d, n, band):
+        """step starts from the compact u and tau that its first Tendency
+        carries, on either table: no SupportTable.gather call reads the
+        state's arrays (the kernel's dealiased forward transforms gather
+        their own products)."""
+        st = make_initial_data(Grid(d, n), epsilon=0.5, seed=8, band=band)
+        first = tendency(st, self.PARAMS)
+        assert first.table.boxed == (band[1] < st.grid.dealias_cutoff)
+        gather, read = obflow.spectral.SupportTable.gather, []
+
+        def recording(table, half):
+            read.append(half)
+            return gather(table, half)
+
+        monkeypatch.setattr(obflow.spectral.SupportTable, "gather", recording)
+        step(st, self.PARAMS, 0.01, first)
+        assert read
+        assert sum(a is st.u.comps or a is st.tau.comps for a in read) == 0
 
     def test_hand_off_with_other_params_is_ignored(self, monkeypatch):
         """A Tendency of other params, None or any other return value

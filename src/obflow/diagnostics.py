@@ -300,10 +300,11 @@ def trajectory_distance(series_a: Sequence[Tuple[float, np.ndarray]],
         if ca.shape[0] != d + len(weights):
             raise ValueError(f"expected {d + len(weights)} components, got {ca.shape[0]}")
         cell = (TWO_PI / ca.shape[1]) ** d
-        delta = ca - cb
-        total = float(np.sum(delta[:d] ** 2))
-        for mult, comp in zip(weights, delta[d:]):
-            total += mult * float(np.sum(comp ** 2))
+        with np.errstate(over="ignore"):  # a blown-up member's sum is inf
+            delta = ca - cb
+            total = float(np.sum(delta[:d] ** 2))
+            for mult, comp in zip(weights, delta[d:]):
+                total += mult * float(np.sum(comp ** 2))
         times.append(ta)
         dists.append(math.sqrt(cell * total))
     times = np.array(times)

@@ -31,7 +31,7 @@ from .linear import linear_mode_solution, mode_coefficients
 from .model import FlowState, make_initial_data, single_mode
 from .snapshots import (atomic_write_text, csv_text, json_text, read_snapshot,
                         write_snapshot)
-from .spectral import divergence, leray_project
+from .spectral import COUNTS, divergence, leray_project
 from .stepping import BlowUpError, integrate
 
 # Gate on the deviation of a linear-toggles run from the exact mode solution.
@@ -56,11 +56,12 @@ class RunResult:
 def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
     """Integrate one configuration and (optionally) write its artifacts.
 
-    Writes diagnostics.csv, summary.json, config.json and OBSF snapshots
-    under outdir when given; the directory is made when its first file
-    lands, so a run that fails before its first snapshot leaves none.  A
-    blow-up is not raised here: the partial record stream and a marker in
-    the summary are produced instead.
+    Writes diagnostics.csv, summary.json (its "counts" are the increments
+    of spectral.COUNTS over the run), config.json and OBSF snapshots under
+    outdir when given; the directory is made when its first file lands, so
+    a run that fails before its first snapshot leaves none.  A blow-up is
+    not raised here: the partial record stream and a marker in the summary
+    are produced instead.
     """
     grid = cfg.grid
     params = cfg.model
@@ -80,7 +81,7 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
 
         callbacks.append((cfg.output.snapshot_cadence_steps, save_snapshot))
 
-    blow_up = None
+    blow_up, before = None, COUNTS.copy()
     try:
         # the initial state is built in the call, so that no reference to
         # it outlives the first step
@@ -121,6 +122,7 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
         "blow_up": blow_up,
         "checks": checks,
         "snapshots": manifest,
+        "counts": {key: n - before[key] for key, n in COUNTS.items()},
     }
     if outdir is not None:
         atomic_write_text(outdir / "diagnostics.csv", diagnostics_csv(records))

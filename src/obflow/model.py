@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .spectral import (
+    COUNTS,
     PAIR_WEIGHTS,
     SYM_PAIRS,
     TWO_PI,
@@ -361,8 +362,10 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
     du, dtau, the Q triangle and tau's samples are new arrays.  Every
     inverse is unchecked, as a state is checked where it enters
     (_evaluate).  Every spectral product, the projection and the inverse
-    passes run over the table's coefficients and lines only.
+    passes run over the table's coefficients and lines only.  Its counts
+    (spectral.COUNTS) are pinned by tests/test_model.py::TestFusedKernel.
     """
+    COUNTS["evaluations"] += 1
     grid = table.grid
     d, m = grid.d, len(tau)
     tg = params.toggles
@@ -478,9 +481,10 @@ def tendency(state: FlowState, params: ModelParams) -> Tendency:
     """Every term of state's tendency but the diagonal dissipation and
     damping, which the integrating-factor stepper takes exactly; the
     momentum tendency is Leray-projected.  One call inverts 15 components
-    and forward-transforms 5 in 2D (36 and 9 in 3D), on the box table if u
-    and tau are zero outside the 2/3 box, else on the whole; its entry,
-    _evaluate, picks the table and checks u and tau.
+    and forward-transforms 5 in 2D (36 and 9 in 3D; pinned by
+    tests/test_model.py::TestFusedKernel), on the box table if u and tau
+    are zero outside the 2/3 box, else on the whole; its entry, _evaluate,
+    picks the table and checks u and tau.
     """
     return _evaluate(state, params)[0]
 
@@ -524,6 +528,7 @@ def _record_pass(state: FlowState, params: ModelParams,
     u_l2, tau_l2 and, for a Sobolev index s, u_hs, tau_hs, diss_tau,
     diss_u, visc_u and cross of DiagnosticsRecord.
     """
+    COUNTS["records"] += 1
     grid = state.grid
     first, tau_phys, q_tri = _evaluate(state, params, record=True)
     table, u, tau = first.table, first.u, first.tau
@@ -581,8 +586,9 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
     works cancel exactly) and advection is either off or dealiased.
 
     It runs a record's pass (_record_pass): 15 inverse and 8 forward
-    components in 2D (36 and 15 in 3D).  It leaves nothing behind: the
-    pass's Tendency is dropped (DiagnosticsCollector.observe returns it).
+    components in 2D (36 and 15 in 3D; tests/test_model.py::TestFusedKernel).
+    It leaves nothing behind: the pass's Tendency is dropped
+    (DiagnosticsCollector.observe returns it).
     """
     return _record_pass(state, params)[0]
 

@@ -62,6 +62,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,6 +81,13 @@ PAIR_WEIGHTS = {d: tuple(1.0 if i == j else 2.0 for i, j in pairs)
                 for d, pairs in SYM_PAIRS.items()}
 
 HERMITIAN_TOL = 1e-12  # _check_hermitian's bound is it * (1 + max |samples|)
+
+# The work done in this process, added to where it happens: transform calls
+# and components (the size of the leading axes), projections, Hermitian
+# scans, kernel evaluations and records; every key is there from the start.
+COUNTS = collections.Counter(dict.fromkeys(
+    "inverse_calls inverse_components forward_calls forward_components "
+    "projections scans evaluations records".split(), 0))
 
 
 class HermitianSymmetryError(RuntimeError):
@@ -398,6 +406,8 @@ def _forward(values: np.ndarray, grid: Grid, dealiased: bool = False,
         raise GridMismatchError(
             f"sample shape {values.shape} does not end in {grid.shape}")
     table = grid.support_table(dealiased)
+    COUNTS["forward_calls"] += 1
+    COUNTS["forward_components"] += values.size // math.prod(grid.shape)
     out = np.fft.rfft(values, axis=-1, norm="forward", out=work)
     _c2c_passes(np.fft.fft, out, out, table, range(grid.d - 2, -1, -1))
     return table.gather(out)
@@ -418,6 +428,7 @@ def _hermitian_residue(coeffs: np.ndarray, table: SupportTable) -> float:
     Every other stored mode has its mirror outside the table, so this is
     the complete check.
     """
+    COUNTS["scans"] += 1
     cols = coeffs[..., table.mirrored_columns]
     mirror = cols
     for axis in table.grid.axes[:-1]:
@@ -473,6 +484,8 @@ def _unchecked_inverse(coeffs: np.ndarray, table: SupportTable,
     first into the work buffer, so coeffs is never written to.  The work
     buffer is work if given, else a new one.
     """
+    COUNTS["inverse_calls"] += 1
+    COUNTS["inverse_components"] += coeffs.size // math.prod(table.shape)
     if table.boxed:
         src = work = table.scatter(coeffs, work)
     else:
@@ -651,6 +664,7 @@ def _leray(comps: np.ndarray, table: SupportTable) -> np.ndarray:
     """leray_project of compact vector comps, in compact layout: k~.c
     summed from 0 in ascending j, then c - k~ factor, each a broadcast
     operation over the (d, *shape) stack of k~."""
+    COUNTS["projections"] += 1
     k = table.leray_wavenumbers
     factor = np.sum(k * comps, axis=0, initial=0.0)
     np.divide(factor, table.leray_divisor, out=factor)

@@ -236,6 +236,36 @@ class TestLyapunovEquivalence:
         assert passed
         assert slack >= 0.0
 
+    @staticmethod
+    def relative_slacks(n, beta):
+        """Per K = 1 .. n/3, the check's slack over its right side on the
+        2D mode u = (0, A cos K x0), tau_01 = sin K x0, A = 2 sqrt(2) kc,
+        where the cross term is largest against the norms; observe counts
+        a violation exactly where the check fails."""
+        g, kc, out = Grid(2, n), DiagnosticParams().k_cross, []
+        u, tau = np.zeros((2,) + g.shape), np.zeros((3,) + g.shape)
+        for k in range(1, n // 3 + 1):
+            u[1] = 2.0 * math.sqrt(2.0) * kc * np.cos(k * g.coordinates()[0])
+            tau[1] = np.sin(k * g.coordinates()[0])
+            rec, coll = collect_one(FlowState(
+                VectorField.from_physical(g, u), TensorField.from_physical(
+                    g, tau)), ModelParams(beta=beta, b=0.5))
+            passed, slack = lyapunov_equivalence_check(rec, kc)
+            assert coll.lyapunov_violations == (not passed)
+            rhs = 0.5 * rec.u_hs ** 2 + 2.0 * kc ** 2 * rec.tau_hs ** 2
+            out.append(slack / rhs)
+        return out
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75, 1.0])
+    def test_holds_at_every_kept_mode_from_beta_one_half(self, n, beta):
+        """The cross term carries K^(1 - 2 beta) against the H^s norms.  At
+        beta = 1/4 the check fails at a mode the 2/3 rule keeps (relative
+        slack -1.23 at K = 10 for n = 32, -2.24 at K = 21 for n = 64); for
+        beta >= 1/2 it holds at every K <= n/3, by at least +0.29."""
+        worst = min(self.relative_slacks(n, beta))
+        assert worst < -1.0 if beta < 0.5 else worst > 0.25
+
     def test_equivalence_bounds_l_by_e_initially(self):
         """At t=0 the two functionals agree within the cross-term margin:
         E/2 - 2 kc^2 tau^2 <= L <= 3 E/2 + 2 kc^2 tau^2 style bounds reduce
@@ -388,6 +418,15 @@ class TestTrajectoryDistance:
         _, dists2, _ = trajectory_distance(a, ob)
         assert dists2[2] == pytest.approx(c * math.sqrt(2.0) * TWO_PI,
                                           rel=1e-12)
+
+    def test_overflow_is_inf_without_a_warning(self):
+        """A member that blew up leaves samples whose squares overflow: its
+        distance is inf, and no RuntimeWarning is raised."""
+        g = Grid(2, 16)
+        a = self.make_series(g, 4)
+        b = [(t, 1e300 * comp) for t, comp in a]
+        _, dists, sup = trajectory_distance(a, b)
+        assert np.all(np.isinf(dists)) and sup == math.inf
 
     def test_time_mismatch_rejected(self):
         g = Grid(2, 16)

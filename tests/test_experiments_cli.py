@@ -74,6 +74,9 @@ class TestRunSingle:
         assert summary["checks"]["lyapunov_equivalence"] is True
         assert summary["lyapunov_violations"] == 0
         assert len(summary["snapshots"]) == 4
+        # 7 records (cadence 5), whose Tendencies serve 6 steps' first stage
+        assert summary["counts"]["records"] == 7
+        assert summary["counts"]["evaluations"] == 4 * 30 - 6 + 7
 
     def test_record_stream_matches_cadence(self, tmp_path):
         result = run_single(cfg_of(SMALL_RUN), tmp_path / "r")

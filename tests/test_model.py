@@ -1,5 +1,6 @@
 """Model terms: Q bilinear form, advection, tendencies, energy budget."""
 
+import contextlib
 import math
 import tracemalloc
 
@@ -27,6 +28,7 @@ from obflow.model import (
 )
 from obflow.snapshots import read_snapshot
 from obflow.spectral import (
+    COUNTS,
     SYM_PAIRS,
     ConfigError,
     Grid,
@@ -268,9 +270,10 @@ class TestKernelHermitianCheck:
         enter the kernel (a record's pass or integrate's own tendency), on
         the state's table; step's three later stages are not scanned.  The
         record after the step, which serves no step, scans twice more."""
+        # a patch, not the tally: it records each scan's table
         scans = []
 
-        def counting(coeffs, table):
+        def recording(coeffs, table):
             scans.append(table.boxed)
             return _hermitian_residue(coeffs, table)
 
@@ -281,7 +284,7 @@ class TestKernelHermitianCheck:
         params = ModelParams(eta=1.0, beta=0.5, b=0.5)
         callbacks = [(1, DiagnosticsCollector(
             params, DiagnosticParams(), g).observe)] if recorded else []
-        monkeypatch.setattr(obflow.spectral, "_hermitian_residue", counting)
+        monkeypatch.setattr(obflow.spectral, "_hermitian_residue", recording)
         res = integrate(st, params, StepperConfig(dt=1e-3, t_end=1e-3),
                         callbacks)
         assert res.steps == 1
@@ -316,13 +319,14 @@ class TestKernelHermitianCheck:
         scanned once, in the compact layout of the box table, as the state
         is zero outside the 2/3 box; the derivative stacks are not scanned,
         and the linear terms invert nothing."""
+        # a patch, not the tally: it records each scan's shape
         scans = []
 
-        def counting(coeffs, table):
+        def recording(coeffs, table):
             scans.append(coeffs.shape)
             return _hermitian_residue(coeffs, table)
 
-        monkeypatch.setattr(obflow.spectral, "_hermitian_residue", counting)
+        monkeypatch.setattr(obflow.spectral, "_hermitian_residue", recording)
         g = Grid(d, n)
         st = random_state(g, seed=d)
         explicit_rhs(st, ModelParams(b=0.5, toggles=toggles))
@@ -445,31 +449,23 @@ def split_explicit_rhs(state, params):
     return leray_project(u.with_comps(du)).comps, dtau
 
 
-@pytest.fixture
-def fft_components(monkeypatch, request):
-    """Counts [inverse, forward] transformed components at the one real
-    pass of each transform, numpy's irfft resp. rfft, which runs once per
-    d-dimensional transform: a component is the size over the d trailing
-    grid axes, d being the test's parameter.  Any n-d complex fftn/ifftn
-    call fails the test."""
-    d = request.node.callspec.params["d"]
-    counts = [0, 0]
+@contextlib.contextmanager
+def counting():
+    """Yield a dict that holds, once the block is left, the increment of
+    every key of the package's tally, spectral.COUNTS, over the block."""
+    before, counts = COUNTS.copy(), {}
+    yield counts
+    counts.update((key, n - before[key]) for key, n in COUNTS.items())
 
-    def counting(fn, slot):
-        def wrapper(a, *args, **kwargs):
-            a = np.asarray(a)
-            counts[slot] += a.size // math.prod(a.shape[-d:])
-            return fn(a, *args, **kwargs)
-        return wrapper
 
-    def complex_transform(*args, **kwargs):
-        raise AssertionError("complex fftn/ifftn called on real fields")
-
-    monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft, 0))
-    monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft, 1))
-    monkeypatch.setattr(np.fft, "ifftn", complex_transform)
-    monkeypatch.setattr(np.fft, "fftn", complex_transform)
-    return counts
+def evaluations(times, inverse, forward, **more):
+    """The counts of times kernel evaluations of inverse/forward components:
+    two inverse calls (the stacks of u and tau), one forward call and one
+    projection each; more sets other keys."""
+    return {**dict.fromkeys(COUNTS, 0), "evaluations": times,
+            "inverse_calls": 2 * times, "inverse_components": times * inverse,
+            "forward_calls": times, "forward_components": times * forward,
+            "projections": times, **more}
 
 
 class TestFusedKernel:
@@ -498,17 +494,8 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("d, n, inverse, forward",
                              [(2, 16, 15, 5), (3, 8, 36, 9)])
-    def test_transform_components_per_call(self, fft_components, d, n,
-                                           inverse, forward):
-        st = random_state(Grid(d, n), seed=95, scale=0.5)
-        fft_components[:] = [0, 0]
-        explicit_rhs(st, ModelParams(eta=1.0, b=0.5))
-        assert fft_components == [inverse, forward]
-
-    @pytest.mark.parametrize("d, n, inverse, forward",
-                             [(2, 16, 15, 5), (3, 8, 36, 9)])
     def test_step_after_budget_takes_its_tendency(
-            self, fft_components, monkeypatch, d, n, inverse, forward):
+            self, monkeypatch, d, n, inverse, forward):
         """The step takes the table and the first stage from the Tendency
         of a record's pass: three kernel evaluations, and no scan of the
         state."""
@@ -521,47 +508,52 @@ class TestFusedKernel:
         def no_scan(coeffs, grid):
             raise AssertionError("the step scanned a state with a tendency")
 
+        # the table's support scan is not tallied
         monkeypatch.setattr(obflow.model, "_box_supported", no_scan)
-        fft_components[:] = [0, 0]
-        out = step(st, params, 1e-3, first)
-        assert fft_components == [3 * inverse, 3 * forward]
+        with counting() as counts:
+            out = step(st, params, 1e-3, first)
+        assert counts == evaluations(3, inverse, forward, projections=7)
         assert_bits_equal(out.u.comps, fresh.u.comps)
         assert_bits_equal(out.tau.comps, fresh.tau.comps)
 
     @pytest.mark.parametrize("d, n, inverse, forward",
                              [(2, 16, 15, 5), (3, 8, 36, 9)])
-    def test_explicit_rhs_after_budget_recomputes(
-            self, fft_components, d, n, inverse, forward):
+    def test_explicit_rhs_after_budget_recomputes(self, monkeypatch, d, n,
+                                                  inverse, forward):
         """energy_budget leaves nothing behind: explicit_rhs and the step
-        after it evaluate the tendency afresh, the step four times."""
+        after it evaluate the tendency afresh, the step four times.  The
+        package's tally pins the work of a record, an evaluation and a
+        step without a record, and none of them makes a complex n-d
+        transform (a patch, as the tally counts the package's passes)."""
+        def complex_transform(*args, **kwargs):
+            raise AssertionError("complex fftn/ifftn called on real fields")
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, complex_transform)
         st = random_state(Grid(d, n), seed=96, scale=0.5)
         params = ModelParams(eta=1.0, beta=0.5, b=-0.4)
         fresh = explicit_rhs(st, params)
         fresh_step = step(st, params, 1e-3)
-        fft_components[:] = [0, 0]
-        energy_budget(st, params)
+        with counting() as counts:
+            energy_budget(st, params)
         # one kernel pass plus the forward transform of the Q triangle
-        assert fft_components == [inverse, forward + len(st.tau.pairs)]
+        assert counts == evaluations(
+            1, inverse, forward, forward_calls=2, scans=2, records=1,
+            forward_components=forward + len(st.tau.pairs))
         assert set(vars(st)) == {"u", "tau", "t"}
-        fft_components[:] = [0, 0]
-        du, dtau = explicit_rhs(st, params)
-        assert fft_components == [inverse, forward]
+        with counting() as counts:
+            du, dtau = explicit_rhs(st, params)
+        assert counts == evaluations(1, inverse, forward, scans=2)
         assert_bits_equal(du.comps, fresh[0].comps)
         assert_bits_equal(dtau.comps, fresh[1].comps)
-        fft_components[:] = [0, 0]
-        out = step(st, params, 1e-3)
-        assert fft_components == [4 * inverse, 4 * forward]
+        with counting() as counts:
+            out = step(st, params, 1e-3)
+        # three stage inputs and the result projected, and u and tau
+        # scanned once, where the first stage enters
+        assert counts == evaluations(4, inverse, forward, projections=8,
+                                     scans=2)
         assert_bits_equal(out.u.comps, fresh_step.u.comps)
         assert_bits_equal(out.tau.comps, fresh_step.tau.comps)
-
-    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
-    def test_step_makes_no_complex_transforms(self, fft_components, d, n):
-        st = random_state(Grid(d, n), seed=98, scale=0.5)
-        fft_components[:] = [0, 0]
-        step(st, ModelParams(eta=1.0, beta=0.5, b=0.5), 1e-3)
-        # four stages, nothing but half-spectrum transforms
-        inverse, forward = (15, 5) if d == 2 else (36, 9)
-        assert fft_components == [4 * inverse, 4 * forward]
 
     def test_q_work_matches_q_bilinear(self):
         """q_work = <mask F(Q), tau> = -<dtau, tau> with only Q on, up to
@@ -598,18 +590,13 @@ class TestBatchedKernel:
         table, u, tau = self.compact_state(d, n, band)
         assert table.boxed == (band[1] < table.grid.dealias_cutoff)
         ref = _explicit_terms(u, tau, table, self.PARAMS, record)
-        inverse, calls = obflow.model._unchecked_inverse, []
-
-        def counting(coeffs, *args, **kwargs):
-            calls.append(len(coeffs))
-            return inverse(coeffs, *args, **kwargs)
-
         monkeypatch.setattr(obflow.model, "_STACK_BYTES", 1)
-        monkeypatch.setattr(obflow.model, "_unchecked_inverse", counting)
-        got = _explicit_terms(u, tau, table, self.PARAMS, record)
+        with counting() as counts:
+            got = _explicit_terms(u, tau, table, self.PARAMS, record)
         m = len(SYM_PAIRS[d])
         # u's values, each row of grad u, tau's values, each row of grad tau
-        assert calls == [d] * (1 + d) + [m] + [d] * m
+        assert counts["inverse_calls"] == 1 + d + 1 + m
+        assert counts["inverse_components"] == d + d * d + m + m * d
         assert got[3] == ref[3]
         for g, r in zip(got[:3] + got[4:], ref[:3] + ref[4:]):
             assert (g is None) == (r is None)
@@ -624,7 +611,7 @@ class TestBatchedKernel:
         (52; 48 here)."""
         table, u, tau = self.compact_state(d, n, (1, 4))
         assert table.boxed
-        made = []
+        made = []  # numpy's calls, which the tally does not see
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, lambda *a, _fn=getattr(
                 np.fft, name), **k: made.append(1) or _fn(*a, **k))
@@ -661,43 +648,6 @@ class TestBatchedKernel:
                 assert not np.shares_memory(array, raw)
 
 
-@pytest.fixture
-def transforms(monkeypatch):
-    """Records ("inverse" | "forward", components, leading size) per call of
-    spectral._unchecked_inverse and spectral._forward, wherever they are
-    looked up, and counts the kernel evaluations under "kernel"."""
-    calls = []
-
-    def counting(kind, fn, grid_ndim):
-        def wrapper(a, *args, **kwargs):
-            d = grid_ndim(a, *args)
-            lead = a.shape[:a.ndim - d]
-            calls.append((kind, math.prod(lead), lead[0] if lead else 1))
-            return fn(a, *args, **kwargs)
-        return wrapper
-
-    inverse = counting("inverse", obflow.spectral._unchecked_inverse,
-                       lambda a, table, *rest: table.grid.d)
-    forward = counting("forward", obflow.spectral._forward,
-                       lambda a, grid, *rest: grid.d)
-    for module in (obflow.spectral, obflow.model):
-        monkeypatch.setattr(module, "_unchecked_inverse", inverse)
-        monkeypatch.setattr(module, "_forward", forward)
-    kernel = obflow.model._explicit_terms
-
-    def counting_kernel(*args, **kwargs):
-        calls.append(("kernel", 0, 0))
-        return kernel(*args, **kwargs)
-
-    for module in (obflow.model, obflow.stepping):
-        monkeypatch.setattr(module, "_explicit_terms", counting_kernel)
-    return calls
-
-
-def tally(calls, kind):
-    return sum(c for k, c, _ in calls if k == kind)
-
-
 class TestRecordPass:
     """A record (DiagnosticsCollector.observe) runs one pass: one kernel
     evaluation, tau inverted once for Q and the eigenvalue floor."""
@@ -705,28 +655,26 @@ class TestRecordPass:
     @pytest.mark.parametrize("d, n, inverse, forward",
                              [(2, 16, 15, 8), (3, 8, 36, 15)])
     @pytest.mark.parametrize("q_term", [True, False])
-    def test_transform_components_per_record(self, transforms, d, n,
-                                             inverse, forward, q_term):
+    def test_transform_components_per_record(self, d, n, inverse, forward,
+                                             q_term):
         st = random_state(Grid(d, n), seed=99, scale=0.5)
         params = ModelParams(eta=1.0, beta=0.5, nu=0.1, a=0.1, b=0.5,
                              toggles=TermToggles(q_term=q_term))
         coll = DiagnosticsCollector(params, DiagnosticParams(), st.grid)
-        transforms.clear()
-        first = coll.observe(st)
+        with counting() as counts:
+            first = coll.observe(st)
         m = len(SYM_PAIRS[d])
         # without Q the kernel transforms no Q triangle; either way tau is
         # inverted once, in its stack, which the record reads
-        assert tally(transforms, "inverse") == inverse
-        assert tally(transforms, "forward") == forward - (0 if q_term else m)
-        assert [k for k, _, _ in transforms].count("kernel") == 1
-        assert [lead for k, _, lead in transforms
-                if k == "inverse"] == [d + d * d, m + m * d]
+        assert counts == evaluations(
+            1, inverse, forward - (0 if q_term else m),
+            forward_calls=1 + q_term, scans=2, records=1)
         # the step from the record's Tendency evaluates three stages; one
         # without it evaluates four, as the record left nothing on the state
         for handed, kernels in ((first, 3), (None, 4)):
-            transforms.clear()
-            step(st, params, 1e-3, handed)
-            assert [k for k, _, _ in transforms].count("kernel") == kernels
+            with counting() as counts:
+                step(st, params, 1e-3, handed)
+            assert counts["evaluations"] == kernels
 
 
 class TestEnergyBudget:

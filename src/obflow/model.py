@@ -182,45 +182,18 @@ def _strain(u: np.ndarray, table: SupportTable) -> np.ndarray:
     return comps
 
 
-# The byte budget of an inverse: one call of a source stack fills at most
-# this much half-layout work buffer, but always takes one whole group.
-# Both stacks of a 2D n=64 evaluation fit in one call each (tau's takes 304
-# KB); from 2D n=128, and at 3D n=32, each call takes one group, as whole
-# stacks there cost time and peak memory (ROADMAP item 8).
-_STACK_BYTES = 384 << 10
-
-
-def _buffer(table: SupportTable, name: str, shape: Tuple[int, ...],
-            dtype: type = np.float64) -> np.ndarray:
-    """The table's workspace buffer name if both of an evaluation's stacks
-    fit in one inverse, else a new array: on larger grids the kernel makes
-    its buffers per evaluation and drops them as its phases end, so that
-    its peak stays that of one group per call."""
-    d, n = table.grid.d, table.grid.n
-    tau_stack = 8 * d * (d + 1) ** 2 * n ** (d - 1) * (n // 2 + 1)
-    if tau_stack > _STACK_BYTES:
-        return np.empty(shape, dtype=dtype)
-    return table.workspace(name, shape, dtype)
-
-
 def _stack_chunks(table: SupportTable, m: int, values: bool,
                   derivatives: bool) -> List[Tuple[int, int]]:
     """The (start, stop) rows of each inverse of the stack of m components
-    that _invert_rows builds: the groups are the m values (if values) and
-    then each component's d derivatives (if derivatives), and each call
-    takes as many whole groups as _STACK_BYTES allows, at least one."""
+    that _invert_rows builds: the whole stack if table.batched, else one
+    group per call, the groups being the m values (if values) and then
+    each component's d derivatives (if derivatives)."""
     d = table.grid.d
     ends = [m] * values + [m * values + d * (c + 1)
                            for c in range(m * derivatives)]
-    rows = _STACK_BYTES // (16 * math.prod(table.grid.spectral_shape))
-    chunks, start = [], 0
-    for stop in ends:
-        if chunks and stop - chunks[-1][0] <= rows:
-            chunks[-1] = (chunks[-1][0], stop)
-        else:
-            chunks.append((start, stop))
-        start = stop
-    return chunks
+    if table.batched:
+        return [(0, ends[-1])]
+    return list(zip([0] + ends[:-1], ends))
 
 
 def _invert_rows(comps: np.ndarray, table: SupportTable, values: bool,
@@ -234,12 +207,12 @@ def _invert_rows(comps: np.ndarray, table: SupportTable, values: bool,
     source."""
     d = table.grid.d
     v = len(comps) if values else 0
-    work = _buffer(table, "work",
-                   (stop - start,) + table.grid.spectral_shape, np.complex128)
+    work = table.workspace("work", (stop - start,) + table.grid.spectral_shape,
+                           np.complex128)
     if stop == v:  # the values alone
         return _unchecked_inverse(comps, table, out=out, work=work)
-    stack = _buffer(table, "stack", (stop - start,) + table.shape,
-                    np.complex128)
+    stack = table.workspace("stack", (stop - start,) + table.shape,
+                            np.complex128)
     if start < v:
         stack[:v] = comps
     first, last = (max(start, v) - v) // d, (stop - v) // d
@@ -350,15 +323,15 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
     nonlinear terms u.grad u, u.grad tau and Q are built.
 
     Two source stacks are inverted where a term (or the record) reads them:
-    [u, grad u] and [tau, grad tau], in as few calls as _STACK_BYTES allows
-    (_stack_chunks), each built with one broadcast product.  tau's own
-    samples come first and give Q in its product rows, before a later
-    chunk overwrites them; each chunk of grad tau is contracted with u and
-    added into its rows of u.grad tau + Q at once.
+    [u, grad u] and [tau, grad tau], each built with one broadcast
+    product, whole or a group per call as table.batched says (_stack_chunks).
+    tau's own samples come first and give Q in its product rows, before a
+    later chunk overwrites them; each chunk of grad tau is contracted with
+    u and added into its rows of u.grad tau + Q at once.
     u.grad u and u.grad tau + Q are transformed in one dealiased forward
     transform, which passes only over the lines the 2/3 rule keeps and
     gathers the 2/3 box.  The samples, the products and the work buffers
-    are the table's workspace (_buffer), which every evaluation reuses;
+    are the table's workspace, which every evaluation reuses if batched;
     du, dtau, the Q triangle and tau's samples are new arrays.  Every
     inverse is unchecked, as a state is checked where it enters
     (_evaluate).  Every spectral product, the projection and the inverse
@@ -371,14 +344,14 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
     tg = params.toggles
     invert_u, invert_tau = _inverts(tg, record)
     stress = tg.advection_tau or tg.q_term  # u.grad tau + Q
-    products = _buffer(table, "products",
-                        (d * tg.advection_u + m * stress,) + grid.shape)
+    products = table.workspace(
+        "products", (d * tg.advection_u + m * stress,) + grid.shape)
     nl = products[len(products) - m:]
 
     u_max = None
     if invert_u:
         grad = tg.advection_u or tg.q_term
-        u_stack = _buffer(table, "u", (d + d * d * grad,) + grid.shape)
+        u_stack = table.workspace("u", (d + d * d * grad,) + grid.shape)
         for start, stop in _stack_chunks(table, d, True, grad):
             _invert_rows(u, table, True, start, stop, u_stack[start:stop])
         u_phys = u_stack[:d]
@@ -395,7 +368,7 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
         chunks = _stack_chunks(table, m, values, tg.advection_tau)
         rows = max((stop - start for start, stop in chunks
                     if not (record and stop == v)), default=0)
-        samples = _buffer(table, "tau", (rows,) + grid.shape)
+        samples = table.workspace("tau", (rows,) + grid.shape)
         for start, stop in chunks:
             # what leaves the kernel is new: a record's samples of tau,
             # inverted alone or copied before later chunks overwrite them,
@@ -411,7 +384,7 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                 q = _q_triangle_physical(
                     tau_phys, grad_u, params.b,
                     np.empty_like(tau_phys) if record else nl,
-                    _buffer(table, "work", (3,) + grid.shape))
+                    table.workspace("work", (3,) + grid.shape))
                 if record:
                     q_tri = q
                     nl[...] = q
@@ -421,7 +394,7 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                 first, last = (max(start, v) - v) // d, (stop - v) // d
                 adv = nl[first:last]
                 if tg.q_term:
-                    adv = _buffer(table, "work", adv.shape)
+                    adv = table.workspace("work", adv.shape)
                 np.einsum("j...,mj...->m...", u_phys,
                           part[max(start, v) - start:].reshape(
                               (last - first, d) + grid.shape), out=adv)
@@ -433,9 +406,8 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
 
     if len(products):
         # the work buffer is free once the products are built
-        coeffs = _forward(products, grid, dealiased=True, work=_buffer(
-            table, "work", products.shape[:1] + grid.spectral_shape,
-            np.complex128))
+        coeffs = _forward(products, grid, dealiased=True, work=table.workspace(
+            "work", products.shape[:1] + grid.spectral_shape, np.complex128))
         if not table.boxed:
             coeffs = grid.support_table(True).scatter(coeffs)
     du = np.zeros((d,) + table.shape, dtype=np.complex128)

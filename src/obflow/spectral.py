@@ -52,6 +52,8 @@ Conventions used throughout the package:
   compact layout (Grid holds geometry only).  Derivative multipliers
   i*k~_j zero every Nyquist entry of k, so that odd multipliers map real
   fields to real fields.
+- SupportTable.batched, from the grid alone, is the kernel's inversion
+  plan: each stack whole in the table's workspace, or a group per call.
 - The Leray projector reads the derivative's k~ and |k~|^2: it is the
   orthogonal projector onto the kernel of divergence, even in k, and
   leaves the slots with k~ = 0 (k = 0 among them) untouched.
@@ -243,9 +245,9 @@ class SupportTable:
     sum_j k~_j^2 and per exponent the Sobolev weights and fractional
     multipliers.  The Leray projector reads k~ (leray_wavenumbers, a dense
     complex128 stack, as numpy would cast real rows in every product) and
-    sum_j k~_j^2 (leray_divisor, 1 where it is 0).  A table also holds a
-    workspace: named buffers that the kernel reuses from one evaluation to
-    the next.
+    sum_j k~_j^2 (leray_divisor, 1 where it is 0).  batched decides the
+    kernel's inversion plan, and so whether its workspace buffers are
+    shared from one evaluation to the next.
     """
 
     def __init__(self, grid: Grid, boxed: bool):
@@ -330,12 +332,26 @@ class SupportTable:
             out[h] = compact[c]
         return out
 
+    # tau's stack takes 304 KB at 2D n=64; from 2D n=96, and at 3D n=16,
+    # whole stacks cost time and peak memory (ROADMAP item 8)
+    _BATCH_BYTES = 384 << 10
+
+    @cached_property
+    def batched(self) -> bool:
+        """Whether tau's stack, m (d + 1) half-layout rows of 16 B, fits
+        _BATCH_BYTES: the kernel then inverts each stack in one call."""
+        rows = len(SYM_PAIRS[self.grid.d]) * (self.grid.d + 1)
+        nbytes = 16 * rows * math.prod(self.grid.spectral_shape)
+        return nbytes <= self._BATCH_BYTES
+
     def workspace(self, name: str, shape: Tuple[int, ...],
-                  dtype: type) -> np.ndarray:
+                  dtype: type = np.float64) -> np.ndarray:
         """A buffer of shape and dtype on bytes that every call with the
         same name shares, and that grow when a call needs more: one
-        evaluation's work, which the next call overwrites.  The views
-        are cached until their name's bytes grow."""
+        evaluation's work, which the next call overwrites; a new array
+        unless batched.  The views are cached until their name's bytes grow."""
+        if not self.batched:
+            return np.empty(shape, dtype=dtype)
         view = self._views.get((name, shape, dtype))
         if view is None:
             nbytes = math.prod(shape) * np.dtype(dtype).itemsize

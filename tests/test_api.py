@@ -36,6 +36,8 @@ REMOVED = [
     (obflow.model, "_take_handoff"),
     (obflow.model, "_half_layout_terms"),
     (obflow.model, "_gradient_physical"),
+    (obflow.model, "_buffer"),
+    (obflow.model, "_STACK_BYTES"),
     (obflow.model.FlowState, "_handoff"),
     (obflow.model.ModelParams, "nu_eff"),
     (obflow.model.ModelParams, "a_eff"),

@@ -277,6 +277,93 @@ class TestLyapunovEquivalence:
             assert 0.25 * rec.E <= rec.L <= 1.75 * rec.E
 
 
+class TestLyapunovDecay:
+    """Where beta >= 1/2 enters the decay of L, mode by mode: on the span
+    of the 2D transverse mode u = (0, cos K x0) and tau_01 = sin K x0,
+    under the linear waves (eta = 1, kc = 0.1, b = 0.5), the largest
+    ratio (dL/dt) / D, with D = eta diss_tau + (kc/2) diss_u the integrand
+    of E, is the largest generalized eigenvalue of their 2x2 forms."""
+
+    KC = DiagnosticParams().k_cross
+
+    @staticmethod
+    def basis(n, k):
+        """The u-mode and the tau-mode, each a state of its own."""
+        g = Grid(2, n)
+        x0 = g.coordinates()[0]
+        u, tau = np.zeros((2,) + g.shape), np.zeros((3,) + g.shape)
+        u[1] = np.cos(k * x0)
+        only_u = FlowState(VectorField.from_physical(g, u),
+                           TensorField.zeros(g))
+        tau[1] = np.sin(k * x0)
+        only_tau = FlowState(VectorField.zeros(g),
+                             TensorField.from_physical(g, tau))
+        return only_u, only_tau
+
+    def lyapunov_form(self, x, y, beta, s):
+        """L as a symmetric bilinear form of the pairs (u, tau) x and y:
+        L(x, x) is the record's L."""
+        (u1, t1), (u2, t2) = x, y
+        return (sobolev_inner_product(u1, u2, s)
+                + sobolev_inner_product(t1, t2, s)
+                + self.KC * (
+                    sobolev_inner_product(u1, divergence(t2), s - beta)
+                    + sobolev_inner_product(u2, divergence(t1), s - beta)))
+
+    def dissipation_form(self, x, y, beta, s):
+        """D as a symmetric bilinear form: D(x, x) is the record's
+        eta diss_tau + (kc/2) diss_u at eta = 1."""
+        (u1, t1), (u2, t2) = x, y
+        return (sobolev_inner_product(fractional_laplacian(t1, beta), t2, s)
+                + 0.5 * self.KC * sobolev_inner_product(
+                    fractional_laplacian(u1, 1.0), u2, s - beta))
+
+    def worst_rates(self, n, beta):
+        """Per K = 1 .. n/3, the largest (dL/dt) / D over the span, dL/dt
+        from the model's own rhs: x^T A x = 2 L(x, rhs(x))."""
+        params = ModelParams(eta=1.0, beta=beta, b=0.5,
+                             toggles=TermToggles.linear_waves())
+        s, out = obflow.model.default_sobolev_index(2), []
+        for k in range(1, n // 3 + 1):
+            states = self.basis(n, k)
+            pairs = [(st.u, st.tau) for st in states]
+            moved = [rhs(st, params) for st in states]
+            a = np.array([[self.lyapunov_form(x, y, beta, s) for y in moved]
+                          for x in pairs])
+            a += a.T
+            b = np.array([[self.dissipation_form(x, y, beta, s)
+                           for y in pairs] for x in pairs])
+            assert b[0, 1] == b[1, 0] == 0.0  # D splits u from tau
+            scale = 1.0 / np.sqrt(np.diag(b))
+            out.append(float(np.linalg.eigvalsh(
+                a * np.outer(scale, scale)).max()))
+        return out
+
+    def test_forms_are_the_records(self):
+        """On one state of the span, the forms give the record's L and E
+        integrand."""
+        beta, s = 0.5, obflow.model.default_sobolev_index(2)
+        only_u, only_tau = self.basis(32, 5)
+        x = (only_u.u, only_tau.tau.with_comps(0.3 * only_tau.tau.comps))
+        rec, _ = collect_one(FlowState(*x), ModelParams(beta=beta, b=0.5))
+        assert self.lyapunov_form(x, x, beta, s) == pytest.approx(
+            rec.L, rel=1e-12)
+        assert self.dissipation_form(x, x, beta, s) == pytest.approx(
+            rec.diss_tau + 0.5 * self.KC * rec.diss_u, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75, 1.0])
+    def test_decays_uniformly_in_k_from_beta_one_half(self, beta):
+        """The ratio of 2 kc ||div tau||^2_{s-beta} to 2 eta ||L^beta
+        tau||^2_s carries K^(2 - 4 beta).  For beta in {1/2, 3/4, 1} the
+        largest rate stays at or below -1.5 for every K <= 42 (n = 128;
+        -1.70 to -1.63 at beta = 1/2); at beta = 1/4 it turns positive at
+        a mode that n = 64 keeps (from K = 20; +0.145 at K = 21)."""
+        if beta < 0.5:
+            assert max(self.worst_rates(64, beta)) > 0.0
+        else:
+            assert max(self.worst_rates(128, beta)) <= -1.5
+
+
 class TestPureDecayRun:
     def drift(self, dt):
         g = Grid(2, 16)

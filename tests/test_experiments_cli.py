@@ -21,6 +21,7 @@ from obflow.experiments import (
     sweep_viscosity,
 )
 from obflow.linear import decay_envelope, dispersion_csv
+from obflow.model import make_initial_data
 
 SMALL_RUN = {
     "grid": {"d": 2, "n": 16},
@@ -83,17 +84,64 @@ class TestRunSingle:
         times = [r.t for r in result.records]
         assert times == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
 
-    def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run_single(cfg_of(SMALL_RUN), a)
-        run_single(cfg_of(SMALL_RUN), b)
-        assert (a / "diagnostics.csv").read_bytes() == \
-            (b / "diagnostics.csv").read_bytes()
-        assert (a / "summary.json").read_bytes() == \
-            (b / "summary.json").read_bytes()
-        for name in ("snap_00000000.obsf", "snap_00000030.obsf"):
-            assert (a / "snapshots" / name).read_bytes() == \
-                (b / "snapshots" / name).read_bytes()
+    # (config, box table, SupportTable.batched), each run with a record
+    # and a snapshot every step
+    RERUNS = {
+        "small-run": (SMALL_RUN, True, True),
+        # 3D data inside the 2/3 box (|k| <= 3 < n/3): the box table, and
+        # the largest 3D grid whose stacks are inverted whole
+        "3d-12-box": ({"grid": {"d": 3, "n": 12},
+                       "initial_data": {"band": [1, 3]},
+                       "stepper": {"t_end": 0.05}}, True, True),
+        # data outside it (|k| <= 8, kc = 6): the whole table in both
+        # dimensions; only the scan picks a table, as to_physical always
+        # inverts on the whole one
+        "2d-16-whole": ({"grid": {"n": 16}, "initial_data": {"band": [1, 8]},
+                         "stepper": {"t_end": 0.05}}, False, True),
+        "3d-16-whole": ({"grid": {"d": 3, "n": 16},
+                         "initial_data": {"band": [1, 8]},
+                         "stepper": {"t_end": 0.05}}, False, False),
+        # one group per call into new arrays; at 2D n=128 a record inverts
+        # tau's values alone
+        "3d-32-box": ({"grid": {"d": 3, "n": 32},
+                       "stepper": {"dt": 0.01, "t_end": 0.03}}, True, False),
+        "2d-128-box": ({"grid": {"n": 128},
+                        "stepper": {"dt": 0.005, "t_end": 0.015}},
+                       True, False),
+        # advection and Q off: no kernel evaluation inverts u, so each
+        # step's CFL bound falls back to cfl_dt's own inverse
+        "linear-auto-dt": ({"grid": {"n": 16},
+                            "stepper": {"dt": "auto", "t_end": 0.05},
+                            "model": {"toggles": {"advection_u": False,
+                                                  "advection_tau": False,
+                                                  "q_term": False}}},
+                           True, True),
+    }
+
+    @pytest.mark.parametrize("name", RERUNS)
+    def test_byte_identical_reruns(self, tmp_path, name):
+        """Two runs of one config through the command line write the same
+        tree, byte for byte, on either table and either inversion plan."""
+        raw, boxed, batched = self.RERUNS[name]
+        raw = dict(raw, diagnostics={"cadence_steps": 1},
+                   output={"snapshot_cadence_steps": 1})
+        cfg = cfg_of(raw)
+        table = obflow.model._state_table(make_initial_data(
+            cfg.grid, s=cfg.diagnostics.resolve_s(cfg.grid),
+            **dataclasses.asdict(cfg.initial_data)))
+        assert (table.boxed, table.batched) == (boxed, batched)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        trees = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["run", "--config", str(path),
+                         "--output", str(out)]) == 0
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert trees[0] == trees[1]
+        assert {"config.json", "diagnostics.csv", "summary.json"} <= {
+            str(p) for p in trees[0]}
 
     def test_blow_up_recorded_not_raised(self, tmp_path):
         out = tmp_path / "boom"

@@ -568,9 +568,10 @@ class TestFusedKernel:
 
 
 class TestBatchedKernel:
-    """The kernel inverts each source stack in as few calls as
-    _STACK_BYTES allows, transforms its products forward once, and works
-    in its table's workspace; none of it shows in the values."""
+    """The kernel inverts each source stack whole in its table's workspace
+    (SupportTable.batched), or one group per call into new arrays, and
+    transforms its products forward once; none of it shows in the
+    values."""
 
     PARAMS = ModelParams(eta=1.0, beta=0.5, b=0.5)
 
@@ -585,12 +586,13 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("record", [False, True])
     def test_one_group_per_call_is_invisible(self, monkeypatch, d, n, band,
                                              record):
-        """With the budget at one group per call, on either table, every
-        output is that of one call per stack, bit for bit."""
+        """With the predicate flipped to one group per call, on either
+        table, every output is that of one call per stack, bit for bit."""
         table, u, tau = self.compact_state(d, n, band)
         assert table.boxed == (band[1] < table.grid.dealias_cutoff)
         ref = _explicit_terms(u, tau, table, self.PARAMS, record)
-        monkeypatch.setattr(obflow.model, "_STACK_BYTES", 1)
+        assert table.batched
+        monkeypatch.setattr(table, "batched", False)
         with counting() as counts:
             got = _explicit_terms(u, tau, table, self.PARAMS, record)
         m = len(SYM_PAIRS[d])
@@ -603,20 +605,27 @@ class TestBatchedKernel:
             if r is not None:
                 assert_bits_equal(g, r)
 
-    @pytest.mark.parametrize("d, n, calls", [(2, 64, 6), (3, 32, 52)])
-    def test_numpy_fft_calls_per_evaluation(self, monkeypatch, d, n, calls):
-        """2D n=64 on the box table: one inverse of each stack and one
-        forward, two numpy.fft calls each.  3D n=32 takes one group per
-        call, and no more calls than one component's gradient per call did
-        (52; 48 here)."""
+    @pytest.mark.parametrize("d, n, batched, calls", [
+        pytest.param(2, 64, True, 6, id="2-64-6"),
+        pytest.param(2, 128, False, 16, id="2-128-16"),
+        pytest.param(3, 32, False, 48, id="3-32-48"),
+        pytest.param(3, 16, False, 48, id="3-16-48")])
+    def test_numpy_fft_calls_per_evaluation(self, monkeypatch, d, n, batched,
+                                            calls):
+        """On the box table, 2D n=64 makes one inverse of each stack and
+        one forward, two numpy.fft calls each.  The larger grids take one
+        group per call: u's values and each row of grad u, tau's values and
+        each row of grad tau (7 inverses of 2 calls in 2D, 11 of 4 in 3D),
+        and one forward (2 calls, 4 in 3D)."""
         table, u, tau = self.compact_state(d, n, (1, 4))
         assert table.boxed
+        assert table.batched == batched
         made = []  # numpy's calls, which the tally does not see
         for name in ("fft", "ifft", "rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, lambda *a, _fn=getattr(
                 np.fft, name), **k: made.append(1) or _fn(*a, **k))
         _explicit_terms(u, tau, table, self.PARAMS)
-        assert len(made) == calls if d == 2 else len(made) <= calls
+        assert len(made) == calls
 
     def test_a_warm_evaluation_allocates_no_stack(self):
         """Once one evaluation has filled the workspace, the next reuses

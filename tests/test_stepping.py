@@ -253,15 +253,17 @@ class TestWorkingSet:
     # Peak of one step above its entry, in complex components of the half
     # layout, at b = 0.5 with every term on, bounded at most 5% above its
     # measure.  A step on the box table measures 16.5 (2D n=32, where the
-    # kernel reuses its table's workspace) and 56.3 (3D n=16, where it
-    # makes its buffers per evaluation), one on the whole table, from a
-    # band past kc, 33.3 (2D n=32); before the kernel's batched stacks,
-    # 27.0, 42.4 and 35.6.  A step on the half layout throughout measured
-    # 35.8 and 61.5, and before that, with stage tendencies kept past their
-    # last use and the grad u stack built whole, 57.5 and 101.
+    # kernel inverts each stack whole in its table's workspace) and 42.1
+    # (3D n=16, where it inverts one group per call into new arrays), one
+    # on the whole table, from a band past kc, 33.3 (2D n=32).  With groups
+    # packed into a byte budget, 3D n=16 measured 56.3; before the kernel's
+    # batched stacks, 27.0, 42.4 and 35.6.  A step on the half layout
+    # throughout measured 35.8 and 61.5, and before that, with stage
+    # tendencies kept past their last use and the grad u stack built whole,
+    # 57.5 and 101.
     @pytest.mark.parametrize("d, n, bound, band", [
         pytest.param(2, 32, 17.3, (1, 4), id="2-32-17.3"),
-        pytest.param(3, 16, 59.0, (1, 4), id="3-16-59.0"),
+        pytest.param(3, 16, 44.2, (1, 4), id="3-16-44.2"),
         pytest.param(2, 32, 35.0, (1, 12), id="whole-2-32-35.0")])
     def test_step_peak_in_components(self, d, n, bound, band):
         grid = Grid(d, n)

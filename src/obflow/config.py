@@ -22,7 +22,9 @@ below the embedding index) are collected as warnings and the run proceeds.
     {
       "grid":         {"d": 2, "n": 64},
       "model":        {"eta": 1.0, "beta": 1.0, "nu": 0.0, "alpha": 1.0,
-                       "b": 0.0, "a": 0.0, "toggles": {...}},
+                       "b": 0.0, "a": 0.0,
+                       "toggles": {"advection": true, "q_term": true,
+                                   "coupling": true, "eta_dissipation": true}},
       "stepper":      {"dt": "auto", "t_end": 1.0, "cfl_advective": 0.4,
                        "cfl_wave": 0.4, "dt_cap": 0.01},
       "diagnostics":  {"s": null, "k_cross": 0.1, "cadence_steps": 10},

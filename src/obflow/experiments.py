@@ -167,11 +167,10 @@ def linear_verify(cfg: RunConfig,
     cadence and compared with the closed-form solution propagated from the
     initial amplitudes.  The closed form uses nu, a and the effective
     stress dissipation (linear.mode_coefficients), so it describes the
-    toggled system; both coupling toggles must be on.  With
-    the nonlinear terms toggled off the deviation
-    is pure integrator error and is gated at ORACLE_TOL; with full physics
-    at small amplitude the deviation is quadratic in epsilon, which the
-    reported ratios expose.
+    toggled system; the coupling toggle must be on.  With advection and Q
+    off (linear_toggles) the deviation is pure integrator error and is
+    gated at ORACLE_TOL; with full physics at small amplitude it is
+    quadratic in epsilon, which the reported ratios expose.
     """
     if cfg.initial_data.recipe != "single-mode":
         raise ConfigError(["linear-verify requires initial_data.recipe "
@@ -208,8 +207,7 @@ def linear_verify(cfg: RunConfig,
         devs.append(dev)
     max_dev = max(devs)
     eps = cfg.initial_data.epsilon
-    tg = params.toggles
-    linear_toggles = not (tg.advection_u or tg.advection_tau or tg.q_term)
+    linear_toggles = not params.toggles.nonlinear
     checks: Dict[str, bool] = {}
     if linear_toggles:
         checks["oracle_agreement"] = max_dev < ORACLE_TOL

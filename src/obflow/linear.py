@@ -47,14 +47,12 @@ def mode_coefficients(params: ModelParams) -> dict:
     """Keyword arguments of the per-mode functions for the system params runs.
 
     The stress dissipation enters with its effective value, zero when
-    eta_dissipation is off.  Without both coupling terms the mode pair
-    is no damped wave, so a coupling toggle that is off raises ConfigError.
+    eta_dissipation is off.  Without the coupling the mode pair is no
+    damped wave, so the coupling toggle off raises ConfigError.
     """
-    off = [name for name in ("stress_divergence", "strain_source")
-           if not getattr(params.toggles, name)]
-    if off:
-        raise ConfigError([f"model.toggles.{name} must be on for the linear "
-                           "mode solution" for name in off])
+    if not params.toggles.coupling:
+        raise ConfigError(["model.toggles.coupling must be on for the linear "
+                           "mode solution"])
     return {"eta": params.eta_eff, "beta": params.beta, "nu": params.nu,
             "alpha": params.alpha, "a": params.a}
 

@@ -10,7 +10,7 @@ symmetric and antisymmetric parts of G = grad u and b is in [-1, 1].  The
 gradient convention is G[i, j] = du_i/dx_j.
 
 Setting nu = 0 or a = 0 switches off the velocity dissipation or the
-damping; every other right-hand-side term has its own switch in TermToggles
+damping; every other right-hand-side term has one switch in TermToggles,
 so the pieces can be tested in isolation.  The momentum tendency is always
 returned inside the divergence-free subspace.
 """
@@ -59,25 +59,29 @@ class TermToggles:
 
     A term has a toggle only when no parameter value switches it off: nu = 0
     and a = 0 switch off nu (-Lap)^alpha u and a tau, while eta must be > 0.
+    Transport and the coupling are one toggle each, in both equations, so
+    every setting keeps energy_budget's identity.
     """
 
-    advection_u: bool = True        # u . grad u
-    advection_tau: bool = True      # u . grad tau
+    advection: bool = True          # u . grad u and u . grad tau
     q_term: bool = True             # Q(tau, grad u)
-    stress_divergence: bool = True  # div tau forcing the momentum equation
-    strain_source: bool = True      # D(u) forcing the stress equation
+    coupling: bool = True           # div tau in du/dt and D(u) in dtau/dt
     eta_dissipation: bool = True    # eta (-Lap)^beta tau
+
+    @property
+    def nonlinear(self) -> bool:
+        """Transport or Q: the terms that read u and grad u as samples."""
+        return self.advection or self.q_term
 
     @classmethod
     def linear_waves(cls) -> "TermToggles":
         """Only the coupled linear terms: the damped-wave test system."""
-        return cls(advection_u=False, advection_tau=False, q_term=False)
+        return cls(advection=False, q_term=False)
 
     @classmethod
     def dissipation_only(cls) -> "TermToggles":
         """Diagonal dissipation and damping only; no transport, no coupling."""
-        return cls(advection_u=False, advection_tau=False, q_term=False,
-                   stress_divergence=False, strain_source=False)
+        return cls(advection=False, q_term=False, coupling=False)
 
 
 @dataclass(frozen=True)
@@ -342,30 +346,27 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
     grid = table.grid
     d, m = grid.d, len(tau)
     tg = params.toggles
-    invert_u, invert_tau = _inverts(tg, record)
-    stress = tg.advection_tau or tg.q_term  # u.grad tau + Q
     products = table.workspace(
-        "products", (d * tg.advection_u + m * stress,) + grid.shape)
-    nl = products[len(products) - m:]
+        "products", (d * tg.advection + m * tg.nonlinear,) + grid.shape)
+    nl = products[len(products) - m:]  # u.grad tau + Q
 
     u_max = None
-    if invert_u:
-        grad = tg.advection_u or tg.q_term
-        u_stack = table.workspace("u", (d + d * d * grad,) + grid.shape)
-        for start, stop in _stack_chunks(table, d, True, grad):
+    if tg.nonlinear:
+        u_stack = table.workspace("u", (d + d * d,) + grid.shape)
+        for start, stop in _stack_chunks(table, d, True, True):
             _invert_rows(u, table, True, start, stop, u_stack[start:stop])
         u_phys = u_stack[:d]
         grad_u = u_stack[d:].reshape((-1, d) + grid.shape)
         if cfl:
             u_max = float(np.max(np.abs(u_phys)))
-    if tg.advection_u:
+    if tg.advection:
         np.einsum("j...,ij...->i...", u_phys, grad_u, out=products[:d])
 
     q_tri = tau_phys = None
-    if invert_tau:
+    if tg.nonlinear or record:
         values = tg.q_term or record
         v = m if values else 0
-        chunks = _stack_chunks(table, m, values, tg.advection_tau)
+        chunks = _stack_chunks(table, m, values, tg.advection)
         rows = max((stop - start for start, stop in chunks
                     if not (record and stop == v)), default=0)
         samples = table.workspace("tau", (rows,) + grid.shape)
@@ -388,7 +389,7 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                 if record:
                     q_tri = q
                     nl[...] = q
-            if tg.advection_tau and stop > v:
+            if tg.advection and stop > v:
                 # u.grad tau, added to Q where Q is on: the sum of the two
                 # is exact in either order
                 first, last = (max(start, v) - v) // d, (stop - v) // d
@@ -411,24 +412,17 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
         if not table.boxed:
             coeffs = grid.support_table(True).scatter(coeffs)
     du = np.zeros((d,) + table.shape, dtype=np.complex128)
-    if tg.stress_divergence:
+    if tg.coupling:
         du += _tensor_divergence(tau, table)
-    if tg.advection_u:
+    if tg.advection:
         du -= coeffs[:d]
     du = _leray(du, table)
     dtau = np.zeros_like(tau)
-    if tg.strain_source:
+    if tg.coupling:
         dtau += _strain(u, table)
-    if stress:
+    if tg.nonlinear:
         dtau -= coeffs[len(coeffs) - m:]
     return du, dtau, q_tri, u_max, tau_phys if record else None
-
-
-def _inverts(tg: TermToggles, record: bool = False) -> Tuple[bool, bool]:
-    """Whether (u, tau) are inverted under tg: u by any nonlinear term of
-    the kernel, tau by u.grad tau or Q, and by every record."""
-    tau = tg.advection_tau or tg.q_term
-    return tg.advection_u or tau, tau or record
 
 
 def _evaluate(state: FlowState, params: ModelParams, record: bool = False,
@@ -437,11 +431,12 @@ def _evaluate(state: FlowState, params: ModelParams, record: bool = False,
     _record_pass: (its Tendency on _state_table's table, which carries u
     and tau as gathered here, and, if record, tau's samples and the Q
     triangle).  u and tau are checked for Hermitian symmetry where a term
-    inverts them, tau always in a record, which inverts it once, for the
-    kernel's Q and its caller."""
+    inverts them (both if the toggles are nonlinear), tau always in a
+    record, which inverts it once, for the kernel's Q and its caller."""
     table = _state_table(state)
     u, tau = table.gather(state.u.comps), table.gather(state.tau.comps)
-    for source, inverted in zip((u, tau), _inverts(params.toggles, record)):
+    nonlinear = params.toggles.nonlinear
+    for source, inverted in zip((u, tau), (nonlinear, nonlinear or record)):
         if inverted:
             _check_hermitian(source, table)
     du, dtau, q_tri, u_max, tau_phys = _explicit_terms(u, tau, table,
@@ -554,8 +549,10 @@ def energy_budget(state: FlowState, params: ModelParams) -> dict:
         <u, du/dt> + <tau, dtau/dt> + eta ||L^beta tau||^2
             + nu ||L^alpha u||^2 + a ||tau||^2 + <Q, tau> = 0,
 
-    which holds whenever the two coupling terms are toggled together (their
-    works cancel exactly) and advection is either off or dealiased.
+    which holds under every toggle setting on a state zero outside the 2/3
+    box: the coupling works <div tau, u> and <D(u), tau> cancel exactly.
+    On a whole-table state advection breaks it, as the modes outside the
+    box pair with the dealiased transport.
 
     It runs a record's pass (_record_pass): 15 inverse and 8 forward
     components in 2D (36 and 15 in 3D; tests/test_model.py::TestFusedKernel).

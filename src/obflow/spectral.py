@@ -619,11 +619,8 @@ Field = Union[SpectralField, VectorField, TensorField]
 
 def gradient(f: SpectralField) -> VectorField:
     """Spectral gradient; Nyquist modes of each derivative are zeroed."""
-    table = f.grid.support_table(False)
-    out = np.empty((f.grid.d,) + table.shape, dtype=np.complex128)
-    for axis, ik in enumerate(table.derivative_multipliers):
-        out[axis] = ik * f.comps
-    return VectorField(f.grid, out)
+    return VectorField(f.grid, f.comps[None]
+                       * f.grid.support_table(False).derivative_multipliers)
 
 
 def divergence(field: Union[VectorField, TensorField]) -> Union[SpectralField, VectorField]:
@@ -634,10 +631,8 @@ def divergence(field: Union[VectorField, TensorField]) -> Union[SpectralField, V
     grid = field.grid
     table = grid.support_table(False)
     if isinstance(field, VectorField):
-        out = np.zeros(grid.spectral_shape, dtype=np.complex128)
-        for j, ik in enumerate(table.derivative_multipliers):
-            out += ik * field.comps[j]
-        return SpectralField(grid, out)
+        return SpectralField(grid, np.sum(
+            table.derivative_multipliers * field.comps, axis=0, initial=0.0))
     if isinstance(field, TensorField):
         return VectorField(grid, _tensor_divergence(field.comps, table))
     raise TypeError(f"divergence expects a vector or tensor field, got {type(field)}")

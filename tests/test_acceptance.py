@@ -28,7 +28,6 @@ from obflow.experiments import (
 )
 from obflow.linear import linear_mode_solution
 from obflow.model import (
-    FlowState,
     ModelParams,
     TermToggles,
     energy_budget,
@@ -37,15 +36,14 @@ from obflow.model import (
 from obflow.spectral import (
     Grid,
     SpectralField,
-    TensorField,
-    VectorField,
-    dealias,
     divergence,
     gradient,
     l2_norm,
     leray_project,
 )
 from obflow.stepping import StepperConfig, integrate
+
+from states import random_state
 
 
 @pytest.fixture
@@ -57,19 +55,6 @@ def accept(request):
         print(line)
         assert passed, line
     return record
-
-
-def random_state(grid, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    u = leray_project(dealias(VectorField(grid, np.stack([
-        SpectralField.from_physical(
-            grid, scale * rng.standard_normal(grid.shape)).comps
-        for _ in range(grid.d)]))))
-    tau = TensorField.zeros(grid)
-    for i in range(tau.comps.shape[0]):
-        tau.comps[i] = SpectralField.from_physical(
-            grid, scale * rng.standard_normal(grid.shape)).comps
-    return FlowState(u, dealias(tau))
 
 
 class TestAcceptance:
@@ -120,8 +105,7 @@ class TestAcceptance:
         raw = {
             "grid": {"d": 2, "n": 16},
             "model": {"eta": 2.0, "beta": 1.0,
-                      "toggles": {"advection_u": False,
-                                  "advection_tau": False, "q_term": False}},
+                      "toggles": {"advection": False, "q_term": False}},
             "stepper": {"dt": 1e-3, "t_end": 2.0},
             "diagnostics": {"cadence_steps": 200},
             "initial_data": {"recipe": "single-mode", "epsilon": 1e-2,

@@ -24,8 +24,10 @@ import obflow.stepping
 # Grid's descriptions of the 2/3 box and its half-layout multipliers and
 # weights (each spectral.SupportTable builds its own) and the hand-off
 # helpers and slot (a record's model.Tendency reaches the next step
-# through integrate) and the per-artifact writers (every file goes through
-# snapshots.atomic_write_text with json_text or csv_text).
+# through integrate), the per-artifact writers (every file goes through
+# snapshots.atomic_write_text with json_text or csv_text) and the one-sided
+# toggles and their inversion helper (transport and the coupling are one
+# toggle each, TermToggles.advection and TermToggles.coupling).
 REMOVED = [
     (obflow.diagnostics, "write_diagnostics_csv"),
     (obflow.experiments, "_json_text"),
@@ -38,11 +40,16 @@ REMOVED = [
     (obflow.model, "_gradient_physical"),
     (obflow.model, "_buffer"),
     (obflow.model, "_STACK_BYTES"),
+    (obflow.model, "_inverts"),
     (obflow.model.FlowState, "_handoff"),
     (obflow.model.ModelParams, "nu_eff"),
     (obflow.model.ModelParams, "a_eff"),
     (obflow.model.TermToggles, "nu_dissipation"),
     (obflow.model.TermToggles, "damping"),
+    (obflow.model.TermToggles, "advection_u"),
+    (obflow.model.TermToggles, "advection_tau"),
+    (obflow.model.TermToggles, "stress_divergence"),
+    (obflow.model.TermToggles, "strain_source"),
     (obflow.spectral, "forward_transform"),
     (obflow.spectral, "inverse_transform"),
     (obflow.spectral, "_data"),

@@ -31,30 +31,17 @@ from obflow.spectral import (
     SpectralField,
     TensorField,
     VectorField,
-    dealias,
     divergence,
     fractional_laplacian,
     gradient,
     l2_inner_product,
-    leray_project,
     sobolev_inner_product,
 )
 from obflow.stepping import StepperConfig, integrate
 
+from states import random_state
+
 TWO_PI = 2.0 * math.pi
-
-
-def random_state(grid, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    u = leray_project(dealias(VectorField(grid, np.stack([
-        SpectralField.from_physical(
-            grid, scale * rng.standard_normal(grid.shape)).comps
-        for _ in range(grid.d)]))))
-    tau = TensorField.zeros(grid)
-    for i in range(tau.comps.shape[0]):
-        tau.comps[i] = SpectralField.from_physical(
-            grid, scale * rng.standard_normal(grid.shape)).comps
-    return FlowState(u, dealias(tau))
 
 
 def collect_one(state, params, diag=None):
@@ -151,8 +138,7 @@ def half_layout_record(state, params, diag):
     q_work = 0.0
     if params.toggles.q_term:  # with only Q on, the stress tendency is -F(Q)
         _, q = explicit_rhs(state.copy(), ModelParams(b=params.b, toggles=(
-            TermToggles(advection_u=False, advection_tau=False,
-                        stress_divergence=False, strain_source=False))))
+            TermToggles(advection=False, coupling=False))))
         q_work = -l2_inner_product(q, tau)
     parts = (u_work, tau_work, params.eta_eff * diss_tau_l2,
              params.nu * visc_u_l2, params.a * l2_inner_product(tau, tau),

@@ -35,8 +35,7 @@ SMALL_RUN = {
 LINEAR_RUN = {
     "grid": {"d": 2, "n": 16},
     "model": {"eta": 2.0, "beta": 1.0,
-              "toggles": {"advection_u": False, "advection_tau": False,
-                          "q_term": False}},
+              "toggles": {"advection": False, "q_term": False}},
     "stepper": {"dt": 1e-3, "t_end": 1.0},
     "diagnostics": {"cadence_steps": 100},
     "initial_data": {"recipe": "single-mode", "epsilon": 0.01,
@@ -112,8 +111,7 @@ class TestRunSingle:
         # step's CFL bound falls back to cfl_dt's own inverse
         "linear-auto-dt": ({"grid": {"n": 16},
                             "stepper": {"dt": "auto", "t_end": 0.05},
-                            "model": {"toggles": {"advection_u": False,
-                                                  "advection_tau": False,
+                            "model": {"toggles": {"advection": False,
                                                   "q_term": False}}},
                            True, True),
     }
@@ -305,11 +303,10 @@ class TestLinearVerify:
         assert report.max_deviation < 1e-10
         assert report.checks == {"oracle_agreement": True}
 
-    @pytest.mark.parametrize("toggle", ["stress_divergence", "strain_source"])
-    def test_decoupled_system_is_rejected(self, toggle):
+    def test_decoupled_system_is_rejected(self):
         raw = json.loads(json.dumps(LINEAR_RUN))
-        raw["model"]["toggles"][toggle] = False
-        with pytest.raises(ConfigError, match=f"model.toggles.{toggle}"):
+        raw["model"]["toggles"]["coupling"] = False
+        with pytest.raises(ConfigError, match="model.toggles.coupling"):
             linear_verify(cfg_of(raw))
 
 
@@ -445,6 +442,20 @@ class TestCli:
                                                    command, key):
         """nu = 0 and a = 0 are the only off switches of their terms, so a
         toggle for either is a config error, not a sweep of equal runs."""
+        self.assert_unknown_toggle(tmp_path, capsys, command, key)
+
+    @pytest.mark.parametrize("key", ["advection_u", "advection_tau",
+                                     "stress_divergence", "strain_source"])
+    @pytest.mark.parametrize("command", ["check-config", "sweep-nu"])
+    def test_retired_one_sided_toggle_is_unknown(self, tmp_path, capsys,
+                                                 command, key):
+        """Transport and the coupling are one toggle each (advection,
+        coupling), so a switch for one equation's half is a config error."""
+        self.assert_unknown_toggle(tmp_path, capsys, command, key)
+
+    def assert_unknown_toggle(self, tmp_path, capsys, command, key):
+        """command with model.toggles.<key>=false exits 2, names the key
+        and makes no member directory."""
         path = self.write_config(tmp_path, SMALL_RUN)
         args = [command, "--config", str(path),
                 "--override", f"model.toggles.{key}=false"]
@@ -777,7 +788,7 @@ class TestCli:
         assert tables["eta_off"] != tables["plain"]
         assert main(["dispersion", "--config", str(path), "--output",
                      str(tmp_path / "x"), "--override",
-                     "model.toggles.strain_source=false"]) == 2
+                     "model.toggles.coupling=false"]) == 2
 
     def test_dispersion_writes_table(self, tmp_path):
         path = self.write_config(tmp_path, SMALL_RUN)

@@ -1,6 +1,8 @@
 """Model terms: Q bilinear form, advection, tendencies, energy budget."""
 
 import contextlib
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -49,23 +51,7 @@ from obflow.spectral import (
 )
 from obflow.stepping import StepperConfig, integrate, step
 
-
-def random_state(grid, seed, scale=1.0, project=True):
-    """Dealiased random state; u divergence-free unless project=False."""
-    rng = np.random.default_rng(seed)
-    u = VectorField(grid, np.stack([
-        SpectralField.from_physical(
-            grid, scale * rng.standard_normal(grid.shape)).comps
-        for _ in range(grid.d)]))
-    u = dealias(u)
-    if project:
-        u = leray_project(u)
-    tau = TensorField.zeros(grid)
-    for i in range(tau.comps.shape[0]):
-        tau.comps[i] = SpectralField.from_physical(
-            grid, scale * rng.standard_normal(grid.shape)).comps
-    tau = dealias(tau)
-    return FlowState(u, tau)
+from states import random_state
 
 
 def dense_gradient(field):
@@ -97,8 +83,7 @@ def dense_q(tau, u, b):
 
 def only(term):
     """TermToggles with the single explicit term `term` switched on."""
-    off = dict(advection_u=False, advection_tau=False, q_term=False,
-               stress_divergence=False, strain_source=False)
+    off = dict(advection=False, q_term=False, coupling=False)
     return TermToggles(**{**off, term: True})
 
 
@@ -293,12 +278,12 @@ class TestKernelHermitianCheck:
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     @pytest.mark.parametrize("column", ["zero", "nyquist"])
     def test_each_streamed_stress_gradient_is_checked(self, d, n, column):
-        """With only u.grad tau on, tau is not inverted whole, only one
+        """With only transport on, tau is not inverted whole, only one
         gradient component at a time; its residue is read on entry, so a
         broken mode in any one stress component still stops the kernel."""
         g = Grid(d, n)
         slot = (1,) * (d - 1) + (0 if column == "zero" else n // 2,)
-        params = ModelParams(toggles=only("advection_tau"))
+        params = ModelParams(toggles=only("advection"))
         for m in range(len(SYM_PAIRS[d])):
             st = random_state(g, seed=d + m)
             st.tau.comps[(m,) + slot] += 0.5
@@ -311,11 +296,10 @@ class TestKernelHermitianCheck:
     @pytest.mark.parametrize("toggles, scanned", [
         pytest.param(TermToggles(), ("u", "tau"), id="True"),
         pytest.param(TermToggles(q_term=False), ("u", "tau"), id="False"),
-        pytest.param(only("advection_u"), ("u",), id="advection_u"),
         pytest.param(TermToggles.linear_waves(), (), id="linear")])
     def test_two_scans_per_evaluation(self, monkeypatch, d, n, toggles,
                                       scanned):
-        """Each inverted source, u and (for u.grad tau or Q) tau, is
+        """Each inverted source, u and tau (for transport or Q), is
         scanned once, in the compact layout of the box table, as the state
         is zero outside the 2/3 box; the derivative stacks are not scanned,
         and the linear terms invert nothing."""
@@ -338,12 +322,12 @@ class TestKernelHermitianCheck:
 class TestAdvectionSkewSymmetry:
     """<u . grad f, f> = 0 for divergence-free u; the strict dealias band
     keeps the pairing alias-free so this holds to roundoff.  The transport
-    terms come from explicit_rhs with only that term on, where the
+    terms come from explicit_rhs with only transport on, where the
     tendencies are -mask F(u . grad tau) and -P mask F(u . grad u)."""
 
     def test_scalar_advection_integrates_to_zero(self):
         """A scalar carried as the one nonzero stress component (0, 0)."""
-        params = ModelParams(toggles=only("advection_tau"))
+        params = ModelParams(toggles=only("advection"))
         for n in (16, 32):
             g = Grid(2, n)
             st = random_state(g, seed=n)
@@ -360,7 +344,7 @@ class TestAdvectionSkewSymmetry:
     def test_tensor_advection_integrates_to_zero(self):
         g = Grid(2, 16)
         st = random_state(g, seed=33)
-        _, dtau = explicit_rhs(st, ModelParams(toggles=only("advection_tau")))
+        _, dtau = explicit_rhs(st, ModelParams(toggles=only("advection")))
         ip = l2_inner_product(dtau, st.tau)
         scale = l2_norm(st.u) * l2_norm(st.tau) ** 2 * (16 / 3.0)
         assert abs(ip) < 1e-13 * max(scale, 1.0)
@@ -368,7 +352,7 @@ class TestAdvectionSkewSymmetry:
     @pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 8)])
     def test_velocity_advection_integrates_to_zero(self, d, n):
         st = random_state(Grid(d, n), seed=50 + n)
-        du, _ = explicit_rhs(st, ModelParams(toggles=only("advection_u")))
+        du, _ = explicit_rhs(st, ModelParams(toggles=only("advection")))
         assert np.max(np.abs(du.comps)) > 0.0
         ip = l2_inner_product(du, st.u)
         scale = l2_norm(st.u) ** 3 * (n / 3.0)
@@ -379,8 +363,7 @@ class TestTendencies:
     def test_all_terms_off_gives_zero(self):
         g = Grid(2, 16)
         st = random_state(g, seed=4)
-        off = TermToggles(advection_u=False, advection_tau=False, q_term=False,
-                          stress_divergence=False, strain_source=False,
+        off = TermToggles(advection=False, q_term=False, coupling=False,
                           eta_dissipation=False)
         params = ModelParams(eta=1.0, nu=0.0, a=0.0, toggles=off)
         du, dtau = rhs(st, params)
@@ -486,7 +469,7 @@ class TestFusedKernel:
         m d-component gradient stack with the same einsum is the oracle."""
         g = Grid(d, n)
         st = random_state(g, seed=80 + d, scale=0.7)
-        _, dtau = explicit_rhs(st, ModelParams(toggles=only("advection_tau")))
+        _, dtau = explicit_rhs(st, ModelParams(toggles=only("advection")))
         adv = np.einsum("j...,mj...->m...", st.u.to_physical(),
                         dense_gradient(st.tau))
         np.testing.assert_array_equal(
@@ -715,6 +698,59 @@ class TestEnergyBudget:
         budget = energy_budget(st, params)
         assert budget["diss_tau_l2"] > 0.0
         assert budget["visc_u_l2"] > 0.0
+
+
+# the 16 toggle settings, and random-band states zero outside the 2/3 box
+TOGGLE_NAMES = [f.name for f in dataclasses.fields(TermToggles)]
+TOGGLE_SETTINGS = [TermToggles(**dict(zip(TOGGLE_NAMES, flags)))
+                   for flags in itertools.product((True, False),
+                                                  repeat=len(TOGGLE_NAMES))]
+BOX_STATES = [pytest.param(2, 16, (1, 4), id="2d"),
+              pytest.param(3, 8, (1, 2), id="3d")]
+
+
+def box_state(d, n, band):
+    st = make_initial_data(Grid(d, n), recipe="random-band", epsilon=0.5,
+                           seed=3, band=band)
+    assert obflow.model._state_table(st).boxed
+    return st
+
+
+class TestToggleSettings:
+    """Transport and the coupling are one toggle each, acting in both
+    equations, so no toggle setting is one-sided."""
+
+    @pytest.mark.parametrize("d, n, band", BOX_STATES)
+    def test_identity_under_every_setting(self, d, n, band):
+        """The L2 identity holds to round-off on a box-supported state under
+        all 16 settings, with and without viscosity and damping: the
+        coupling works cancel, and advection integrates to zero."""
+        st = box_state(d, n, band)
+        size = l2_norm(st.u) ** 2 + l2_norm(st.tau) ** 2
+        for toggles in TOGGLE_SETTINGS:
+            for nu, a in ((0.0, 0.0), (0.05, 0.1)):
+                params = ModelParams(eta=1.0, beta=0.5, b=0.5, nu=nu, a=a,
+                                     toggles=toggles)
+                residual = energy_budget(st, params)["residual"]
+                assert abs(residual) <= 1e-12 * size, (toggles, nu, a)
+
+    @pytest.mark.parametrize("d, n, band", BOX_STATES)
+    def test_no_dead_switch(self, d, n, band):
+        """From every setting, switching off any toggle that is on changes
+        rhs."""
+        st = box_state(d, n, band)
+        tendencies = {}
+        for toggles in TOGGLE_SETTINGS:
+            du, dtau = rhs(st, ModelParams(eta=1.0, beta=0.5, b=0.5,
+                                           toggles=toggles))
+            tendencies[toggles] = np.concatenate(
+                [du.comps.ravel(), dtau.comps.ravel()])
+        for toggles, flat in tendencies.items():
+            for name in TOGGLE_NAMES:
+                if getattr(toggles, name):
+                    off = tendencies[dataclasses.replace(toggles,
+                                                         **{name: False})]
+                    assert not np.array_equal(flat, off), (toggles, name)
 
 
 def assert_bits_equal(got, ref):

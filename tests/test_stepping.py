@@ -72,9 +72,7 @@ class TestExactness:
         """With no explicit terms the integrating factor is the whole
         solution, so one 0.7-sized step matches exp(-rate t) to roundoff."""
         g = Grid(2, 16)
-        off = TermToggles(advection_u=False, advection_tau=False,
-                          q_term=False, stress_divergence=False,
-                          strain_source=False)
+        off = TermToggles.dissipation_only()
         params = ModelParams(eta=1.7, beta=0.5, nu=0.3, alpha=1.0, a=0.2,
                              toggles=off)
         st = make_initial_data(g, recipe="random-band", epsilon=1.0, seed=8)
@@ -188,7 +186,7 @@ class TestCfl:
             assert dt == cfl_dt(state, cfg) < cfg.dt_cap
         state, dt = steps[-1]
         assert dt == min(cfl_dt(state, cfg), cfg.t_end - state.t)
-        assert len(cfl_calls) == (0 if toggles.advection_u else len(steps))
+        assert len(cfl_calls) == (0 if toggles.nonlinear else len(steps))
 
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
     def test_auto_step_inverts_only_in_its_kernel(self, d, n):
@@ -551,3 +549,29 @@ class TestIntegrate:
     def test_non_finite_numbers_are_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             StepperConfig(**{name: value})
+
+
+class TestMeanStress:
+    """The k = 0 stress mode has no dissipation at a = 0 and no transport
+    (u . grad tau has zero mean for divergence-free u): its one source is
+    the mean of Q, so a run leaves a mean stress of size O(epsilon^2).
+    2D n=16, eta = 1, beta = 1/2, b = 0.5, random-band seed 7, dt 0.01."""
+
+    @staticmethod
+    def final_tau(epsilon, toggles=TermToggles()):
+        state = make_initial_data(Grid(2, 16), recipe="random-band",
+                                  epsilon=epsilon, seed=7)
+        params = ModelParams(eta=1.0, beta=0.5, b=0.5, toggles=toggles)
+        return integrate(state, params,
+                         StepperConfig(dt=0.01, t_end=2.0)).state.tau.comps
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-1])
+    def test_mean_scales_as_epsilon_squared(self, epsilon):
+        means = [np.max(np.abs(self.final_tau(e)[:, 0, 0]))
+                 for e in (epsilon, epsilon / 2)]
+        assert means[1] > 0.0
+        assert abs(means[0] / means[1] / 4.0 - 1.0) <= 0.01
+
+    def test_mean_stays_zero_without_q(self):
+        tau = self.final_tau(1e-2, TermToggles(q_term=False))
+        assert np.max(np.abs(tau[:, 0, 0])) <= 1e-15 * np.max(np.abs(tau))

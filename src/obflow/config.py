@@ -10,11 +10,11 @@ boolean, string, null or list).
 
 Every domain rule has one owner, the class that holds the value: Grid,
 ModelParams, StepperConfig, DiagnosticParams and OutputConfig check their
-own fields (eta > 0, b in [-1, 1], even n >= 8, cadences >= 1, finite
+own fields (eta >= 0, b in [-1, 1], even n >= 8, cadences >= 1, finite
 numbers, ...), and model.check_initial_data checks recipe, epsilon, seed,
 mode and band, the last two against the grid (once the grid is valid).
 Each raises one ConfigError listing all of its problems; validate_config
-prefixes them with the section name ("model.eta must be positive, got -1")
+prefixes them with the section name ("model.eta must be >= 0, got -1")
 and raises one ConfigError with every problem of the file.
 Questionable-but-runnable choices (e.g. beta outside [1/2, 1], s at or
 below the embedding index) are collected as warnings and the run proceeds.
@@ -24,7 +24,7 @@ below the embedding index) are collected as warnings and the run proceeds.
       "model":        {"eta": 1.0, "beta": 1.0, "nu": 0.0, "alpha": 1.0,
                        "b": 0.0, "a": 0.0,
                        "toggles": {"advection": true, "q_term": true,
-                                   "coupling": true, "eta_dissipation": true}},
+                                   "coupling": true}},
       "stepper":      {"dt": "auto", "t_end": 1.0, "cfl_advective": 0.4,
                        "cfl_wave": 0.4, "dt_cap": 0.01},
       "diagnostics":  {"s": null, "k_cross": 0.1, "cadence_steps": 10},

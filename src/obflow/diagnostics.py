@@ -79,6 +79,7 @@ class DiagnosticsRecord:
     E: float
     L: float
     q_work: float              # <Q(tau, grad u), tau>_{L2}
+    # round-off on a state zero outside the 2/3 box, else the dealiasing leak
     identity_residual: float   # relative instantaneous L2 balance residual
     min_eig_sigma: float       # min over x of eig_min(tau(x) + I)
     diss_tau_l2: float         # ||L^beta tau||_{L2}^2 (for the record-stream check)
@@ -144,7 +145,7 @@ class DiagnosticsCollector:
         return the pass's Tendency, which integrate hands to the next step."""
         params, kc = self.params, self.diag.k_cross
         budget, columns, tau_phys, first = _record_pass(state, params, self.s)
-        integrand = (params.eta_eff * columns["diss_tau"]
+        integrand = (params.eta * columns["diss_tau"]
                      + 0.5 * kc * columns["diss_u"])
         if self._prev is not None:
             t_prev, g_prev = self._prev
@@ -200,7 +201,7 @@ def _identity_balance(records: Sequence[DiagnosticsRecord],
                + np.array([r.tau_l2 for r in records]) ** 2)
     dxdt = (x[2:] - x[:-2]) / (t[2:] - t[:-2])
     diss = np.array([
-        params.eta_eff * r.diss_tau_l2 + r.visc_u_l2
+        params.eta * r.diss_tau_l2 + r.visc_u_l2
         + params.a * r.tau_l2 ** 2 + r.q_work
         for r in records[1:-1]])
     return t[1:-1], dxdt, dxdt + diss

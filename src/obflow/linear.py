@@ -46,14 +46,13 @@ class ModeAnalysis:
 def mode_coefficients(params: ModelParams) -> dict:
     """Keyword arguments of the per-mode functions for the system params runs.
 
-    The stress dissipation enters with its effective value, zero when
-    eta_dissipation is off.  Without the coupling the mode pair is no
-    damped wave, so the coupling toggle off raises ConfigError.
+    Without the coupling the mode pair is no damped wave, so the coupling
+    toggle off raises ConfigError.
     """
     if not params.toggles.coupling:
         raise ConfigError(["model.toggles.coupling must be on for the linear "
                            "mode solution"])
-    return {"eta": params.eta_eff, "beta": params.beta, "nu": params.nu,
+    return {"eta": params.eta, "beta": params.beta, "nu": params.nu,
             "alpha": params.alpha, "a": params.a}
 
 

@@ -9,10 +9,10 @@ with Q(tau, G) = tau W - W tau - b (D tau + tau D), where D and W are the
 symmetric and antisymmetric parts of G = grad u and b is in [-1, 1].  The
 gradient convention is G[i, j] = du_i/dx_j.
 
-Setting nu = 0 or a = 0 switches off the velocity dissipation or the
-damping; every other right-hand-side term has one switch in TermToggles,
-so the pieces can be tested in isolation.  The momentum tendency is always
-returned inside the divergence-free subspace.
+Setting eta, nu or a to 0 switches off the stress or velocity dissipation
+or the damping; every other right-hand-side term has one switch in
+TermToggles, so the pieces can be tested in isolation.  The momentum
+tendency is always returned inside the divergence-free subspace.
 """
 
 from __future__ import annotations
@@ -57,16 +57,15 @@ MAX_EXPONENT = 16.0
 class TermToggles:
     """Per-term switches for the right-hand side (all on by default).
 
-    A term has a toggle only when no parameter value switches it off: nu = 0
-    and a = 0 switch off nu (-Lap)^alpha u and a tau, while eta must be > 0.
-    Transport and the coupling are one toggle each, in both equations, so
-    every setting keeps energy_budget's identity.
+    A term has a toggle only when no parameter value switches it off: eta
+    = 0, nu = 0 and a = 0 switch off eta (-Lap)^beta tau, nu (-Lap)^alpha u
+    and a tau.  Transport and the coupling are one toggle each, in both
+    equations, so every setting keeps energy_budget's identity.
     """
 
     advection: bool = True          # u . grad u and u . grad tau
     q_term: bool = True             # Q(tau, grad u)
     coupling: bool = True           # div tau in du/dt and D(u) in dtau/dt
-    eta_dissipation: bool = True    # eta (-Lap)^beta tau
 
     @property
     def nonlinear(self) -> bool:
@@ -108,7 +107,7 @@ class ModelParams:
                     "exponents are nonnegative, and |k|^(2 gamma) must "
                     "stay finite)")
         check_fields(self, (
-            ("eta", lambda v: v > 0, "must be positive"),
+            ("eta", lambda v: v >= 0, "must be >= 0"),
             ("beta",) + exponent,
             ("nu", lambda v: v >= 0, "must be >= 0"),
             ("alpha",) + exponent,
@@ -116,13 +115,12 @@ class ModelParams:
             ("a", lambda v: v >= 0, "must be >= 0"),
         ))
 
-    @property
-    def eta_eff(self) -> float:
-        return self.eta if self.toggles.eta_dissipation else 0.0
-
     def warnings(self) -> List[str]:
         """Soft parameter checks; offending configs still run."""
         out = []
+        if self.eta == 0:
+            out.append("eta=0 switches off the stress dissipation, on which "
+                       "the estimates rest")
         if not 0.5 <= self.beta <= 1.0:
             out.append(f"beta={self.beta} lies outside [0.5, 1], where the "
                        "stress dissipation is known to control the coupling")
@@ -156,11 +154,12 @@ class FlowState:
 
 @dataclass(frozen=True)
 class Tendency:
-    """The explicit tendency of a state under params, and the state's u and
-    tau it was evaluated at, all in the compact layout of its support table
-    (u and tau are the state's own arrays on the whole table), and max |u|
-    over the kernel's samples of u (those of u.to_physical(), bit for bit;
-    None if no term inverts u)."""
+    """One kernel evaluation's result (_explicit_terms): the explicit
+    tendency under params at u and tau, all in the compact layout of its
+    support table (u and tau are a state's own arrays on the whole table),
+    and max |u| over the kernel's samples of u (those of u.to_physical(),
+    bit for bit), taken whenever the kernel inverts u (None if no term
+    does)."""
 
     table: SupportTable
     u: np.ndarray
@@ -291,7 +290,7 @@ def _q_triangle_physical(tri: np.ndarray, grad_u: np.ndarray, b: float,
 
 
 def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Diagonal decay rates (velocity, stress) honouring eta_dissipation.
+    """Diagonal decay rates (velocity, stress).
 
     rate_u = nu |k|^(2 alpha), rate_tau = eta |k|^(2 beta) + a, with the
     k = 0 convention of the fractional Laplacian.
@@ -303,7 +302,7 @@ def _dissipation_rates(table: SupportTable, params: ModelParams,
                        ) -> Tuple[np.ndarray, np.ndarray]:
     """dissipation_rates in table's compact layout."""
     return (params.nu * table.fractional_multiplier(params.alpha),
-            params.eta_eff * table.fractional_multiplier(params.beta)
+            params.eta * table.fractional_multiplier(params.beta)
             + params.a)
 
 
@@ -317,26 +316,26 @@ def _state_table(state: FlowState) -> SupportTable:
 
 def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                     params: ModelParams, record: bool = False,
-                    cfl: bool = True,
-                    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray],
-                               Optional[float], Optional[np.ndarray]]:
+                    ) -> Tuple[Tendency, Optional[np.ndarray],
+                               Optional[np.ndarray]]:
     """Kernel of tendency on the compact coefficients u and tau of table:
-    the compact tendencies, the physical Q triangle (if record, None if Q
-    is off), max |u| over u's samples (None unless cfl, or if no term
-    inverts u) and, if record, tau's samples.  The only place the
-    nonlinear terms u.grad u, u.grad tau and Q are built.
+    (their Tendency, tau's samples if record, and F(Q), the dealiased
+    transform of Q in the box table's compact layout, if record and Q is
+    on; else None).  The only place the nonlinear terms u.grad u, u.grad
+    tau and Q are built.
 
     Two source stacks are inverted where a term (or the record) reads them:
     [u, grad u] and [tau, grad tau], each built with one broadcast
     product, whole or a group per call as table.batched says (_stack_chunks).
-    tau's own samples come first and give Q in its product rows, before a
-    later chunk overwrites them; each chunk of grad tau is contracted with
-    u and added into its rows of u.grad tau + Q at once.
-    u.grad u and u.grad tau + Q are transformed in one dealiased forward
-    transform, which passes only over the lines the 2/3 rule keeps and
-    gathers the 2/3 box.  The samples, the products and the work buffers
-    are the table's workspace, which every evaluation reuses if batched;
-    du, dtau, the Q triangle and tau's samples are new arrays.  Every
+    tau's own samples come first and give Q in its product rows, which a
+    record copies into m more rows, before a later chunk overwrites them;
+    each chunk of grad tau is contracted with u and added into its rows of
+    u.grad tau + Q at once.
+    u.grad u, u.grad tau + Q and a record's Q are transformed in one
+    dealiased forward transform, which passes only over the lines the 2/3
+    rule keeps and gathers the 2/3 box.  The samples, the products and the
+    work buffers are the table's workspace, which every evaluation reuses
+    if batched; du, dtau, F(Q) and tau's samples are new arrays.  Every
     inverse is unchecked, as a state is checked where it enters
     (_evaluate).  Every spectral product, the projection and the inverse
     passes run over the table's coefficients and lines only.  Its counts
@@ -346,9 +345,10 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
     grid = table.grid
     d, m = grid.d, len(tau)
     tg = params.toggles
-    products = table.workspace(
-        "products", (d * tg.advection + m * tg.nonlinear,) + grid.shape)
-    nl = products[len(products) - m:]  # u.grad tau + Q
+    q_rows = m * (record and tg.q_term)
+    products = table.workspace("products", (
+        d * tg.advection + m * tg.nonlinear + q_rows,) + grid.shape)
+    nl = products[d * tg.advection:len(products) - q_rows]  # u.grad tau + Q
 
     u_max = None
     if tg.nonlinear:
@@ -357,12 +357,11 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
             _invert_rows(u, table, True, start, stop, u_stack[start:stop])
         u_phys = u_stack[:d]
         grad_u = u_stack[d:].reshape((-1, d) + grid.shape)
-        if cfl:
-            u_max = float(np.max(np.abs(u_phys)))
+        u_max = float(np.max(np.abs(u_phys)))
     if tg.advection:
         np.einsum("j...,ij...->i...", u_phys, grad_u, out=products[:d])
 
-    q_tri = tau_phys = None
+    tau_phys = None
     if tg.nonlinear or record:
         values = tg.q_term or record
         v = m if values else 0
@@ -371,9 +370,8 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                     if not (record and stop == v)), default=0)
         samples = table.workspace("tau", (rows,) + grid.shape)
         for start, stop in chunks:
-            # what leaves the kernel is new: a record's samples of tau,
-            # inverted alone or copied before later chunks overwrite them,
-            # and its Q triangle
+            # a record's samples of tau leave the kernel: they are new,
+            # inverted alone or copied before later chunks overwrite them
             alone = record and stop == v
             part = _invert_rows(tau, table, values, start, stop,
                                 np.empty((m,) + grid.shape) if alone
@@ -382,13 +380,10 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                 tau_phys = part[:m].copy() if record and not alone \
                     else part[:m]
             if start < v and tg.q_term:
-                q = _q_triangle_physical(
-                    tau_phys, grad_u, params.b,
-                    np.empty_like(tau_phys) if record else nl,
-                    table.workspace("work", (3,) + grid.shape))
+                _q_triangle_physical(tau_phys, grad_u, params.b, nl,
+                                     table.workspace("work", (3,) + grid.shape))
                 if record:
-                    q_tri = q
-                    nl[...] = q
+                    products[len(products) - m:] = nl
             if tg.advection and stop > v:
                 # u.grad tau, added to Q where Q is on: the sum of the two
                 # is exact in either order
@@ -405,10 +400,13 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
         del samples
     u_phys = grad_u = u_stack = None  # on large grids, free before forward
 
+    f_q = None
     if len(products):
         # the work buffer is free once the products are built
         coeffs = _forward(products, grid, dealiased=True, work=table.workspace(
             "work", products.shape[:1] + grid.spectral_shape, np.complex128))
+        if q_rows:
+            coeffs, f_q = coeffs[:-m], coeffs[-m:]
         if not table.boxed:
             coeffs = grid.support_table(True).scatter(coeffs)
     du = np.zeros((d,) + table.shape, dtype=np.complex128)
@@ -422,26 +420,25 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
         dtau += _strain(u, table)
     if tg.nonlinear:
         dtau -= coeffs[len(coeffs) - m:]
-    return du, dtau, q_tri, u_max, tau_phys if record else None
+    return (Tendency(table, u, tau, du, dtau, params, u_max),
+            tau_phys if record else None, f_q)
 
 
 def _evaluate(state: FlowState, params: ModelParams, record: bool = False,
               ) -> Tuple[Tendency, Optional[np.ndarray], Optional[np.ndarray]]:
     """A state's one entry into the kernel, for tendency and (record)
-    _record_pass: (its Tendency on _state_table's table, which carries u
-    and tau as gathered here, and, if record, tau's samples and the Q
-    triangle).  u and tau are checked for Hermitian symmetry where a term
-    inverts them (both if the toggles are nonlinear), tau always in a
-    record, which inverts it once, for the kernel's Q and its caller."""
+    _record_pass: _explicit_terms of u and tau, gathered here onto
+    _state_table's table, as it returns them.  u and tau are checked for
+    Hermitian symmetry where a term inverts them (both if the toggles are
+    nonlinear), tau always in a record, which inverts it once, for the
+    kernel's Q and its caller."""
     table = _state_table(state)
     u, tau = table.gather(state.u.comps), table.gather(state.tau.comps)
     nonlinear = params.toggles.nonlinear
     for source, inverted in zip((u, tau), (nonlinear, nonlinear or record)):
         if inverted:
             _check_hermitian(source, table)
-    du, dtau, q_tri, u_max, tau_phys = _explicit_terms(u, tau, table,
-                                                       params, record)
-    return Tendency(table, u, tau, du, dtau, params, u_max), tau_phys, q_tri
+    return _explicit_terms(u, tau, table, params, record)
 
 
 def tendency(state: FlowState, params: ModelParams) -> Tendency:
@@ -487,17 +484,18 @@ def _record_pass(state: FlowState, params: ModelParams,
     """(energy_budget's terms, the record's norm columns, tau's samples,
     the state's Tendency) from one pass over the compact coefficients of
     the state's table, which the Tendency of its one kernel evaluation
-    (_evaluate) carries.
+    (_evaluate) carries.  The pass transforms nothing itself: the kernel's
+    one forward call gives F(Q) beside the tendencies.
 
     Every term is one np.sum of a weight cached on the table times the
     power spectrum of u or tau or a cross spectrum (u with du or div tau,
-    tau with dtau or, over the box, the dealiased F(Q)).  The columns are
+    tau with dtau or, over the box, F(Q)).  The columns are
     u_l2, tau_l2 and, for a Sobolev index s, u_hs, tau_hs, diss_tau,
     diss_u, visc_u and cross of DiagnosticsRecord.
     """
     COUNTS["records"] += 1
     grid = state.grid
-    first, tau_phys, q_tri = _evaluate(state, params, record=True)
+    first, tau_phys, f_q = _evaluate(state, params, record=True)
     table, u, tau = first.table, first.u, first.tau
     rate_u, rate_tau = _dissipation_rates(table, params)
     p_u, p_tau = _spectrum(u, u), _spectrum(tau, tau)
@@ -510,18 +508,17 @@ def _record_pass(state: FlowState, params: ModelParams,
     terms = {
         "u_work": total(w0, _spectrum(u, first.du) - rate_u * p_u),
         "tau_work": total(w0, _spectrum(tau, first.dtau) - rate_tau * p_tau),
-        "diss_tau_l2": total(w0 * beta, p_tau) if params.eta_eff else 0.0,
+        "diss_tau_l2": total(w0 * beta, p_tau) if params.eta else 0.0,
         "visc_u_l2": total(w0 * alpha, p_u) if params.nu else 0.0,
         "q_work": 0.0,
     }
-    if q_tri is not None:
+    if f_q is not None:
         box = grid.support_table(True)
         terms["q_work"] = total(box.sobolev_weight(0.0), _spectrum(
-            _forward(q_tri, grid, dealiased=True),
-            tau if table.boxed else box.gather(tau)))
+            f_q, tau if table.boxed else box.gather(tau)))
     tau_sq = total(w0, p_tau)
     parts = (terms["u_work"], terms["tau_work"],
-             params.eta_eff * terms["diss_tau_l2"],
+             params.eta * terms["diss_tau_l2"],
              params.nu * terms["visc_u_l2"], params.a * tau_sq,
              terms["q_work"])
     residual, scale = sum(parts), max(abs(p) for p in parts)

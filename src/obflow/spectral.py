@@ -54,9 +54,10 @@ Conventions used throughout the package:
   fields to real fields.
 - SupportTable.batched, from the grid alone, is the kernel's inversion
   plan: each stack whole in the table's workspace, or a group per call.
-- The Leray projector reads the derivative's k~ and |k~|^2: it is the
-  orthogonal projector onto the kernel of divergence, even in k, and
-  leaves the slots with k~ = 0 (k = 0 among them) untouched.
+- The Leray projector reads the derivative multipliers' k~ and |k~|^2
+  (no copy of its own): it is the orthogonal projector onto the kernel
+  of divergence, even in k, and leaves the slots with k~ = 0 (k = 0
+  among them) untouched.
 - Dealiasing zeroes every coefficient with any |k_i| >= n/3, i.e. >= kc
   (strict at the boundary, so quadratic products are alias-free for every
   even n).
@@ -243,11 +244,11 @@ class SupportTable:
     the derivative multipliers i k~_j (k~ is k with its Nyquist entries
     zeroed; a (d, *shape) stack), and, cached, their gradient_weight
     sum_j k~_j^2 and per exponent the Sobolev weights and fractional
-    multipliers.  The Leray projector reads k~ (leray_wavenumbers, a dense
-    complex128 stack, as numpy would cast real rows in every product) and
-    sum_j k~_j^2 (leray_divisor, 1 where it is 0).  batched decides the
-    kernel's inversion plan, and so whether its workspace buffers are
-    shared from one evaluation to the next.
+    multipliers.  The Leray projector reads k~ (the imaginary parts of the
+    derivative multipliers, a view) and sum_j k~_j^2 (leray_divisor, 1
+    where it is 0).  batched decides the kernel's inversion plan, and so
+    whether its workspace buffers are shared from one evaluation to the
+    next.
     """
 
     def __init__(self, grid: Grid, boxed: bool):
@@ -298,8 +299,6 @@ class SupportTable:
         # the divisor sums the squares afresh, so that gradient_weight is
         # built only on a table whose records read it
         squares = sum(ik.imag ** 2 for ik in self.derivative_multipliers)
-        self.leray_wavenumbers = self.derivative_multipliers.imag.astype(
-            np.complex128)
         self.leray_divisor = np.where(squares > 0, squares, 1.0)
         self._weights = {}
         self._workspace, self._views = {}, {}
@@ -674,9 +673,12 @@ def leray_project(v: VectorField) -> VectorField:
 def _leray(comps: np.ndarray, table: SupportTable) -> np.ndarray:
     """leray_project of compact vector comps, in compact layout: k~.c
     summed from 0 in ascending j, then c - k~ factor, each a broadcast
-    operation over the (d, *shape) stack of k~."""
+    operation over k~, the imaginary parts of the table's derivative
+    multipliers (a view, cast to complex in each product).  Real k~ keeps
+    the sign of every zero; i k~ c times i would flip some where c holds
+    -0, as random-band data do."""
     COUNTS["projections"] += 1
-    k = table.leray_wavenumbers
+    k = table.derivative_multipliers.imag
     factor = np.sum(k * comps, axis=0, initial=0.0)
     np.divide(factor, table.leray_divisor, out=factor)
     factor[(0,) * table.grid.d] = 0.0

@@ -107,10 +107,10 @@ def _cfl_bound(grid: Grid, u_max: float, config: StepperConfig) -> float:
 
 def _stage(table: SupportTable, params: ModelParams, u: np.ndarray,
            tau: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
-    """dt times the explicit tendencies at compact (u, tau): one RK4 stage,
-    whose max |u| no one reads."""
-    du, dtau = _explicit_terms(u, tau, table, params, cfl=False)[:2]
-    return dt * du, dt * dtau
+    """dt times the explicit tendencies at compact (u, tau): one RK4
+    stage."""
+    stage = _explicit_terms(u, tau, table, params)[0]
+    return dt * stage.du, dt * stage.dtau
 
 
 def step(state: FlowState, params: ModelParams, dt: float,

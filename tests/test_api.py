@@ -25,9 +25,12 @@ import obflow.stepping
 # weights (each spectral.SupportTable builds its own) and the hand-off
 # helpers and slot (a record's model.Tendency reaches the next step
 # through integrate), the per-artifact writers (every file goes through
-# snapshots.atomic_write_text with json_text or csv_text) and the one-sided
+# snapshots.atomic_write_text with json_text or csv_text), the one-sided
 # toggles and their inversion helper (transport and the coupling are one
-# toggle each, TermToggles.advection and TermToggles.coupling).
+# toggle each, TermToggles.advection and TermToggles.coupling), the stress
+# dissipation toggle and its effective eta (eta = 0 is its off switch) and
+# a table's own copy of k~ (the projector reads the derivative multipliers;
+# an instance attribute, so a table is its owner here).
 REMOVED = [
     (obflow.diagnostics, "write_diagnostics_csv"),
     (obflow.experiments, "_json_text"),
@@ -50,6 +53,8 @@ REMOVED = [
     (obflow.model.TermToggles, "advection_tau"),
     (obflow.model.TermToggles, "stress_divergence"),
     (obflow.model.TermToggles, "strain_source"),
+    (obflow.model.TermToggles, "eta_dissipation"),
+    (obflow.model.ModelParams, "eta_eff"),
     (obflow.spectral, "forward_transform"),
     (obflow.spectral, "inverse_transform"),
     (obflow.spectral, "_data"),
@@ -66,6 +71,7 @@ REMOVED = [
     (obflow.spectral.Grid, "fractional_multiplier"),
     (obflow.spectral.Grid, "_weight_cache"),
     (obflow.spectral.SupportTable, "_gathered"),
+    (obflow.Grid(2, 8).support_table(True), "leray_wavenumbers"),
     (obflow.spectral.SpectralField, "coeffs"),
     (obflow.spectral.SpectralField, "with_coeffs"),
     (obflow.stepping, "SCHEMES"),

@@ -69,7 +69,7 @@ class TestHardErrors:
         assert any("output.path" in e for e in t_err({"output": {"path": "x"}}))
 
     def test_domain_violations(self):
-        assert any("eta" in e for e in t_err({"model": {"eta": 0.0}}))
+        assert any("eta" in e for e in t_err({"model": {"eta": -1e-12}}))
         assert any("eta" in e for e in t_err({"model": {"eta": -2.0}}))
         assert any("b" in e for e in t_err({"model": {"b": 1.5}}))
         assert any("a must" in e for e in t_err({"model": {"a": -0.1}}))
@@ -154,6 +154,15 @@ class TestWarnings:
         _, no_warn = validate_config(
             {"model": {"beta": 0.5, "alpha": 0.9, "nu": 0.0}})
         assert no_warn == []
+
+    def test_eta_zero_is_the_dissipation_off_switch(self):
+        """eta = 0 is valid, the one way to switch the stress dissipation
+        off, and warns once."""
+        cfg, warnings = validate_config({"model": {"eta": 0}})
+        assert cfg.model.eta == 0
+        assert [w for w in warnings if "eta" in w] == [
+            "eta=0 switches off the stress dissipation, on which the "
+            "estimates rest"]
 
     def test_low_sobolev_index(self):
         _, warnings = validate_config({"diagnostics": {"s": 1.9}})
@@ -252,7 +261,7 @@ OWNERS = {
 # one broken rule per case, for every rule that validate_config delegates
 BROKEN_RULES = [
     ("grid", {"d": 4}), ("grid", {"n": 63}), ("grid", {"n": 4}),
-    ("model", {"eta": -1}), ("model", {"eta": 0.0}),
+    ("model", {"eta": -1}), ("model", {"eta": -1e-12}),
     ("model", {"eta": math.nan}), ("model", {"beta": -0.5}),
     ("model", {"nu": -1e-6}), ("model", {"alpha": -1.0}),
     ("model", {"b": 1.5}), ("model", {"b": -math.inf}),
@@ -337,7 +346,7 @@ class TestSingleOwner:
     def test_owner_lists_every_problem(self):
         with pytest.raises(ConfigError) as info:
             ModelParams(eta=-1, b=2)
-        assert info.value.errors == ["eta must be positive, got -1",
+        assert info.value.errors == ["eta must be >= 0, got -1",
                                      "b must lie in [-1, 1], got 2"]
         assert isinstance(info.value, ValueError)
 

@@ -133,14 +133,14 @@ def half_layout_record(state, params, diag):
 
     du, dtau = rhs(state.copy(), params)
     u_work, tau_work = l2_inner_product(u, du), l2_inner_product(tau, dtau)
-    diss_tau_l2 = pairing(tau, params.beta, 0.0) if params.eta_eff else 0.0
+    diss_tau_l2 = pairing(tau, params.beta, 0.0) if params.eta else 0.0
     visc_u_l2 = pairing(u, params.alpha, 0.0) if params.nu else 0.0
     q_work = 0.0
     if params.toggles.q_term:  # with only Q on, the stress tendency is -F(Q)
         _, q = explicit_rhs(state.copy(), ModelParams(b=params.b, toggles=(
             TermToggles(advection=False, coupling=False))))
         q_work = -l2_inner_product(q, tau)
-    parts = (u_work, tau_work, params.eta_eff * diss_tau_l2,
+    parts = (u_work, tau_work, params.eta * diss_tau_l2,
              params.nu * visc_u_l2, params.a * l2_inner_product(tau, tau),
              q_work)
     scale = max(abs(p) for p in parts)
@@ -176,8 +176,7 @@ class TestRecordPass:
         ModelParams(eta=1.0, beta=0.75, nu=0.05, alpha=0.7, a=0.1, b=0.5),
         ModelParams(eta=1.3, beta=0.5, nu=0.2, b=-0.6,
                     toggles=TermToggles(q_term=False)),
-        ModelParams(eta=1.0, beta=1.0, a=0.2, b=0.3,
-                    toggles=TermToggles(eta_dissipation=False))],
+        ModelParams(eta=0.0, beta=1.0, a=0.2, b=0.3)],
         ids=["nu-a", "no-q", "no-eta"])
     def test_columns_match_the_half_layout(self, d, n, band, boxed, params):
         g = Grid(d, n)

@@ -288,16 +288,14 @@ class TestLinearVerify:
             linear_verify(cfg_of(SMALL_RUN))
 
     @pytest.mark.parametrize("model", [
-        {"a": 0.5}, {"nu": 0.1}, {"toggles": {"eta_dissipation": False}},
-        {"nu": 0.1, "alpha": 0.5, "a": 0.5,
-         "toggles": {"eta_dissipation": False}}])
+        {"a": 0.5}, {"nu": 0.1}, {"eta": 0.0},
+        {"nu": 0.1, "alpha": 0.5, "a": 0.5, "eta": 0.0}])
     def test_oracle_covers_viscosity_damping_and_toggles(self, model):
-        """The closed form uses nu, a and the effective eta, so the linear
-        run agrees with it whichever dissipation terms are on."""
+        """The closed form uses eta, nu and a, so the linear run agrees
+        with it whichever dissipation terms are on (eta = 0 included)."""
         raw = json.loads(json.dumps(LINEAR_RUN))
         raw["stepper"] = {"dt": 0.01, "t_end": 1.0}
         raw["diagnostics"]["cadence_steps"] = 10
-        raw["model"]["toggles"].update(model.pop("toggles", {}))
         raw["model"].update(model)
         report = linear_verify(cfg_of(raw))
         assert report.max_deviation < 1e-10
@@ -436,12 +434,14 @@ class TestCli:
         assert f"config error: {message}" in captured.err
         assert "config ok" not in captured.out
 
-    @pytest.mark.parametrize("key", ["nu_dissipation", "damping"])
+    @pytest.mark.parametrize("key", ["nu_dissipation", "damping",
+                                     "eta_dissipation"])
     @pytest.mark.parametrize("command", ["check-config", "sweep-nu"])
     def test_retired_dissipation_toggle_is_unknown(self, tmp_path, capsys,
                                                    command, key):
-        """nu = 0 and a = 0 are the only off switches of their terms, so a
-        toggle for either is a config error, not a sweep of equal runs."""
+        """nu = 0, a = 0 and eta = 0 are the only off switches of their
+        terms, so a toggle for any is a config error, not a sweep of equal
+        runs."""
         self.assert_unknown_toggle(tmp_path, capsys, command, key)
 
     @pytest.mark.parametrize("key", ["advection_u", "advection_tau",
@@ -773,7 +773,7 @@ class TestCli:
     def test_dispersion_uses_effective_coefficients(self, tmp_path):
         path = self.write_config(tmp_path, SMALL_RUN)
         tables = {}
-        eta_off = ["model.toggles.eta_dissipation=false"]
+        eta_off = ["model.eta=0"]
         for name, overrides in (("plain", []), ("viscous", ["model.nu=0.1"]),
                                 ("eta_off", eta_off)):
             args = ["dispersion", "--config", str(path),
@@ -783,7 +783,7 @@ class TestCli:
             assert main(args) == 0
             tables[name] = (tmp_path / name / "dispersion.csv").read_text()
         assert tables["viscous"] != tables["plain"]
-        # a toggled-off eta counts as zero; the config rule eta > 0 stays
+        # eta = 0 is the one off switch of the stress dissipation
         assert tables["eta_off"] == dispersion_csv(decay_envelope(0.0, 0.5, 8))
         assert tables["eta_off"] != tables["plain"]
         assert main(["dispersion", "--config", str(path), "--output",

@@ -363,9 +363,8 @@ class TestTendencies:
     def test_all_terms_off_gives_zero(self):
         g = Grid(2, 16)
         st = random_state(g, seed=4)
-        off = TermToggles(advection=False, q_term=False, coupling=False,
-                          eta_dissipation=False)
-        params = ModelParams(eta=1.0, nu=0.0, a=0.0, toggles=off)
+        off = TermToggles(advection=False, q_term=False, coupling=False)
+        params = ModelParams(eta=0.0, nu=0.0, a=0.0, toggles=off)
         du, dtau = rhs(st, params)
         assert np.max(np.abs(du.comps)) == 0.0
         assert np.max(np.abs(dtau.comps)) == 0.0
@@ -430,6 +429,13 @@ def split_explicit_rhs(state, params):
             - dealias(TensorField.from_physical(g, adv_tau)).comps
             - dealias(TensorField.from_physical(g, q_tri)).comps)
     return leray_project(u.with_comps(du)).comps, dtau
+
+
+def kernel_outputs(u, tau, table, params, record=False):
+    """(du, dtau, tau's samples, F(Q)) and max |u| of one _explicit_terms
+    call."""
+    first, tau_phys, f_q = _explicit_terms(u, tau, table, params, record)
+    return (first.du, first.dtau, tau_phys, f_q), first.u_max
 
 
 @contextlib.contextmanager
@@ -519,9 +525,9 @@ class TestFusedKernel:
         fresh_step = step(st, params, 1e-3)
         with counting() as counts:
             energy_budget(st, params)
-        # one kernel pass plus the forward transform of the Q triangle
+        # one kernel pass, whose one forward call also transforms Q
         assert counts == evaluations(
-            1, inverse, forward, forward_calls=2, scans=2, records=1,
+            1, inverse, forward, scans=2, records=1,
             forward_components=forward + len(st.tau.pairs))
         assert set(vars(st)) == {"u", "tau", "t"}
         with counting() as counts:
@@ -573,17 +579,19 @@ class TestBatchedKernel:
         table, every output is that of one call per stack, bit for bit."""
         table, u, tau = self.compact_state(d, n, band)
         assert table.boxed == (band[1] < table.grid.dealias_cutoff)
-        ref = _explicit_terms(u, tau, table, self.PARAMS, record)
+        ref, ref_max = kernel_outputs(u, tau, table, self.PARAMS, record)
         assert table.batched
         monkeypatch.setattr(table, "batched", False)
         with counting() as counts:
-            got = _explicit_terms(u, tau, table, self.PARAMS, record)
+            got, got_max = kernel_outputs(u, tau, table, self.PARAMS, record)
         m = len(SYM_PAIRS[d])
         # u's values, each row of grad u, tau's values, each row of grad tau
         assert counts["inverse_calls"] == 1 + d + 1 + m
         assert counts["inverse_components"] == d + d * d + m + m * d
-        assert got[3] == ref[3]
-        for g, r in zip(got[:3] + got[4:], ref[:3] + ref[4:]):
+        assert got_max == ref_max
+        # Q is on, so a record returns tau's samples and F(Q)
+        assert [r is None for r in ref] == [False, False] + [not record] * 2
+        for g, r in zip(got, ref):
             assert (g is None) == (r is None)
             if r is not None:
                 assert_bits_equal(g, r)
@@ -630,12 +638,12 @@ class TestBatchedKernel:
         assert peak - entry < stack
 
     def test_nothing_that_leaves_the_kernel_is_workspace(self):
-        """du, dtau, the Q triangle and a record's samples of tau share no
-        byte with the table's workspace."""
+        """du, dtau, F(Q) and a record's samples of tau share no byte with
+        the table's workspace."""
         table, u, tau = self.compact_state(2, 16, (1, 4))
-        out = _explicit_terms(u, tau, table, self.PARAMS, record=True)
+        out, _ = kernel_outputs(u, tau, table, self.PARAMS, record=True)
         assert table._workspace
-        for array in out[:3] + out[4:]:
+        for array in out:
             for raw in table._workspace.values():
                 assert not np.shares_memory(array, raw)
 
@@ -656,17 +664,42 @@ class TestRecordPass:
         with counting() as counts:
             first = coll.observe(st)
         m = len(SYM_PAIRS[d])
-        # without Q the kernel transforms no Q triangle; either way tau is
-        # inverted once, in its stack, which the record reads
+        # one forward call, which transforms Q beside the tendencies where
+        # Q is on; either way tau is inverted once, in its stack, which the
+        # record reads
         assert counts == evaluations(
-            1, inverse, forward - (0 if q_term else m),
-            forward_calls=1 + q_term, scans=2, records=1)
+            1, inverse, forward - (0 if q_term else m), scans=2, records=1)
         # the step from the record's Tendency evaluates three stages; one
         # without it evaluates four, as the record left nothing on the state
         for handed, kernels in ((first, 3), (None, 4)):
             with counting() as counts:
                 step(st, params, 1e-3, handed)
             assert counts["evaluations"] == kernels
+
+    @pytest.mark.parametrize("d, n, band", [
+        (2, 16, (1, 4)), (2, 16, (1, 8)), (3, 12, (1, 3)), (3, 12, (1, 6))])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_f_q_is_the_dealiased_transform_of_q(self, monkeypatch, d, n,
+                                                 band, batched):
+        """A record's F(Q), from the kernel's one forward call, is _forward
+        of the Q triangle, dealiased, bit for bit, on either table and
+        either inversion plan; the triangle is built from the dense samples
+        of tau and grad u."""
+        g = Grid(d, n)
+        st = make_initial_data(g, epsilon=0.5, seed=8, band=band)
+        table = obflow.model._state_table(st)
+        assert table.boxed == (band[1] < g.dealias_cutoff)
+        assert table.batched
+        monkeypatch.setattr(table, "batched", batched)
+        params = ModelParams(eta=1.0, beta=0.5, b=0.5)
+        tri = st.tau.to_physical()
+        q = _q_triangle_physical(tri, dense_gradient(st.u), params.b,
+                                 np.empty_like(tri), np.empty((3,) + g.shape))
+        (_, _, tau_phys, f_q), _ = kernel_outputs(
+            table.gather(st.u.comps), table.gather(st.tau.comps), table,
+            params, record=True)
+        assert_bits_equal(tau_phys, tri)
+        assert_bits_equal(f_q, _forward(q, g, dealiased=True))
 
 
 class TestEnergyBudget:
@@ -700,11 +733,13 @@ class TestEnergyBudget:
         assert budget["visc_u_l2"] > 0.0
 
 
-# the 16 toggle settings, and random-band states zero outside the 2/3 box
+# the 8 toggle settings, each with the stress dissipation on and off
+# (eta = 1, 0), and random-band states zero outside the 2/3 box
 TOGGLE_NAMES = [f.name for f in dataclasses.fields(TermToggles)]
 TOGGLE_SETTINGS = [TermToggles(**dict(zip(TOGGLE_NAMES, flags)))
                    for flags in itertools.product((True, False),
                                                   repeat=len(TOGGLE_NAMES))]
+SETTINGS = list(itertools.product(TOGGLE_SETTINGS, (1.0, 0.0)))
 BOX_STATES = [pytest.param(2, 16, (1, 4), id="2d"),
               pytest.param(3, 8, (1, 2), id="3d")]
 
@@ -718,39 +753,44 @@ def box_state(d, n, band):
 
 class TestToggleSettings:
     """Transport and the coupling are one toggle each, acting in both
-    equations, so no toggle setting is one-sided."""
+    equations, so no toggle setting is one-sided; eta = 0 is the stress
+    dissipation's off switch."""
 
     @pytest.mark.parametrize("d, n, band", BOX_STATES)
     def test_identity_under_every_setting(self, d, n, band):
         """The L2 identity holds to round-off on a box-supported state under
-        all 16 settings, with and without viscosity and damping: the
-        coupling works cancel, and advection integrates to zero."""
+        all 8 settings and eta in {0, 1}, with and without viscosity and
+        damping: the coupling works cancel, and advection integrates to
+        zero."""
         st = box_state(d, n, band)
         size = l2_norm(st.u) ** 2 + l2_norm(st.tau) ** 2
-        for toggles in TOGGLE_SETTINGS:
+        assert len(SETTINGS) == 16
+        for toggles, eta in SETTINGS:
             for nu, a in ((0.0, 0.0), (0.05, 0.1)):
-                params = ModelParams(eta=1.0, beta=0.5, b=0.5, nu=nu, a=a,
+                params = ModelParams(eta=eta, beta=0.5, b=0.5, nu=nu, a=a,
                                      toggles=toggles)
                 residual = energy_budget(st, params)["residual"]
-                assert abs(residual) <= 1e-12 * size, (toggles, nu, a)
+                assert abs(residual) <= 1e-12 * size, (toggles, eta, nu, a)
 
     @pytest.mark.parametrize("d, n, band", BOX_STATES)
     def test_no_dead_switch(self, d, n, band):
-        """From every setting, switching off any toggle that is on changes
-        rhs."""
+        """From every setting, switching off any toggle that is on, or eta,
+        changes rhs."""
         st = box_state(d, n, band)
         tendencies = {}
-        for toggles in TOGGLE_SETTINGS:
-            du, dtau = rhs(st, ModelParams(eta=1.0, beta=0.5, b=0.5,
+        for toggles, eta in SETTINGS:
+            du, dtau = rhs(st, ModelParams(eta=eta, beta=0.5, b=0.5,
                                            toggles=toggles))
-            tendencies[toggles] = np.concatenate(
+            tendencies[toggles, eta] = np.concatenate(
                 [du.comps.ravel(), dtau.comps.ravel()])
-        for toggles, flat in tendencies.items():
-            for name in TOGGLE_NAMES:
-                if getattr(toggles, name):
-                    off = tendencies[dataclasses.replace(toggles,
-                                                         **{name: False})]
-                    assert not np.array_equal(flat, off), (toggles, name)
+        for (toggles, eta), flat in tendencies.items():
+            offs = [(dataclasses.replace(toggles, **{name: False}), eta)
+                    for name in TOGGLE_NAMES if getattr(toggles, name)]
+            if eta:
+                offs.append((toggles, 0.0))
+            for off in offs:
+                assert not np.array_equal(flat, tendencies[off]), (
+                    toggles, eta, off)
 
 
 def assert_bits_equal(got, ref):
@@ -825,23 +865,22 @@ class TestBoxSupportedKernel:
     @pytest.mark.parametrize("d, n", [(2, 16), (3, 12)])
     def test_kernel_tables_agree(self, d, n):
         """_explicit_terms on the box table's compact coefficients, scattered,
-        equals _explicit_terms on the whole table, and its Q triangle and
-        tau's samples too; either table's max |u| is that of
-        u.to_physical()."""
+        equals _explicit_terms on the whole table, and its F(Q) and tau's
+        samples too; either table's max |u| is that of u.to_physical()."""
         g = Grid(d, n)
         st = random_state(g, seed=50 + d, scale=0.5)
         box, whole = g.support_table(True), g.support_table(False)
-        du, dtau, q_tri, u_max, tau_phys = _explicit_terms(
+        (du, dtau, tau_phys, f_q), u_max = kernel_outputs(
             box.gather(st.u.comps), box.gather(st.tau.comps), box,
             self.PARAMS, record=True)
-        ref = _explicit_terms(st.u.comps, st.tau.comps, whole, self.PARAMS,
-                              record=True)
+        ref, ref_max = kernel_outputs(st.u.comps, st.tau.comps, whole,
+                                      self.PARAMS, record=True)
         assert du.shape == (d,) + box.shape
-        for got, r in zip((box.scatter(du), box.scatter(dtau), q_tri,
-                           tau_phys), ref[:3] + ref[4:]):
+        for got, r in zip((box.scatter(du), box.scatter(dtau), tau_phys,
+                           f_q), ref):
             assert_bits_equal(got, r)
         assert_bits_equal(tau_phys, st.tau.to_physical())
-        assert u_max == ref[3] == float(np.max(np.abs(st.u.to_physical())))
+        assert u_max == ref_max == float(np.max(np.abs(st.u.to_physical())))
 
 
 class TestInitialData:
@@ -939,7 +978,7 @@ class TestParams:
 
     def test_hard_validation(self):
         with pytest.raises(ValueError):
-            ModelParams(eta=0.0)
+            ModelParams(eta=-1e-12)
         with pytest.raises(ValueError):
             ModelParams(eta=1.0, b=1.5)
         with pytest.raises(ValueError):
@@ -957,6 +996,10 @@ class TestParams:
 
     def test_soft_warnings(self):
         assert ModelParams(eta=1.0, beta=1.0, alpha=1.0).warnings() == []
+        # eta = 0 is the off switch of the stress dissipation: it runs
+        assert ModelParams(eta=0.0).warnings() == [
+            "eta=0 switches off the stress dissipation, on which the "
+            "estimates rest"]
         assert any("beta" in w for w in
                    ModelParams(eta=1.0, beta=0.4).warnings())
         # alpha above min(1, 3 beta - 1) with nu > 0 is flagged

@@ -25,6 +25,7 @@ from obflow.spectral import (
     _forward,
     _hermitian_residue,
     _inverse,
+    _leray,
     _unchecked_inverse,
 )
 
@@ -371,8 +372,7 @@ class TestSupportTable:
             assert compact.dtype == gathered.dtype
             assert compact.tobytes() == gathered.tobytes()
 
-        for name in ("wavenumbers", "derivative_multipliers",
-                     "leray_wavenumbers"):
+        for name in ("wavenumbers", "derivative_multipliers"):
             for compact, half in zip(getattr(box, name), getattr(whole, name)):
                 same_bytes(compact, half)
         for name in ("k_squared", "gradient_weight", "leray_divisor"):
@@ -616,6 +616,37 @@ class TestLerayDivisor:
         assert div.dtype == np.float64 and div[0, 0, 0] == 1.0
         assert np.count_nonzero(ksq == 0) == 2 ** 3
         np.testing.assert_array_equal(div, np.where(ksq > 0, ksq, 1))
+
+
+def leray_by_dense_wavenumbers(comps, table):
+    """The formula _leray replaced: the same operations on k~ held as a
+    dense complex128 stack of its own."""
+    k = table.derivative_multipliers.imag.astype(np.complex128)
+    factor = np.sum(k * comps, axis=0, initial=0.0)
+    np.divide(factor, table.leray_divisor, out=factor)
+    factor[(0,) * table.grid.d] = 0.0
+    out = np.multiply(k, factor)
+    return np.subtract(comps, out, out=out)
+
+
+class TestLerayReadsTheDerivativeMultipliers:
+    @pytest.mark.parametrize("boxed", [True, False])
+    @pytest.mark.parametrize("d, n", [(2, 8), (2, 16), (3, 8), (3, 12)])
+    def test_equals_the_dense_wavenumber_formula(self, d, n, boxed):
+        """_leray reads k~ off the table's derivative multipliers and gives
+        the bytes of the dense k~ stack it replaced, on either table: on
+        random fields that set every slot (the Nyquist ones of the whole
+        table included), and on fields with zeros of either sign."""
+        table = Grid(d, n).support_table(boxed)
+        rng = np.random.default_rng(d * n + boxed)
+        shape = (d,) + table.shape
+        comps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.all(comps != 0)
+        sparse = comps * (rng.random(shape) < 0.5)  # -0 where comps < 0
+        assert np.any(np.signbit(sparse.real) & (sparse.real == 0))
+        for c in (comps, sparse):
+            assert _leray(c, table).tobytes() == \
+                leray_by_dense_wavenumbers(c, table).tobytes()
 
 
 class TestLerayWholeSpectrum:

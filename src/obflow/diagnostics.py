@@ -137,6 +137,8 @@ class DiagnosticsCollector:
         self.s = diag.resolve_s(grid)
         self.records: List[DiagnosticsRecord] = []
         self.lyapunov_violations = 0
+        # records on the whole table: their state reached outside the box
+        self.whole_table_records = 0
         self._dissipation_accum = 0.0
         self._prev: Optional[Tuple[float, float]] = None  # (t, integrand)
 
@@ -165,6 +167,7 @@ class DiagnosticsCollector:
             **columns,
         )
         self.records.append(rec)
+        self.whole_table_records += not first.table.boxed
         ok, _ = lyapunov_equivalence_check(rec, kc)
         if not ok:
             self.lyapunov_violations += 1

@@ -113,6 +113,7 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
         "t_final": final_state.t,
         "steps": steps,
         "record_count": len(records),
+        "whole_table_records": collector.whole_table_records,
         "sup_u_hs": max(r.u_hs for r in records),
         "sup_tau_hs": max(r.tau_hs for r in records),
         "bootstrap": dataclasses.asdict(report),

@@ -232,60 +232,41 @@ def _q_triangle_physical(tri: np.ndarray, grad_u: np.ndarray, b: float,
     from those of tau's upper triangle (tri) and of grad u, which it
     overwrites.
 
-    Q_ij = (M_ij + M_ji) - b (N_ij + N_ji) with M = tau W and N = D tau, so
-    the result is symmetric by construction.  Each entry of M and N is
-    summed over k in ascending order, pair by pair from the tau triangle
-    and grad u, with no dense tensor, in place in the output row and the
-    three rows of work.  The off-diagonal W_ij and D_ij take the slots of
-    G_ij and G_ji.  The k = j term of M is skipped, as
-    W_jj = 0; W_kj below the diagonal is read as -W_jk by subtraction,
-    which IEEE negation keeps exact; and D_ii is G_ii, which
-    0.5 (G_ii + G_ii) equals exactly.  The rounding is that of the dense
-    products M + M^T.
+    Q = A + A^T with A = tau P and P = W - b D = ((1 - b) G - (1 + b) G^T) / 2,
+    so the result is symmetric by construction.  P is written in place in
+    grad u's slots, P_kk as -b G_kk; each Q_ij = A_ij + A_ji is summed over
+    k in ascending order, with no dense tensor, in place in the output row
+    and the three rows of work.
     """
     d = grad_u.shape[0]
-    pairs = SYM_PAIRS[d]
-    slip, other, term = work
+    lo, hi = 0.5 * (1.0 - b), 0.5 * (1.0 + b)
+    other, transpose, term = work
+    for i in range(d):
+        grad_u[i, i] *= -b
+        for j in range(i + 1, d):  # P_ij and P_ji, from G_ij and G_ji
+            np.multiply(grad_u[j, i], hi, out=other)
+            np.multiply(grad_u[i, j], hi, out=transpose)
+            grad_u[i, j] *= lo
+            grad_u[i, j] -= other
+            grad_u[j, i] *= lo
+            grad_u[j, i] -= transpose
     t = [[None] * d for _ in range(d)]
-    w = {}  # W_ij for i < j
-    s = [[grad_u[i, i]] * d for i in range(d)]  # off-diagonals set below
-    for m, (i, j) in enumerate(pairs):
+    for m, (i, j) in enumerate(SYM_PAIRS[d]):
         t[i][j] = t[j][i] = tri[m]
-        if i != j:
-            w[i, j], s[i][j] = grad_u[i, j], grad_u[j, i]
-            np.subtract(grad_u[i, j], grad_u[j, i], out=term)
-            np.add(grad_u[i, j], grad_u[j, i], out=s[i][j])
-            np.multiply(term, 0.5, out=w[i, j])
-            s[i][j] *= 0.5
-            s[j][i] = s[i][j]
 
-    def tau_w(i, j):  # the terms of (tau W)_ij as (factor, factor, sign)
-        return [(t[i][k], w[k, j], 1) if k < j else (t[i][k], w[j, k], -1)
-                for k in range(d) if k != j]
-
-    def d_tau(i, j):  # the terms of (D tau)_ij
-        return [(s[i][k], t[k][j], 1) for k in range(d)]
-
-    def sum_into(acc, terms):  # in ascending k, as the dense product sums
-        np.multiply(terms[0][0], terms[0][1], out=acc)
-        if terms[0][2] < 0:
-            np.negative(acc, out=acc)
-        for x, y, sign in terms[1:]:
-            np.multiply(x, y, out=term)
-            (np.add if sign > 0 else np.subtract)(acc, term, out=acc)
+    def a_into(acc, i, j):  # A_ij = sum_k tau_ik P_kj
+        np.multiply(t[i][0], grad_u[0, j], out=acc)
+        for k in range(1, d):
+            np.multiply(t[i][k], grad_u[k, j], out=term)
+            acc += term
         return acc
 
-    for m, (i, j) in enumerate(pairs):
-        rot = sum_into(out[m], tau_w(i, j))
-        sum_into(slip, d_tau(i, j))
+    for m, (i, j) in enumerate(SYM_PAIRS[d]):
+        q = a_into(out[m], i, j)
         if i == j:
-            rot += rot
-            slip += slip
+            q += q
         else:
-            rot += sum_into(other, tau_w(j, i))
-            slip += sum_into(other, d_tau(j, i))
-        slip *= b
-        rot -= slip
+            q += a_into(other, j, i)
     return out
 
 

@@ -116,13 +116,15 @@ def _stage(table: SupportTable, params: ModelParams, u: np.ndarray,
 def step(state: FlowState, params: ModelParams, dt: float,
          first: Optional[Tendency] = None) -> FlowState:
     """Advance one RK4 step in the variables z = exp(L (t - t0)) y; u is
-    re-projected after every stage.
+    projected once, at the end.  Each stage input combines u0 (projected by
+    make_initial_data or the step before) with kernel tendencies, whose du
+    the kernel projects.
 
     first, if given, must be the model.Tendency of state under params;
     else it is evaluated here.  It serves as stage 1, its support table
     (model._state_table) as the step's, and the compact u and tau it
     carries as the step's start, so the step gathers none of state's
-    arrays: the stage algebra, the projections and the other three kernel
+    arrays: the stage algebra, the projection and the other three kernel
     evaluations run on the table's compact coefficients, which are
     scattered back to the half layout at the end.
     Only stage 1 checks Hermitian symmetry (model._evaluate): the later
@@ -146,7 +148,7 @@ def step(state: FlowState, params: ModelParams, dt: float,
     ku, kt = dt * first.du, dt * first.dtau
     del first
 
-    u_s = _leray(eu_h * (u0 + 0.5 * ku), table)
+    u_s = eu_h * (u0 + 0.5 * ku)
     tau_s = et_h * (tau0 + 0.5 * kt)
     # su, st sum eu_f k1 + 2 eu_h (k2 + k3) + k4 in this order as the
     # stages end, and each stage tendency is dropped once it is summed, so
@@ -155,11 +157,11 @@ def step(state: FlowState, params: ModelParams, dt: float,
     del ku, kt
     ku, kt = _stage(table, params, u_s, tau_s, dt)
 
-    u_s = _leray(eu_h * u0 + 0.5 * ku, table)
+    u_s = eu_h * u0 + 0.5 * ku
     tau_s = et_h * tau0 + 0.5 * kt
     ku3, kt3 = _stage(table, params, u_s, tau_s, dt)
 
-    u_s = _leray(eu_f * u0 + eu_h * ku3, table)
+    u_s = eu_f * u0 + eu_h * ku3
     tau_s = et_f * tau0 + et_h * kt3
     su += 2.0 * eu_h * (ku + ku3)
     st += 2.0 * et_h * (kt + kt3)

@@ -83,6 +83,18 @@ class TestRunSingle:
         times = [r.t for r in result.records]
         assert times == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
 
+    @pytest.mark.parametrize("band, whole", [([1, 8], True), ([1, 4], False)])
+    def test_summary_counts_whole_table_records(self, band, whole):
+        """A band past kc = 6 runs every record on the whole table, one
+        inside the 2/3 box none."""
+        result = run_single(cfg_of(dict(
+            SMALL_RUN, stepper={"dt": 0.01, "t_end": 0.05},
+            diagnostics={"cadence_steps": 1},
+            initial_data=dict(SMALL_RUN["initial_data"], band=band))))
+        count = result.summary["record_count"]
+        assert count == 6
+        assert result.summary["whole_table_records"] == (count if whole else 0)
+
     # (config, box table, SupportTable.batched), each run with a record
     # and a snapshot every step
     RERUNS = {

@@ -32,7 +32,7 @@ from .model import FlowState, make_initial_data, single_mode
 from .snapshots import (atomic_write_text, csv_text, json_text, read_snapshot,
                         write_snapshot)
 from .spectral import COUNTS, divergence, leray_project
-from .stepping import BlowUpError, integrate
+from .stepping import DT_BOUNDS, BlowUpError, integrate
 
 # Gate on the deviation of a linear-toggles run from the exact mode solution.
 ORACLE_TOL = 1e-10
@@ -90,8 +90,9 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
             **dataclasses.asdict(cfg.initial_data)), params, cfg.stepper,
             callbacks)
         final_state, steps = result.state, result.steps
+        sizes = result.step_sizes
     except BlowUpError as exc:
-        final_state, steps = exc.state, exc.step
+        final_state, steps, sizes = exc.state, exc.step, exc.step_sizes
         blow_up = {"t": exc.state.t, "step": exc.step, "field": exc.field}
 
     records = collector.records
@@ -112,6 +113,10 @@ def run_single(cfg: RunConfig, outdir: Optional[Path] = None) -> RunResult:
         "warnings": cfg.warnings(),
         "t_final": final_state.t,
         "steps": steps,
+        "dt_min": min((dt for dt, _ in sizes), default=None),
+        "dt_max": max((dt for dt, _ in sizes), default=None),
+        "dt_set_by": {bound: sum(b == bound for _, b in sizes)
+                      for bound in DT_BOUNDS},
         "record_count": len(records),
         "whole_table_records": collector.whole_table_records,
         "sup_u_hs": max(r.u_hs for r in records),

@@ -158,8 +158,8 @@ class Tendency:
     tendency under params at u and tau, all in the compact layout of its
     support table (u and tau are a state's own arrays on the whole table),
     and max |u| over the kernel's samples of u (those of u.to_physical(),
-    bit for bit), taken whenever the kernel inverts u (None if no term
-    does)."""
+    bit for bit), taken whenever the kernel inverts u, unless its caller
+    reads none (a step's later stages); else None."""
 
     table: SupportTable
     u: np.ndarray
@@ -183,47 +183,6 @@ def _strain(u: np.ndarray, table: SupportTable) -> np.ndarray:
     for m, (i, j) in enumerate(pairs):
         comps[m] = 0.5 * (ik[j] * u[i] + ik[i] * u[j])
     return comps
-
-
-def _stack_chunks(table: SupportTable, m: int, values: bool,
-                  derivatives: bool) -> List[Tuple[int, int]]:
-    """The (start, stop) rows of each inverse of the stack of m components
-    that _invert_rows builds: the whole stack if table.batched, else one
-    group per call, the groups being the m values (if values) and then
-    each component's d derivatives (if derivatives)."""
-    d = table.grid.d
-    ends = [m] * values + [m * values + d * (c + 1)
-                           for c in range(m * derivatives)]
-    if table.batched:
-        return [(0, ends[-1])]
-    return list(zip([0] + ends[:-1], ends))
-
-
-def _invert_rows(comps: np.ndarray, table: SupportTable, values: bool,
-                 start: int, stop: int, out: np.ndarray) -> np.ndarray:
-    """Physical samples, into out, of rows start:stop of the stack of
-    compact comps: the m values (if values), then the d derivatives of each
-    component, i k_j c_i in row v + d i + j (v is m with values, else 0).
-    The derivative rows are built with one broadcast product with the
-    table's derivative multipliers, and the rows are inverted in one call,
-    unchecked, as derivatives keep the Hermitian symmetry of their checked
-    source."""
-    d = table.grid.d
-    v = len(comps) if values else 0
-    work = table.workspace("work", (stop - start,) + table.grid.spectral_shape,
-                           np.complex128)
-    if stop == v:  # the values alone
-        return _unchecked_inverse(comps, table, out=out, work=work)
-    stack = table.workspace("stack", (stop - start,) + table.shape,
-                            np.complex128)
-    if start < v:
-        stack[:v] = comps
-    first, last = (max(start, v) - v) // d, (stop - v) // d
-    if last > first:
-        np.multiply(comps[first:last, None], table.derivative_multipliers,
-                    out=stack[max(start, v) - start:].reshape(
-                        (last - first, d) + table.shape))
-    return _unchecked_inverse(stack, table, out=out, work=work)
 
 
 def _q_triangle_physical(tri: np.ndarray, grad_u: np.ndarray, b: float,
@@ -270,6 +229,81 @@ def _q_triangle_physical(tri: np.ndarray, grad_u: np.ndarray, b: float,
     return out
 
 
+def _physical_terms(u: np.ndarray, tau: np.ndarray,
+                    stack: Optional[np.ndarray], table: SupportTable,
+                    params: ModelParams, record: bool, cfl: bool,
+                    products: np.ndarray,
+                    ) -> Tuple[Optional[float], Optional[np.ndarray]]:
+    """u.grad u, u.grad tau + Q and a record's copy of Q, into their rows
+    of products, from the samples of the rows of S (_explicit_terms) that
+    they read: u's values and derivatives, tau's values for Q or a record,
+    and tau's derivatives for transport.  Returns (max |u| if cfl and u is
+    inverted, a copy of tau's samples if record), each else None.
+
+    With stack (S, on a batched table) each run of adjacent rows is
+    inverted in one call: one run, but for transport without Q or a
+    record.  Without it each group is built and inverted alone: u's
+    values, tau's values, then each source's d derivatives; tau's reuse
+    grad u's first rows once Q has read them.  Each call's derivative rows
+    are contracted with u at once, and Q is added to tau's transport
+    wherever it lands first (the sum is exact in either order)."""
+    grid, tg = table.grid, params.toggles
+    d, m = grid.d, len(tau)
+    v, gu = d + m, d + m + d * d  # where the derivatives and tau's start
+    groups = [(0, d)] * tg.nonlinear + [(d, v)] * (tg.q_term or record) + [
+        (v + d * c, v + d * c + d) for c in range(v)
+        if (tg.nonlinear if c < d else tg.advection)]
+    runs = []
+    for start, stop in groups:
+        if runs and stack is not None and runs[-1][1] == start:
+            runs[-1] = (runs[-1][0], stop)
+        else:
+            runs.append((start, stop))
+    end = runs[-1][1] if runs else 0
+    samples = table.workspace("samples", (
+        end if stack is not None else min(end, gu),) + grid.shape)
+    u_phys, tau_phys = samples[:d], samples[d:v]
+    nl = products[d * tg.advection:d * tg.advection + m]  # u.grad tau + Q
+    for start, stop in runs:
+        first, last = max(start - v, 0) // d, max(stop - v, 0) // d
+        if stack is not None:
+            rows = stack[start:stop]
+        elif last > first:  # one source's derivatives
+            rows = np.multiply(u[first] if first < d else tau[first - d],
+                               table.derivative_multipliers)
+        else:
+            rows = u if start == 0 else tau
+        part = (samples[start:stop] if stop <= len(samples)
+                else samples[v:v + stop - start])
+        _unchecked_inverse(rows, table, out=part, work=table.workspace(
+            "work", (stop - start,) + grid.spectral_shape, np.complex128))
+        if tg.advection and last > first:
+            # rows that hold Q already take the transport beside it
+            dest, after_q = products[first:last], tg.q_term and start >= gu
+            out = table.workspace("work", dest.shape) if after_q else dest
+            np.einsum("j...,cj...->c...", u_phys,
+                      part[max(start, v) - start:].reshape(
+                          (last - first, d) + grid.shape), out=out)
+            if after_q:
+                dest += out
+            del out  # each buffer goes before the next group's are made
+        if tg.q_term and start < gu <= stop:
+            beside = tg.advection and stop > gu  # u.grad tau is in nl
+            work = table.workspace("work", (
+                3 + m * (beside and not record),) + grid.shape)
+            q = (products[len(products) - m:] if record else work[3:]) \
+                if beside else nl
+            _q_triangle_physical(tau_phys, samples[v:gu].reshape(
+                (d, d) + grid.shape), params.b, q, work[:3])
+            if beside:
+                nl += q
+            elif record:
+                products[len(products) - m:] = q
+            del work, q
+    return (float(np.max(np.abs(u_phys))) if cfl and tg.nonlinear else None,
+            tau_phys.copy() if record else None)
+
+
 def dissipation_rates(grid: Grid, params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
     """Diagonal decay rates (velocity, stress).
 
@@ -297,89 +331,52 @@ def _state_table(state: FlowState) -> SupportTable:
 
 def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
                     params: ModelParams, record: bool = False,
+                    cfl: bool = True,
                     ) -> Tuple[Tendency, Optional[np.ndarray],
                                Optional[np.ndarray]]:
     """Kernel of tendency on the compact coefficients u and tau of table:
     (their Tendency, tau's samples if record, and F(Q), the dealiased
     transform of Q in the box table's compact layout, if record and Q is
     on; else None).  The only place the nonlinear terms u.grad u, u.grad
-    tau and Q are built.
+    tau and Q are built.  cfl False drops max |u|, which a step's later
+    stages do not read.
 
-    Two source stacks are inverted where a term (or the record) reads them:
-    [u, grad u] and [tau, grad tau], each built with one broadcast
-    product, whole or a group per call as table.batched says (_stack_chunks).
-    tau's own samples come first and give Q in its product rows, which a
-    record copies into m more rows, before a later chunk overwrites them;
-    each chunk of grad tau is contracted with u and added into its rows of
-    u.grad tau + Q at once.
-    u.grad u, u.grad tau + Q and a record's Q are transformed in one
-    dealiased forward transform, which passes only over the lines the 2/3
-    rule keeps and gathers the 2/3 box.  The samples, the products and the
-    work buffers are the table's workspace, which every evaluation reuses
-    if batched; du, dtau, F(Q) and tau's samples are new arrays.  Every
-    inverse is unchecked, as a state is checked where it enters
-    (_evaluate).  Every spectral product, the projection and the inverse
-    passes run over the table's coefficients and lines only.  Its counts
-    (spectral.COUNTS) are pinned by tests/test_model.py::TestFusedKernel.
+    The source stack is S = [u; tau; i k (x) u; i k (x) tau], i k_j of
+    source c in row d + m + d c + j.  A batched table builds S whole, with
+    one copy and one broadcast product per source array, inverts it in one
+    call (_physical_terms) and sums the coupling off its derivative rows.
+    Other tables build S a group per inverse call, and each coupling
+    product afresh, so that the kernel's peak does not grow.  The coupling
+    is summed in the order of _tensor_divergence and _strain.  The
+    products are transformed in one dealiased forward transform, which
+    passes only over the lines the 2/3 rule keeps and gathers the 2/3 box.
+    S, the samples, the products and the work buffers are the table's
+    workspace, reused by every evaluation if batched; du, dtau, F(Q) and
+    tau's samples are new arrays.  Every inverse is unchecked, as a state
+    is checked where it enters (_evaluate).  Every spectral product, the
+    projection and the inverse passes run over the table's coefficients
+    and lines only.  Its counts (spectral.COUNTS) are pinned by
+    tests/test_model.py::TestFusedKernel.
     """
     COUNTS["evaluations"] += 1
     grid = table.grid
     d, m = grid.d, len(tau)
     tg = params.toggles
+    ik = table.derivative_multipliers
     q_rows = m * (record and tg.q_term)
     products = table.workspace("products", (
         d * tg.advection + m * tg.nonlinear + q_rows,) + grid.shape)
-    nl = products[d * tg.advection:len(products) - q_rows]  # u.grad tau + Q
-
-    u_max = None
-    if tg.nonlinear:
-        u_stack = table.workspace("u", (d + d * d,) + grid.shape)
-        for start, stop in _stack_chunks(table, d, True, True):
-            _invert_rows(u, table, True, start, stop, u_stack[start:stop])
-        u_phys = u_stack[:d]
-        grad_u = u_stack[d:].reshape((-1, d) + grid.shape)
-        u_max = float(np.max(np.abs(u_phys)))
-    if tg.advection:
-        np.einsum("j...,ij...->i...", u_phys, grad_u, out=products[:d])
-
-    tau_phys = None
-    if tg.nonlinear or record:
-        values = tg.q_term or record
-        v = m if values else 0
-        chunks = _stack_chunks(table, m, values, tg.advection)
-        rows = max((stop - start for start, stop in chunks
-                    if not (record and stop == v)), default=0)
-        samples = table.workspace("tau", (rows,) + grid.shape)
-        for start, stop in chunks:
-            # a record's samples of tau leave the kernel: they are new,
-            # inverted alone or copied before later chunks overwrite them
-            alone = record and stop == v
-            part = _invert_rows(tau, table, values, start, stop,
-                                np.empty((m,) + grid.shape) if alone
-                                else samples[:stop - start])
-            if start < v:
-                tau_phys = part[:m].copy() if record and not alone \
-                    else part[:m]
-            if start < v and tg.q_term:
-                _q_triangle_physical(tau_phys, grad_u, params.b, nl,
-                                     table.workspace("work", (3,) + grid.shape))
-                if record:
-                    products[len(products) - m:] = nl
-            if tg.advection and stop > v:
-                # u.grad tau, added to Q where Q is on: the sum of the two
-                # is exact in either order
-                first, last = (max(start, v) - v) // d, (stop - v) // d
-                adv = nl[first:last]
-                if tg.q_term:
-                    adv = table.workspace("work", adv.shape)
-                np.einsum("j...,mj...->m...", u_phys,
-                          part[max(start, v) - start:].reshape(
-                              (last - first, d) + grid.shape), out=adv)
-                if tg.q_term:
-                    np.add(nl[first:last], adv, out=nl[first:last])
-                del adv
-        del samples
-    u_phys = grad_u = u_stack = None  # on large grids, free before forward
+    stack = None
+    if table.batched:
+        # a product that read S's own rows would make numpy copy them
+        stack = table.workspace("stack", ((d + 1) * (d + m),) + table.shape,
+                                np.complex128)
+        grads = stack[d + m:].reshape((d + m, d) + table.shape)
+        for rows, source in ((slice(0, d), u), (slice(d, d + m), tau)):
+            stack[rows] = source
+            np.multiply(source[:, None], ik, out=grads[rows])
+    u_max, tau_phys = _physical_terms(u, tau, stack, table, params, record,
+                                      cfl, products)
 
     f_q = None
     if len(products):
@@ -390,19 +387,22 @@ def _explicit_terms(u: np.ndarray, tau: np.ndarray, table: SupportTable,
             coeffs, f_q = coeffs[:-m], coeffs[-m:]
         if not table.boxed:
             coeffs = grid.support_table(True).scatter(coeffs)
+    derivative = (lambda c, j: grads[c, j]) if stack is not None else (
+        lambda c, j: ik[j] * (u[c] if c < d else tau[c - d]))
     du = np.zeros((d,) + table.shape, dtype=np.complex128)
-    if tg.coupling:
-        du += _tensor_divergence(tau, table)
+    for c, (i, j) in enumerate(SYM_PAIRS[d] * tg.coupling):
+        du[i] += derivative(d + c, j)
+        if i != j:
+            du[j] += derivative(d + c, i)
     if tg.advection:
         du -= coeffs[:d]
     du = _leray(du, table)
     dtau = np.zeros_like(tau)
-    if tg.coupling:
-        dtau += _strain(u, table)
+    for c, (i, j) in enumerate(SYM_PAIRS[d] * tg.coupling):
+        dtau[c] += 0.5 * (derivative(i, j) + derivative(j, i))
     if tg.nonlinear:
         dtau -= coeffs[len(coeffs) - m:]
-    return (Tendency(table, u, tau, du, dtau, params, u_max),
-            tau_phys if record else None, f_q)
+    return (Tendency(table, u, tau, du, dtau, params, u_max), tau_phys, f_q)
 
 
 def _evaluate(state: FlowState, params: ModelParams, record: bool = False,

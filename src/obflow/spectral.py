@@ -53,7 +53,8 @@ Conventions used throughout the package:
   i*k~_j zero every Nyquist entry of k, so that odd multipliers map real
   fields to real fields.
 - SupportTable.batched, from the grid alone, is the kernel's inversion
-  plan: each stack whole in the table's workspace, or a group per call.
+  plan: its one source stack whole in the table's workspace, inverted in
+  one call, or a group per call.
 - The Leray projector reads the derivative multipliers' k~ and |k~|^2
   (no copy of its own): it is the orthogonal projector onto the kernel
   of divergence, even in k, and leaves the slots with k~ = 0 (k = 0
@@ -246,9 +247,9 @@ class SupportTable:
     sum_j k~_j^2 and per exponent the Sobolev weights and fractional
     multipliers.  The Leray projector reads k~ (the imaginary parts of the
     derivative multipliers, a view) and sum_j k~_j^2 (leray_divisor, 1
-    where it is 0).  batched decides the kernel's inversion plan, and so
-    whether its workspace buffers are shared from one evaluation to the
-    next.
+    where it is 0).  batched decides the kernel's inversion plan (one
+    call for its whole source stack, or one per group), and so whether its
+    workspace buffers are shared from one evaluation to the next.
     """
 
     def __init__(self, grid: Grid, boxed: bool):
@@ -331,15 +332,18 @@ class SupportTable:
             out[h] = compact[c]
         return out
 
-    # tau's stack takes 304 KB at 2D n=64; from 2D n=96, and at 3D n=16,
-    # whole stacks cost time and peak memory (ROADMAP item 8)
-    _BATCH_BYTES = 384 << 10
+    # the source stack takes 495 KiB at 2D n=64; from 2D n=96, and at 3D
+    # n=16, whole stacks cost time and peak memory (ROADMAP item 8).  It
+    # batches 2D n <= 72 and 3D n <= 12, as the bound of 384 KiB on tau's
+    # m (d + 1) rows did
+    _BATCH_BYTES = 640 << 10
 
     @cached_property
     def batched(self) -> bool:
-        """Whether tau's stack, m (d + 1) half-layout rows of 16 B, fits
-        _BATCH_BYTES: the kernel then inverts each stack in one call."""
-        rows = len(SYM_PAIRS[self.grid.d]) * (self.grid.d + 1)
+        """Whether the kernel's source stack, (d + m)(d + 1) half-layout
+        rows of 16 B, fits _BATCH_BYTES: the kernel then builds it whole on
+        the workspace and inverts it in one call."""
+        rows = (self.grid.d + len(SYM_PAIRS[self.grid.d])) * (self.grid.d + 1)
         nbytes = 16 * rows * math.prod(self.grid.spectral_shape)
         return nbytes <= self._BATCH_BYTES
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,16 +39,24 @@ from .spectral import (  # noqa: F401
     leray_project,
 )
 
-class BlowUpError(RuntimeError):
-    """A step produced non-finite values; carries the last finite state and
-    field, the first non-finite component of the step ("u[1]", "tau[0,1]")."""
+# what can set a step's dt: a CFL bound of cfl_dt (advective, wave or the
+# cap), a fixed dt, or the landing on t_end
+DT_BOUNDS = ("advective", "wave", "cap", "fixed", "t_end")
 
-    def __init__(self, state: FlowState, step: int, field: str):
+
+class BlowUpError(RuntimeError):
+    """A step produced non-finite values; carries the last finite state,
+    field, the first non-finite component of the step ("u[1]", "tau[0,1]"),
+    and the (dt, bound) of every step taken (IntegrationResult.step_sizes)."""
+
+    def __init__(self, state: FlowState, step: int, field: str,
+                 step_sizes: Sequence[Tuple[float, str]] = ()):
         super().__init__(f"solution lost finiteness in {field} after step "
                          f"{step} (t = {state.t:g})")
         self.state = state
         self.step = step
         self.field = field
+        self.step_sizes = list(step_sizes)
 
 
 def _first_non_finite(state: FlowState) -> str:
@@ -100,16 +108,19 @@ def _cfl_bound(grid: Grid, u_max: float, config: StepperConfig) -> float:
     dt = config.dt_cap
     if u_max > 0:
         dt = min(dt, config.cfl_advective * grid.dx / u_max)
-    k_max = grid.n // 2
-    dt = min(dt, config.cfl_wave * math.sqrt(2.0) / k_max)
-    return dt
+    return min(dt, _wave_bound(grid, config))
+
+
+def _wave_bound(grid: Grid, config: StepperConfig) -> float:
+    """cfl_dt's wave bound c_wave sqrt(2) / k_max."""
+    return config.cfl_wave * math.sqrt(2.0) / (grid.n // 2)
 
 
 def _stage(table: SupportTable, params: ModelParams, u: np.ndarray,
            tau: np.ndarray, dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """dt times the explicit tendencies at compact (u, tau): one RK4
-    stage."""
-    stage = _explicit_terms(u, tau, table, params)[0]
+    stage, which reads no max |u|."""
+    stage = _explicit_terms(u, tau, table, params, cfl=False)[0]
     return dt * stage.du, dt * stage.dtau
 
 
@@ -179,8 +190,12 @@ def step(state: FlowState, params: ModelParams, dt: float,
 
 @dataclass
 class IntegrationResult:
+    """The final state, the number of steps, and per step its dt and the
+    bound of DT_BOUNDS that set it."""
+
     state: FlowState
     steps: int
+    step_sizes: List[Tuple[float, str]]
 
 
 def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
@@ -194,8 +209,11 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
     params is the next step's first stage, else integrate evaluates it, and
     with dt "auto" its u_max gives the CFL bound.  Fixed step sizes use
     t = i * dt arithmetic so repeated runs are bit-identical; a trailing
-    partial step closes any remainder.  Non-finite values abort the march
-    with a BlowUpError carrying the last finite state.
+    partial step closes any remainder.  Each step's dt and the bound that
+    set it are kept (IntegrationResult.step_sizes); a step that lands on
+    t_end below its CFL bound or fixed dt is set by "t_end".  Non-finite
+    values abort the march with a BlowUpError carrying the last finite
+    state.
     """
     t_end = config.t_end
     auto = config.dt == "auto"
@@ -208,7 +226,7 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
         if remainder < 1e-12 * max(dt, 1.0):
             remainder = 0.0
 
-    i = 0
+    i, sizes = 0, []
     current, state = state, None  # the first step consumes the initial state
     finished = t_end == 0.0
     while True:
@@ -226,17 +244,21 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             first = first or [tendency(current, params)]
             if auto:
-                dt_i = min(cfl_dt(current, config) if first[0].u_max is None
-                           else _cfl_bound(current.grid, first[0].u_max, config),
-                           target - current.t)
+                cfl = (cfl_dt(current, config) if first[0].u_max is None
+                       else _cfl_bound(current.grid, first[0].u_max, config))
+                dt_i = min(cfl, target - current.t)
                 if dt_i <= 0:
                     break
                 next_t = None
+                bound = ("t_end" if dt_i < cfl
+                         else "cap" if cfl == config.dt_cap
+                         else "wave" if cfl == _wave_bound(current.grid, config)
+                         else "advective")
             elif i < n_full:
-                dt_i = dt
+                dt_i, bound = dt, "fixed"
                 next_t = t0 + (i + 1) * dt
             elif remainder > 0.0 and i == n_full:
-                dt_i = remainder
+                dt_i, bound = remainder, "t_end"
                 next_t = target
             else:
                 break
@@ -244,9 +266,10 @@ def integrate(state: FlowState, params: ModelParams, config: StepperConfig,
         if next_t is not None:
             new.t = next_t
         i += 1
+        sizes.append((dt_i, bound))
         if not (np.all(np.isfinite(new.u.comps)) and
                 np.all(np.isfinite(new.tau.comps))):
-            raise BlowUpError(current, i, _first_non_finite(new))
+            raise BlowUpError(current, i, _first_non_finite(new), sizes)
         current = new
         finished = (target - current.t) <= 1e-12 * max(1.0, abs(target))
-    return IntegrationResult(current, i)
+    return IntegrationResult(current, i, sizes)

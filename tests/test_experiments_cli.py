@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,36 @@ class TestRunSingle:
         assert count == 6
         assert result.summary["whole_table_records"] == (count if whole else 0)
 
+    @pytest.mark.parametrize("n, bound", [(128, "wave"), (64, "cap")])
+    def test_summary_names_the_bound_of_each_dt(self, n, bound):
+        """With auto dt and band [1, 4] data the advective bound never
+        binds: at 2D n=128 the wave bound 0.4 sqrt(2) / 64 = 0.00884, below
+        the cap of 0.01, sets every step but the last, which lands on
+        t_end; at n=64 the wave bound is 0.0177, and the cap sets them."""
+        result = run_single(cfg_of(dict(
+            SMALL_RUN, grid={"d": 2, "n": n},
+            stepper={"dt": "auto", "t_end": 0.045},
+            initial_data=dict(SMALL_RUN["initial_data"], band=[1, 4]))))
+        summary = result.summary
+        dt = {"wave": 0.4 * math.sqrt(2.0) / (n // 2), "cap": 0.01}[bound]
+        steps = summary["steps"]
+        assert steps == math.ceil(0.045 / dt)
+        assert summary["dt_set_by"] == {
+            "advective": 0, "wave": 0, "cap": 0, "fixed": 0,
+            bound: steps - 1, "t_end": 1}
+        assert summary["dt_max"] == dt
+        assert summary["dt_min"] == pytest.approx(0.045 - (steps - 1) * dt)
+
+    def test_summary_counts_fixed_steps(self):
+        """A fixed dt sets every full step; the remainder lands on t_end."""
+        summary = run_single(cfg_of(dict(
+            SMALL_RUN, stepper={"dt": 0.01, "t_end": 0.055}))).summary
+        assert summary["steps"] == 6
+        assert summary["dt_set_by"] == {
+            "advective": 0, "wave": 0, "cap": 0, "fixed": 5, "t_end": 1}
+        assert summary["dt_max"] == 0.01
+        assert summary["dt_min"] == pytest.approx(0.005)
+
     # (config, box table, SupportTable.batched), each run with a record
     # and a snapshot every step
     RERUNS = {
@@ -162,6 +193,9 @@ class TestRunSingle:
         assert summary["blow_up"]["step"] > 0
         assert summary["blow_up"]["field"] in (
             "u[0]", "u[1]", "tau[0,0]", "tau[0,1]", "tau[1,1]")
+        # the steps taken, the one that blew up among them
+        assert summary["dt_set_by"]["fixed"] == summary["blow_up"]["step"]
+        assert summary["dt_min"] == summary["dt_max"] == 0.5
         assert (out / "diagnostics.csv").exists()
 
     def test_failed_initial_data_leaves_no_snapshot_directory(self, tmp_path):

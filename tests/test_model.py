@@ -484,11 +484,11 @@ def counting():
 
 
 def evaluations(times, inverse, forward, **more):
-    """The counts of times kernel evaluations of inverse/forward components:
-    two inverse calls (the stacks of u and tau), one forward call and one
-    projection each; more sets other keys."""
+    """The counts of times kernel evaluations of inverse/forward components
+    on a batched table: one inverse call (the source stack), one forward
+    call and one projection each; more sets other keys."""
     return {**dict.fromkeys(COUNTS, 0), "evaluations": times,
-            "inverse_calls": 2 * times, "inverse_components": times * inverse,
+            "inverse_calls": times, "inverse_components": times * inverse,
             "forward_calls": times, "forward_components": times * forward,
             "projections": times, **more}
 
@@ -621,8 +621,8 @@ class TestBatchedKernel:
         with counting() as counts:
             got, got_max = kernel_outputs(u, tau, table, self.PARAMS, record)
         m = len(SYM_PAIRS[d])
-        # u's values, each row of grad u, tau's values, each row of grad tau
-        assert counts["inverse_calls"] == 1 + d + 1 + m
+        # u's values, tau's values, then each source's d derivatives
+        assert counts["inverse_calls"] == 1 + 1 + d + m
         assert counts["inverse_components"] == d + d * d + m + m * d
         assert got_max == ref_max
         # Q is on, so a record returns tau's samples and F(Q)
@@ -633,17 +633,17 @@ class TestBatchedKernel:
                 assert_bits_equal(g, r)
 
     @pytest.mark.parametrize("d, n, batched, calls", [
-        pytest.param(2, 64, True, 6, id="2-64-6"),
+        pytest.param(2, 64, True, 4, id="2-64-4"),
         pytest.param(2, 128, False, 16, id="2-128-16"),
         pytest.param(3, 32, False, 48, id="3-32-48"),
         pytest.param(3, 16, False, 48, id="3-16-48")])
     def test_numpy_fft_calls_per_evaluation(self, monkeypatch, d, n, batched,
                                             calls):
-        """On the box table, 2D n=64 makes one inverse of each stack and
-        one forward, two numpy.fft calls each.  The larger grids take one
-        group per call: u's values and each row of grad u, tau's values and
-        each row of grad tau (7 inverses of 2 calls in 2D, 11 of 4 in 3D),
-        and one forward (2 calls, 4 in 3D)."""
+        """On the box table, 2D n=64 makes one inverse of the source stack
+        and one forward, two numpy.fft calls each.  The larger grids take
+        one group per call: u's values, tau's values, then each source's d
+        derivatives (7 inverses of 2 calls in 2D, 11 of 4 in 3D), and one
+        forward (2 calls, 4 in 3D)."""
         table, u, tau = self.compact_state(d, n, (1, 4))
         assert table.boxed
         assert table.batched == batched
@@ -653,6 +653,41 @@ class TestBatchedKernel:
                 np.fft, name), **k: made.append(1) or _fn(*a, **k))
         _explicit_terms(u, tau, table, self.PARAMS)
         assert len(made) == calls
+
+    @pytest.mark.parametrize("d, n, band", [
+        (2, 16, (1, 4)), (2, 16, (1, 8)), (3, 12, (1, 3)), (3, 12, (1, 6))])
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_coupling_equals_the_operators(self, monkeypatch, d, n, band,
+                                           batched):
+        """The coupling, read off the source stack's derivative rows on a
+        batched table and built afresh on any other, is
+        _tensor_divergence and _strain, bit for bit: the same products in
+        the other order (complex products commute exactly) and the same
+        sums."""
+        table, u, tau = self.compact_state(d, n, band)
+        monkeypatch.setattr(table, "batched", batched)
+        (du, dtau, _, _), _ = kernel_outputs(
+            u, tau, table, ModelParams(toggles=TermToggles.linear_waves()))
+        div = np.zeros_like(u)
+        div += obflow.spectral._tensor_divergence(tau, table)
+        strain = np.zeros_like(tau)
+        strain += obflow.model._strain(u, table)
+        assert_bits_equal(du, obflow.spectral._leray(div, table))
+        assert_bits_equal(dtau, strain)
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 12)])
+    def test_one_transport_contraction_equals_two(self, d, n):
+        """u.grad u and u.grad tau from one einsum over the gradient rows
+        of u and tau, as the batched kernel contracts them, equal the two
+        separate einsums, bit for bit: each output row sums over j in the
+        same order."""
+        m = len(SYM_PAIRS[d])
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((d,) + (n,) * d)
+        grads = rng.standard_normal((d + m, d) + (n,) * d)
+        one = np.einsum("j...,cj...->c...", u, grads)
+        assert_bits_equal(one[:d], np.einsum("j...,ij...->i...", u, grads[:d]))
+        assert_bits_equal(one[d:], np.einsum("j...,mj...->m...", u, grads[d:]))
 
     def test_a_warm_evaluation_allocates_no_stack(self):
         """Once one evaluation has filled the workspace, the next reuses
